@@ -1,11 +1,13 @@
 """Axis-parallel product chamber complexes on the unit k-cube.
 
 A product arrangement is a tuple of factors, each a family id with a wall
-set on (0, 1).  Cells are index tuples: per factor either a chamber index or
-a wall index, with codimension the number of wall coordinates.  With w_i
-walls in factor i there are prod(w_i + 1) top cells, prod(2 w_i + 1) cells
-in total, and the codim-j count is the elementary symmetric sum pairing j
-wall choices with chamber choices elsewhere.
+set on (0, 1).  A cell is a tuple of positions, one int per factor, in the
+encoding of Coord.position: chamber i is 2i and wall i is 2i + 1, so the
+positions of one factor run left to right along the interval, tuple order is
+the lexicographic cell order, and the codimension is the number of odd
+entries.  With w_i walls in factor i there are prod(w_i + 1) top cells,
+prod(2 w_i + 1) cells in total, and the codim-j count is the elementary
+symmetric sum pairing j wall choices with chamber choices elsewhere.
 
 The crossing graph has the top cells as nodes and one edge per codim-1 cell,
 joining the two chambers adjacent across that wall; it is the box product of
@@ -35,6 +37,7 @@ from math import factorial
 from .errors import (
     BadCodimError,
     BoundExceededError,
+    ConsistencyError,
     DimensionMismatchError,
     MismatchedWallSetsError,
     UnsupportedDimensionError,
@@ -51,17 +54,19 @@ RENDER_FORMATS = ("svg", "ascii", "json")
 
 @dataclass(frozen=True)
 class Cell:
-    """A product cell: one chamber-or-wall coordinate per factor."""
+    """A product cell: one chamber-or-wall position per factor."""
 
-    coords: tuple[Coord, ...]
+    positions: tuple[int, ...]
+
+    @property
+    def coords(self) -> tuple[Coord, ...]:
+        return tuple(
+            (Coord.wall if p & 1 else Coord.chamber)(p >> 1) for p in self.positions
+        )
 
     @property
     def codim(self) -> int:
-        return sum(1 for c in self.coords if c.is_wall)
-
-    @property
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(c.position for c in self.coords)
+        return sum(p & 1 for p in self.positions)
 
     def to_json(self) -> dict:
         return {"coords": [c.to_json() for c in self.coords], "codim": self.codim}
@@ -84,29 +89,21 @@ class ProductArrangement:
     def wall_counts(self) -> tuple[int, ...]:
         return tuple(len(ws) for _, ws in self.factors)
 
-    def factor_coords(self, i: int) -> tuple[Coord, ...]:
-        """All coords of factor i in left-to-right interval order."""
-        w = self.wall_counts[i]
-        coords = []
-        for idx in range(w):
-            coords.append(Coord.chamber(idx))
-            coords.append(Coord.wall(idx))
-        coords.append(Coord.chamber(w))
-        return tuple(coords)
-
     def cells(self, codim: int) -> tuple[Cell, ...]:
         """All cells of the given codimension, lexicographically ordered."""
         if not 0 <= codim <= self.k:
             raise BadCodimError(f"codim {codim} outside 0..{self.k}")
-        out = [
-            Cell(coords)
-            for coords in itertools.product(
-                *(self.factor_coords(i) for i in range(self.k))
+        chambers = [range(0, 2 * w + 1, 2) for w in self.wall_counts]
+        walls = [range(1, 2 * w, 2) for w in self.wall_counts]
+        out = []
+        for slots in itertools.combinations(range(self.k), codim):
+            out.extend(
+                itertools.product(
+                    *(walls[i] if i in slots else chambers[i] for i in range(self.k))
+                )
             )
-            if sum(1 for c in coords if c.is_wall) == codim
-        ]
-        out.sort(key=lambda cell: cell.sort_key)
-        return tuple(out)
+        out.sort()
+        return tuple(map(Cell, out))
 
     def all_cells(self) -> tuple[Cell, ...]:
         return tuple(
@@ -121,7 +118,7 @@ class ProductArrangement:
                 f"point of length {len(point)} in a {self.k}-factor arrangement"
             )
         return Cell(
-            tuple(ws.locate(x) for (_, ws), x in zip(self.factors, point))
+            tuple(ws.locate(x).position for (_, ws), x in zip(self.factors, point))
         )
 
 
@@ -137,14 +134,6 @@ def build_product(families, space: str = "c") -> ProductArrangement:
             fid, ws = fam
             factors.append((str(fid), ws))
     return ProductArrangement(tuple(factors))
-
-
-def enumerate_cells(arr: ProductArrangement, codim: int) -> tuple[Cell, ...]:
-    return arr.cells(codim)
-
-
-def locate_point(arr: ProductArrangement, point) -> Cell:
-    return arr.locate(point)
 
 
 @dataclass(frozen=True)
@@ -187,21 +176,16 @@ class CrossingGraph:
 def crossing_graph(arr: ProductArrangement) -> CrossingGraph:
     """Adjacency of top cells across codim-1 cells.
 
-    The two sides of a codim-1 cell replace its unique wall coordinate,
-    index i, by chambers i and i + 1; every codim-1 cell labels exactly one
-    edge, so the graph is the box product of per-factor paths.
+    The two sides of a codim-1 cell replace its unique wall position p by
+    the chamber positions p - 1 and p + 1; every codim-1 cell labels exactly
+    one edge, so the graph is the box product of per-factor paths.
     """
     edges = []
     for label in arr.cells(1):
-        pos = next(i for i, c in enumerate(label.coords) if c.is_wall)
-        idx = label.coords[pos].index
-        sides = tuple(
-            Cell(
-                label.coords[:pos] + (Coord.chamber(idx + step),) + label.coords[pos + 1 :]
-            )
-            for step in (0, 1)
-        )
-        edges.append((*sides, label))
+        p = label.positions
+        i = next(i for i, x in enumerate(p) if x & 1)
+        below, above = (Cell(p[:i] + (p[i] + s,) + p[i + 1 :]) for s in (-1, 1))
+        edges.append((below, above, label))
     return CrossingGraph(arr.cells(0), tuple(edges))
 
 
@@ -226,37 +210,28 @@ class SymmetricFolding:
     grouping: tuple[tuple[int, ...], ...]
 
     def canonical(self, cell: Cell) -> Cell:
-        """Orbit representative: within each group, coords sorted in place."""
-        coords = list(cell.coords)
+        """Orbit representative, the lex-least member: each group's
+        positions sorted into its slots in increasing order."""
+        positions = list(cell.positions)
         for part in self.grouping:
-            for pos, coord in zip(
-                part, sorted((coords[p] for p in part), key=lambda c: c.position)
-            ):
-                coords[pos] = coord
-        return Cell(tuple(coords))
+            for slot, p in zip(sorted(part), sorted(positions[s] for s in part)):
+                positions[slot] = p
+        return Cell(tuple(positions))
 
     def orbits(self, codim: int) -> tuple[CellOrbit, ...]:
+        """Orbits in representative order.  Cells arrive in lex order, so
+        each orbit's members stay sorted and its first member, the
+        representative, opens its bucket in representative order."""
         buckets: dict[Cell, list[Cell]] = {}
         for cell in self.arrangement.cells(codim):
             buckets.setdefault(self.canonical(cell), []).append(cell)
         return tuple(
-            CellOrbit(rep, tuple(sorted(members, key=lambda c: c.sort_key)))
-            for rep, members in sorted(
-                buckets.items(), key=lambda kv: kv[0].sort_key
-            )
+            CellOrbit(rep, tuple(members)) for rep, members in buckets.items()
         )
 
     def orbit_count(self, codim: int) -> int:
         """Direct enumeration by canonical form."""
         return len(self.orbits(codim))
-
-    def orbit_index(self, cell: Cell) -> int:
-        """Position of the cell's orbit in the orbits() order for its codim."""
-        rep = self.canonical(cell)
-        for i, orbit in enumerate(self.orbits(cell.codim)):
-            if orbit.representative == rep:
-                return i
-        raise KeyError(str(cell))
 
     def group_order(self) -> int:
         order = 1
@@ -306,7 +281,8 @@ class SymmetricFolding:
                         nxt[j + length] += val * w  # a shared wall coordinate
                 counts = nxt
             total += counts[codim]
-        assert total % order == 0, "Burnside sum not divisible by group order"
+        if total % order:
+            raise ConsistencyError(f"Burnside sum {total} not divisible by {order}")
         return total // order
 
 
@@ -449,14 +425,15 @@ def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> st
         )
         chambers_x = arr.factors[0][1].chambers()
         chambers_y = arr.factors[1][1].chambers()
+        label = {o.representative: i for i, o in enumerate(folding.orbits(0))}
         for cell in arr.cells(0):
-            cx = chambers_x[cell.coords[0].index]
-            cy = chambers_y[cell.coords[1].index]
+            cx = chambers_x[cell.positions[0] >> 1]
+            cy = chambers_y[cell.positions[1] >> 1]
             parts.append(
                 f'<text x="{_svg_x((cx.lower + cx.upper) / 2)}" '
                 f'y="{_fmt6(MARGIN_TOP + (1 - (cy.lower + cy.upper) / 2) * BOX + 4)}" '
                 'font-family="monospace" font-size="12" text-anchor="middle">'
-                f"{folding.orbit_index(cell)}</text>"
+                f"{label[folding.canonical(cell)]}</text>"
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import arrangement, gitwalls, invariants, stackalg, wallsets
-from .errors import WallcrossError
+from .errors import ConsistencyError, WallcrossError
 from .exactq import format_rational, parse_rational
 
 
@@ -196,16 +196,21 @@ def _cmd_git_walls(args) -> int:
     return 0
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ConsistencyError(what)
+
+
 def _check_moebius(registry) -> str:
     ok = []
     for fid, rec in sorted(registry.items()):
         if rec.reparam is None or rec.c_walls is None:
             continue
         image = wallsets.c_to_t_walls(rec)
-        assert rec.t_walls is None or image == rec.t_walls
+        _require(rec.t_walls is None or image == rec.t_walls, f"{fid} t-walls")
         inv = rec.reparam.inverse()
-        assert all(inv(t) == c for c, t in zip(rec.c_walls, image))
-        assert rec.reparam(Fraction(0)) == 0 and rec.reparam(Fraction(1)) == 1
+        _require(all(inv(t) == c for c, t in zip(rec.c_walls, image)), f"{fid} inverse")
+        _require(rec.reparam(0) == 0 and rec.reparam(1) == 1, f"{fid} endpoints")
         ok.append(fid)
     return "reparam round-trips fix walls and endpoints: " + ", ".join(ok)
 
@@ -213,7 +218,7 @@ def _check_moebius(registry) -> str:
 def _check_registry(registry) -> str:
     for rec in registry.values():
         problems = invariants.consistency_check(rec.numerics())
-        assert not problems, f"{rec.id}: {problems}"
+        _require(not problems, f"{rec.id}: {problems}")
     return f"registry numerics consistent ({len(registry)} families)"
 
 
@@ -223,7 +228,7 @@ def _check_products(registry) -> str:
     for a in recs:
         for b in recs:
             prod = invariants.product_numerics(a.numerics(), b.numerics())
-            assert not invariants.consistency_check(prod)
+            _require(not invariants.consistency_check(prod), f"{a.id} x {b.id}")
             pairs += 1
     return f"product volume/hilbert identity holds ({pairs} pairs)"
 
@@ -231,24 +236,26 @@ def _check_products(registry) -> str:
 def _check_arrangement(registry) -> str:
     arr = arrangement.build_product([registry["dp3"], registry["dp4"]])
     counts = [len(arr.cells(j)) for j in range(3)]
-    assert counts == [36, 60, 25], counts
+    _require(counts == [36, 60, 25], f"dp3 x dp4 cell counts {counts}")
     graph = arrangement.crossing_graph(arr)
-    assert len(graph.edges) == 60 and graph.is_connected()
+    _require(len(graph.edges) == 60 and graph.is_connected(), "crossing graph")
     sym = arrangement.build_product([registry["dp3"], registry["dp3"]])
     folding = arrangement.fold_symmetric(sym, arrangement.grouping_by_id(sym))
     for j in range(3):
-        assert folding.orbit_count(j) == folding.burnside_orbit_count(j)
-    assert folding.orbit_count(0) == 21
+        direct, burnside = folding.orbit_count(j), folding.burnside_orbit_count(j)
+        _require(direct == burnside, f"codim-{j} orbits {direct} != {burnside}")
+    _require(folding.orbit_count(0) == 21, "dp3 x dp3 chamber orbits")
     return "dp3 x dp4 cells 36/60/25, graph connected, folding 21 both ways"
 
 
 def _check_stack(registry) -> str:
-    assert str(stackalg.canonicalize({"dp3": 1, "dp4": 1})) == "dp3 x dp4"
-    assert (
-        stackalg.classify_product_map({"dp3": 2}) is stackalg.MapKind.S2_GERBE
-    )
+    descriptor = str(stackalg.canonicalize({"dp3": 1, "dp4": 1}))
+    _require(descriptor == "dp3 x dp4", f"descriptor {descriptor}")
+    kind = stackalg.classify_product_map({"dp3": 2})
+    _require(kind is stackalg.MapKind.S2_GERBE, f"product map {kind}")
     model = stackalg.FiniteGroupoidModel(("a", "b", "c"), ((1, 0, 2),))
-    assert stackalg.groupoid_cardinality(model) == Fraction(3, 2)
+    card = stackalg.groupoid_cardinality(model)
+    _require(card == Fraction(3, 2), f"groupoid cardinality {card}")
     return "descriptor algebra and groupoid cardinality examples hold"
 
 
@@ -265,7 +272,7 @@ def _cmd_check(args) -> int:
     for check in checks:
         try:
             print("ok " + check(registry))
-        except (AssertionError, WallcrossError) as exc:
+        except WallcrossError as exc:
             failed = True
             print(f"FAIL {check.__name__}: {exc}")
     print("all checks passed" if not failed else "CHECKS FAILED")
@@ -331,6 +338,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except WallcrossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

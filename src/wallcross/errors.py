@@ -55,3 +55,7 @@ class BoundExceededError(WallcrossError):
 
 class UnsupportedError(WallcrossError):
     """The requested configuration is outside the supported range."""
+
+
+class ConsistencyError(WallcrossError):
+    """A cross-check that must hold did not."""

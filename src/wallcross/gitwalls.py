@@ -45,9 +45,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
-from .errors import DimensionMismatchError, UnsupportedError
+from .errors import ConsistencyError, DimensionMismatchError, UnsupportedError
 from .exactq import format_rational
 from .wallsets import WallSet
 
@@ -169,7 +169,8 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
             if all(a >= b for a, b in zip(cand, cand[1:])):
                 found.add(cand)
                 break
-    assert all(is_weight_vector(r) for r in found)
+    if not all(is_weight_vector(r) for r in found):
+        raise ConsistencyError("a normalized probe is not a weight vector")
     return tuple(sorted(found))
 
 
@@ -379,8 +380,3 @@ def wall_report(n: int = 3, d: int = 3, *, exploratory: bool = False) -> dict:
             format_rational(t): [w.to_json() for w in cands[t]] for t in walls
         },
     }
-
-
-def expected_monomial_count(n: int, d: int) -> int:
-    """Stars and bars, for sanity checks: C(n + d, d)."""
-    return comb(n + d, d)

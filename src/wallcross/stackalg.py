@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import ArityError, BoundExceededError, GroupTooLargeError
+from .errors import ArityError, BoundExceededError, ConsistencyError, GroupTooLargeError
 from .wallsets import load_registry
 
 DEFAULT_ORDER_BOUND = 100_000
@@ -200,11 +200,7 @@ class FactorMultiset:
         if isinstance(factors, dict):
             entries = tuple(factors.items())
         else:
-            items = list(factors)
-            if items and isinstance(items[0], tuple):
-                entries = tuple(items)
-            else:
-                entries = tuple((fid, 1) for fid in items)
+            entries = tuple(f if isinstance(f, tuple) else (f, 1) for f in factors)
         return cls(entries, tuple(frozenset(c) for c in iso))
 
     def total(self) -> int:
@@ -390,14 +386,15 @@ class FiniteGroupoidModel:
 
 def orbit_space(model: FiniteGroupoidModel) -> tuple[Orbit, ...]:
     """Orbits with stabilizer orders counted directly over group elements;
-    the orbit-stabilizer identity |orbit| * |stab| = |G| is asserted."""
+    the orbit-stabilizer identity |orbit| * |stab| = |G| is checked."""
     elements = model.elements()
     order = len(elements)
     out = []
     for block in model.orbit_partition():
         rep = block[0]
         stab = sum(1 for g in elements if g[rep] == rep)
-        assert stab * len(block) == order, "orbit-stabilizer identity failed"
+        if stab * len(block) != order:
+            raise ConsistencyError("orbit-stabilizer identity failed")
         out.append(Orbit(tuple(model.carrier[i] for i in block), stab))
     return tuple(out)
 
@@ -446,7 +443,8 @@ def sym_quotient_model(model: FiniteGroupoidModel, k: int) -> int:
         tuple(sorted(t)) for t in itertools.product(range(n_orbits), repeat=k)
     }
     count = len(seen)
-    assert count == comb(n_orbits + k - 1, k), "multiset count mismatch"
+    if count != comb(n_orbits + k - 1, k):
+        raise ConsistencyError("multiset count mismatch")
     return count
 
 

@@ -265,6 +265,15 @@ def _compiled_registry() -> dict[str, FamilyRecord]:
     }
 
 
+def _strict_int(family_id: str, key: str, value) -> int:
+    # JSON true/false load as bool, an int subclass; neither they nor floats count
+    if type(value) is not int:
+        raise ValueError(
+            f"registry record {family_id!r}: {key} entry {value!r} is not an integer"
+        )
+    return value
+
+
 def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
     if not isinstance(data, dict):
         raise ValueError(f"registry record {family_id!r} must be a JSON object")
@@ -283,12 +292,14 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
     t_walls = maybe_walls("t_walls")
     reparam = None
     if data.get("reparam") is not None:
-        reparam = MoebiusMap(*(int(v) for v in data["reparam"]))
+        reparam = MoebiusMap(
+            *(_strict_int(family_id, "reparam", v) for v in data["reparam"])
+        )
     if t_walls is None and c_walls is not None and reparam is not None:
         t_walls = c_walls.map(reparam)
     return FamilyRecord(
         id=family_id,
-        dimension=int(data["dimension"]),
+        dimension=_strict_int(family_id, "dimension", data["dimension"]),
         volume=parse_rational(data["volume"]),
         moduli_note=str(data["moduli_note"]),
         hilbert=parse_poly(data["hilbert"]),
@@ -303,7 +314,7 @@ def load_registry(overlay_path: str | Path | None = None) -> dict[str, FamilyRec
 
     The overlay maps family ids to objects with fields {dimension, volume,
     c_walls, t_walls, reparam, hilbert, moduli_note}; rationals are "p/q"
-    strings, reparam is the coefficient list [a, b, c, d], hilbert is
+    strings, reparam is the integer coefficient list [a, b, c, d], hilbert is
     constant-first.  An overlay record replaces a compiled record of the
     same id wholesale.  A missing t_walls is derived from c_walls and
     reparam when both are present.

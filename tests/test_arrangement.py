@@ -11,10 +11,8 @@ from wallcross.arrangement import (
     Cell,
     build_product,
     crossing_graph,
-    enumerate_cells,
     fold_symmetric,
     grouping_by_id,
-    locate_point,
     render,
 )
 from wallcross.errors import (
@@ -46,6 +44,21 @@ def codim_count_oracle(wall_counts, j):
             prod *= w if i in subset else w + 1
         total += prod
     return total
+
+
+def cells_oracle(wall_counts, j):
+    """Coord tuples of codim j, filtered from the full (2w+1)^k product of
+    per-factor coords in left-to-right interval order, hence in lex order."""
+    per_factor = [
+        [c for i in range(w) for c in (Coord.chamber(i), Coord.wall(i))]
+        + [Coord.chamber(w)]
+        for w in wall_counts
+    ]
+    return [
+        coords
+        for coords in itertools.product(*per_factor)
+        if sum(1 for c in coords if c.is_wall) == j
+    ]
 
 
 def random_wallset(rng, max_walls=4):
@@ -86,28 +99,30 @@ def test_cells_are_lex_sorted(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
     for j in range(3):
         cells = arr.cells(j)
-        keys = [cell.sort_key for cell in cells]
+        keys = [cell.positions for cell in cells]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-    assert arr.cells(0)[0] == Cell((Coord.chamber(0), Coord.chamber(0)))
-    assert arr.cells(2)[0] == Cell((Coord.wall(0), Coord.wall(0)))
+    assert arr.cells(0)[0] == Cell((0, 0))
+    assert arr.cells(2)[0] == Cell((1, 1))
+    assert arr.cells(2)[0].coords == (Coord.wall(0), Coord.wall(0))
 
 
 def test_locate_points(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
-    cell = locate_point(arr, (F(1, 2), F(1, 5)))
-    assert cell == Cell((Coord.chamber(3), Coord.chamber(1)))
+    cell = arr.locate((F(1, 2), F(1, 5)))
+    assert cell.coords == (Coord.chamber(3), Coord.chamber(1))
+    assert cell == Cell((6, 2))
     assert cell.codim == 0
-    on_walls = locate_point(arr, (F(2, 5), F(1, 4)))
-    assert on_walls == Cell((Coord.wall(2), Coord.wall(1)))
+    on_walls = arr.locate((F(2, 5), F(1, 4)))
+    assert on_walls.coords == (Coord.wall(2), Coord.wall(1))
     assert on_walls.codim == 2
-    mixed = locate_point(arr, (F(2, 5), F(9, 10)))
-    assert mixed == Cell((Coord.wall(2), Coord.chamber(5)))
+    mixed = arr.locate((F(2, 5), F(9, 10)))
+    assert mixed.coords == (Coord.wall(2), Coord.chamber(5))
     assert mixed.codim == 1
     with pytest.raises(DimensionMismatchError):
-        locate_point(arr, (F(1, 2),))
+        arr.locate((F(1, 2),))
     with pytest.raises(OutOfRangeError):
-        locate_point(arr, (F(1, 2), F(0)))
+        arr.locate((F(1, 2), F(0)))
 
 
 def test_cell_count_formulas_random():
@@ -117,7 +132,10 @@ def test_cell_count_formulas_random():
         factors = [(f"f{i}", random_wallset(rng)) for i in range(k)]
         arr = build_product(factors)
         for j in range(k + 1):
-            assert len(arr.cells(j)) == codim_count_oracle(arr.wall_counts, j)
+            cells = arr.cells(j)
+            assert len(cells) == codim_count_oracle(arr.wall_counts, j)
+            assert [c.coords for c in cells] == cells_oracle(arr.wall_counts, j)
+            assert all(c.codim == j for c in cells)
         total = 1
         for w in arr.wall_counts:
             total *= 2 * w + 1
@@ -192,13 +210,12 @@ def test_fold_two_equal_factors(registry):
     assert [folding.orbit_count(j) for j in range(3)] == [21, 30, 15]
     assert [folding.burnside_orbit_count(j) for j in range(3)] == [21, 30, 15]
     # mirror cells share one orbit; the representative is the lex-least member
-    a = Cell((Coord.chamber(2), Coord.chamber(0)))
-    b = Cell((Coord.chamber(0), Coord.chamber(2)))
+    a = Cell((4, 0))  # chambers (2, 0)
+    b = Cell((0, 4))
     assert folding.canonical(a) == b
-    assert folding.orbit_index(a) == folding.orbit_index(b)
     orbit = next(o for o in folding.orbits(0) if o.representative == b)
     assert set(orbit.cells) == {a, b}
-    diagonal = Cell((Coord.chamber(4), Coord.chamber(4)))
+    diagonal = Cell((8, 8))
     fixed = next(o for o in folding.orbits(0) if o.representative == diagonal)
     assert fixed.size == 1
 
@@ -266,7 +283,45 @@ def test_burnside_matches_enumeration_random():
         folding = fold_symmetric(arr, grouping)
         for j in range(arr.k + 1):
             assert folding.orbit_count(j) == folding.burnside_orbit_count(j)
+            assert_orbits_partition(folding, j)
         assert sum(o.size for o in folding.orbits(0)) == len(arr.cells(0))
+
+
+def group_images(grouping, positions):
+    """Every image of a positions tuple under the folding group."""
+    images = set()
+    for perms in itertools.product(
+        *(itertools.permutations(part) for part in grouping)
+    ):
+        image = list(positions)
+        for part, perm in zip(grouping, perms):
+            for src, dst in zip(part, perm):
+                image[dst] = positions[src]
+        images.add(tuple(image))
+    return images
+
+
+def assert_orbits_partition(folding, j):
+    """Orbits are the group orbits of the codim-j cells, in representative
+    order, each listing its members in lex order with the least first."""
+    orbits = folding.orbits(j)
+    cells = [c.positions for c in folding.arrangement.cells(j)]
+    members = [[c.positions for c in o.cells] for o in orbits]
+    assert sorted(p for m in members for p in m) == cells
+    for orbit, m in zip(orbits, members):
+        assert m == sorted(m)
+        assert orbit.representative.positions == m[0]
+        assert set(m) == group_images(folding.grouping, m[0])
+    reps = [o.representative.positions for o in orbits]
+    assert reps == sorted(reps)
+
+
+def test_fold_unsorted_part_keeps_lex_least_representatives(registry):
+    arr = build_product([registry["dp3"]] * 3)
+    folding = fold_symmetric(arr, [(2, 0), (1,)])
+    assert folding.canonical(Cell((4, 1, 0))) == Cell((0, 1, 4))
+    for j in range(arr.k + 1):
+        assert_orbits_partition(folding, j)
 
 
 def test_render_json_shapes(registry):
@@ -368,5 +423,5 @@ def test_codim_sum_identity(registry):
     # sum over codims of codim-count equals the total cell count
     arr = build_product([registry["dp3"], registry["dp4"], registry["p1"]])
     assert arr.wall_counts == (5, 5, 0)
-    total = sum(len(enumerate_cells(arr, j)) for j in range(arr.k + 1))
+    total = sum(len(arr.cells(j)) for j in range(arr.k + 1))
     assert total == len(arr.all_cells()) == 11 * 11 * 1

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wallcross
 from wallcross import arrangement, load_registry
 from wallcross.cli import main
+from wallcross.errors import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -86,6 +92,16 @@ def test_product_fold_report(capsys):
     assert "codim-2 orbits: 15 (enumeration) = 15 (burnside)" in out
 
 
+def test_consistency_error_is_exit_3(capsys, monkeypatch):
+    def broken(self, codim):
+        raise ConsistencyError("Burnside sum 7 not divisible by 2")
+
+    monkeypatch.setattr(arrangement.SymmetricFolding, "burnside_orbit_count", broken)
+    code, _, err = run(capsys, "product", "--families", "dp3,dp3", "--fold")
+    assert code == 3
+    assert err == "error: Burnside sum 7 not divisible by 2\n"
+
+
 def test_product_json(capsys):
     code, out, _ = run(capsys, "product", "--families", "dp3,dp4", "--format", "json")
     assert code == 0
@@ -105,6 +121,17 @@ def test_product_svg_matches_library_render(capsys):
     assert out == arrangement.render(arr, "svg")
     code, again, _ = run(capsys, "product", "--families", "dp3,dp4", "--format", "svg")
     assert again == out  # byte-determinism across invocations
+
+
+@pytest.mark.parametrize(
+    "fmt, golden", [("svg", "dp3_dp3_fold_c.svg"), ("json", "dp3_dp3_fold_c.json")]
+)
+def test_product_fold_matches_golden(capsys, data_dir, fmt, golden):
+    code, out, _ = run(
+        capsys, "product", "--families", "dp3,dp3", "--fold", "--format", fmt
+    )
+    assert code == 0
+    assert out == (data_dir / golden).read_text()  # orbit order and labels
 
 
 def test_product_ascii(capsys):
@@ -258,19 +285,21 @@ def test_git_walls_registry_only_degrees(capsys):
     assert "degree 4 is registry-only" in err
 
 
-def test_git_walls_mismatch_is_exit_3(capsys, tmp_path):
-    overlay = {
-        "dp3": {
-            "dimension": 2,
-            "volume": 3,
-            "moduli_note": "deliberately wrong walls",
-            "hilbert": ["1", "3/2", "3/2"],
-            "c_walls": ["1/2"],
-            "reparam": [9, 0, 1, 8],
-        }
+ONE_WALL_DP3 = {
+    "dp3": {
+        "dimension": 2,
+        "volume": 3,
+        "moduli_note": "deliberately wrong walls: a single c-wall",
+        "hilbert": ["1", "3/2", "3/2"],
+        "c_walls": ["1/2"],
+        "reparam": [9, 0, 1, 8],
     }
+}
+
+
+def test_git_walls_mismatch_is_exit_3(capsys, tmp_path):
     path = tmp_path / "overlay.json"
-    path.write_text(json.dumps(overlay))
+    path.write_text(json.dumps(ONE_WALL_DP3))
     code, out, _ = run(capsys, "git-walls", "--registry", str(path))
     assert code == 3
     assert "match: NO" in out
@@ -283,6 +312,25 @@ def test_check_runs_green(capsys):
     assert lines[-1] == "all checks passed"
     assert sum(1 for line in lines if line.startswith("ok ")) == 5
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_check_fails_under_optimize(tmp_path):
+    # python -O strips assert statements; the checks must not depend on them
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(ONE_WALL_DP3))
+    src = str(Path(wallcross.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; from wallcross.cli import main; sys.exit(main(sys.argv[1:]))",
+         "check", "--registry", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "FAIL _check_arrangement: dp3 x dp4 cell counts [12, 16, 5]" in lines
+    assert lines[-1] == "CHECKS FAILED"
 
 
 def test_registry_overlay_round_trip(capsys, tmp_path):
@@ -314,3 +362,10 @@ def test_broken_overlay_is_computation_error(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "walls", "--family", "dp3", "--registry", str(missing))
     assert code == 2
+    float_reparam = dict(ONE_WALL_DP3["dp3"], reparam=[1.7, 0, 0, 1])
+    path.write_text(json.dumps({"dp3": float_reparam}))
+    code, out, err = run(
+        capsys, "walls", "--family", "dp3", "--space", "t", "--registry", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "reparam entry 1.7 is not an integer" in err

@@ -1,6 +1,7 @@
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,7 +11,6 @@ from wallcross.gitwalls import (
     candidate_weights,
     compute_walls,
     exhaustive_weights,
-    expected_monomial_count,
     is_weight_vector,
     max_destabilized_support,
     monomial_weight,
@@ -22,6 +22,11 @@ from wallcross.gitwalls import (
 F = Fraction
 
 DEGREE3_WALLS = (F(1, 5), F(1, 3), F(3, 7), F(5, 9), F(9, 13))
+
+
+def expected_monomial_count(n: int, d: int) -> int:
+    """Stars and bars: C(n + d, d) monomials of degree d in n + 1 variables."""
+    return comb(n + d, d)
 
 
 def test_monomial_enumeration():

@@ -131,6 +131,9 @@ def test_factor_multiset_normalization():
     assert fm.total() == 5
     assert FactorMultiset.of(["a", "b", "a"]).entries == (("a", 2), ("b", 1))
     assert FactorMultiset.of({"a": 1}).entries == (("a", 1),)
+    mixed = FactorMultiset.of({"dp3": 1, "dp4": 2})
+    assert FactorMultiset.of(["dp3", ("dp4", 2)]) == mixed
+    assert FactorMultiset.of([("dp4", 2), "dp3"]) == mixed
     with pytest.raises(ValueError):
         FactorMultiset.of({"a": 0})
     with pytest.raises(ValueError):

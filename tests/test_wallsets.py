@@ -263,6 +263,34 @@ def test_overlay_rejects_malformed_files(tmp_path):
         load_registry(bad_walls)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", 1.9),
+        ("dimension", 1.0),
+        ("dimension", "1"),
+        ("dimension", True),
+        ("reparam", [1.7, 0, 0, 1]),
+        ("reparam", [True, 0, 0, 1]),
+        ("reparam", ["1", 0, 0, 1]),
+    ],
+)
+def test_overlay_rejects_non_integer_fields(tmp_path, field, value):
+    record = {
+        "dimension": 1,
+        "volume": 2,
+        "moduli_note": "toy line",
+        "hilbert": ["1", "2"],
+        "c_walls": ["1/3", "1/2"],
+        "reparam": [1, 0, 0, 1],
+    }
+    record[field] = value
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"toy": record}))
+    with pytest.raises(ValueError, match="not an integer"):
+        load_registry(path)
+
+
 def test_registry_internal_consistency(registry):
     from wallcross.invariants import consistency_check
     from math import factorial
