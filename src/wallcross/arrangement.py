@@ -344,28 +344,30 @@ def render(arr: ProductArrangement, fmt: str, folding: SymmetricFolding | None =
 
 
 def _render_json(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:
+    cell_counts, cells, orbit_counts, orbits = {}, [], {}, []
+    for j in range(arr.k + 1):
+        codim_cells = arr.cells(j)
+        cell_counts[str(j)] = len(codim_cells)
+        cells.extend(cell.to_json() for cell in codim_cells)
+        if folding is not None:
+            codim_orbits = folding.orbits(j)
+            orbit_counts[str(j)] = len(codim_orbits)
+            orbits.extend(
+                {"codim": j, "representative": orb.representative.to_json(), "size": orb.size}
+                for orb in codim_orbits
+            )
     doc = {
         "factors": [
             {"id": fid, "walls": ws.to_json()} for fid, ws in arr.factors
         ],
-        "cell_counts": {str(j): len(arr.cells(j)) for j in range(arr.k + 1)},
-        "cells": [cell.to_json() for cell in arr.all_cells()],
+        "cell_counts": cell_counts,
+        "cells": cells,
     }
     if folding is not None:
         doc["folding"] = {
             "grouping": [list(part) for part in folding.grouping],
-            "orbit_counts": {
-                str(j): folding.orbit_count(j) for j in range(arr.k + 1)
-            },
-            "orbits": [
-                {
-                    "codim": j,
-                    "representative": orbit.representative.to_json(),
-                    "size": orbit.size,
-                }
-                for j in range(arr.k + 1)
-                for orbit in folding.orbits(j)
-            ],
+            "orbit_counts": orbit_counts,
+            "orbits": orbits,
         }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -101,9 +101,10 @@ def _cmd_product(args) -> int:
             f"factor {i} ({fid}): "
             f"{_plural(len(ws) + 1, 'chamber')}, {_plural(len(ws), 'wall')}"
         )
-    for j in range(arr.k + 1):
-        print(f"codim-{j} cells: {len(arr.cells(j))}")
-    print(f"total cells: {len(arr.all_cells())}")
+    counts = [len(arr.cells(j)) for j in range(arr.k + 1)]
+    for j, count in enumerate(counts):
+        print(f"codim-{j} cells: {count}")
+    print(f"total cells: {sum(counts)}")
     print(
         f"crossing graph: {_plural(len(graph.nodes), 'node')}, "
         f"{_plural(len(graph.edges), 'edge')}, "
@@ -179,14 +180,15 @@ def _cmd_git_walls(args) -> int:
             f"degree {args.degree} is registry-only; only degree 3 is recomputed"
         )
     registry = wallsets.load_registry(args.registry)
-    computed = gitwalls.compute_walls(3, 3)
     reference = registry["dp3"].t_walls if "dp3" in registry else None
-    match = reference is not None and computed == reference
     if args.format == "json":
         doc = gitwalls.wall_report(3, 3)
+        match = reference is not None and doc["walls"] == reference.to_json()
         doc["registry_match"] = match
         _emit_json(doc)
     else:
+        computed = gitwalls.compute_walls(3, 3)
+        match = reference is not None and computed == reference
         print(str(computed))
         if reference is not None:
             print(f"registry t-walls (dp3): {reference}")

@@ -24,11 +24,13 @@ The finite probe set R comes from maximal-rank linear systems: together with
 the sum-zero normalization, n - 1 equations chosen among monomial-difference
 hyperplanes <m - m', r> = 0 and consecutive ties r_i = r_{i+1} cut out a ray,
 whose primitive descending generator (when one exists) joins R.  Candidate
-walls are the values t = -<m, r>/r_j landing in (0, 1).  A candidate is a
-wall when the family of inclusion-maximal pairs (M+, j) differs on its two
-sides.  Completeness of R is not proved here; it is backed empirically by
-the bounded exhaustive refinement check (test suite) and by the acceptance
-comparison against the registered tables.
+walls are the values t = -<m, r>/r_j landing in (0, 1).  Every support M+
+changes only at such a value, so the family of inclusion-maximal pairs
+(M+, j) is constant on each open chamber between consecutive candidates; it
+is sampled once per chamber, at the midpoint, and a candidate is a wall when
+the samples on its two sides differ.  Completeness of R is not proved here;
+it is backed empirically by the bounded exhaustive refinement check (test
+suite) and by the acceptance comparison against the registered tables.
 
 Open question, recorded: whether thresholds j with r_j = 0 can ever carry a
 wall under this convention.  They contribute t-independent supports only,
@@ -200,17 +202,31 @@ def exhaustive_weights(n: int, bound: int) -> tuple[WeightVector, ...]:
     return tuple(sorted(out))
 
 
+def _mask(wvec: tuple[int, ...], rj: int, t: Fraction) -> int:
+    """The stability test: bit i is set iff wvec[i] + t * rj > 0."""
+    p, q = t.numerator, t.denominator
+    shift = p * rj
+    mask = 0
+    bit = 1
+    for w in wvec:
+        if w * q + shift > 0:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
+def _support(mons: tuple[Monomial, ...], mask: int) -> frozenset[Monomial]:
+    """The monomials whose bits are set in mask."""
+    return frozenset(m for i, m in enumerate(mons) if mask >> i & 1)
+
+
 def max_destabilized_support(r: WeightVector, t: Fraction, j: int, d: int = 3) -> frozenset[Monomial]:
     """M+(r, t, j): monomials of degree d with <m, r> + t * r_j > 0."""
     t = Fraction(t)
     if not 0 <= j < len(r):
         raise DimensionMismatchError(f"variable index {j} out of range for {r}")
-    p, q = t.numerator, t.denominator
-    return frozenset(
-        m
-        for m in monomials(len(r) - 1, d)
-        if monomial_weight(m, r) * q + p * r[j] > 0
-    )
+    mons = monomials(len(r) - 1, d)
+    return _support(mons, _mask(tuple(monomial_weight(m, r) for m in mons), r[j], t))
 
 
 @dataclass(frozen=True)
@@ -223,18 +239,6 @@ class SupportPair:
 
     def sort_key(self):
         return (self.threshold, len(self.support), tuple(sorted(self.support)))
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A triple (r, m, j) with -<m, r>/r_j equal to a candidate wall."""
-
-    r: WeightVector
-    m: Monomial
-    j: int
-
-    def to_json(self) -> dict:
-        return {"r": list(self.r), "m": list(self.m), "j": self.j}
 
 
 class _Search:
@@ -267,8 +271,9 @@ class _Search:
                     profiles[key] = j
         self.profiles = tuple((w, rj, j) for (w, rj), j in sorted(profiles.items()))
 
-    def candidates(self) -> dict[Fraction, list[Witness]]:
-        out: dict[Fraction, list[Witness]] = {}
+    def candidates(self) -> dict[Fraction, list[tuple]]:
+        """Candidate values, each with its sorted witness triples (r, m, j)."""
+        out: dict[Fraction, list[tuple]] = {}
         for r in self.weights:
             for j in range(self.n + 1):
                 if r[j] == 0:
@@ -277,23 +282,16 @@ class _Search:
                     w = monomial_weight(m, r)
                     t = Fraction(-w, r[j])
                     if 0 < t < 1:
-                        out.setdefault(t, []).append(Witness(r, m, j))
-        for t in out:
-            out[t].sort(key=lambda w: (w.r, w.m, w.j))
+                        out.setdefault(t, []).append((r, m, j))
+        for witnesses in out.values():
+            witnesses.sort()
         return out
 
     def fingerprint(self, t: Fraction) -> frozenset[tuple[int, int]]:
         """Deduplicated, inclusion-maximalized family {(support mask, j)}."""
-        p, q = t.numerator, t.denominator
         best_j: dict[int, int] = {}
         for wvec, rj, j in self.profiles:
-            shift = p * rj
-            mask = 0
-            bit = 1
-            for w in wvec:
-                if w * q + shift > 0:
-                    mask |= bit
-                bit <<= 1
+            mask = _mask(wvec, rj, t)
             if mask and best_j.get(mask, -1) < j:
                 best_j[mask] = j
         members = sorted(best_j.items(), key=lambda kv: -kv[0].bit_count())
@@ -304,38 +302,31 @@ class _Search:
         return frozenset(kept)
 
     def family(self, t: Fraction) -> tuple[SupportPair, ...]:
-        pairs = [
-            SupportPair(
-                frozenset(m for i, m in enumerate(self.mons) if mask >> i & 1), j
-            )
-            for mask, j in self.fingerprint(t)
-        ]
+        pairs = [SupportPair(_support(self.mons, mask), j) for mask, j in self.fingerprint(t)]
         return tuple(sorted(pairs, key=SupportPair.sort_key))
 
-    def walls(self) -> tuple[tuple[Fraction, ...], dict[Fraction, list[Witness]]]:
+    def walls(self) -> tuple[tuple[Fraction, ...], dict[Fraction, list[tuple]]]:
+        """Candidates whose neighbouring chamber samples differ."""
         cands = self.candidates()
-        ts = sorted(cands)
-        if not ts:
-            return (), cands
-        bounds = [Fraction(0), *ts, Fraction(1)]
-        eps = min(b - a for a, b in zip(bounds, bounds[1:])) / 2
-        walls = tuple(t for t in ts if self.fingerprint(t - eps) != self.fingerprint(t + eps))
+        bounds = [Fraction(0), *sorted(cands), Fraction(1)]
+        samples = [self.fingerprint((a + b) / 2) for a, b in zip(bounds, bounds[1:])]
+        walls = tuple(
+            t for t, below, above in zip(bounds[1:-1], samples, samples[1:]) if below != above
+        )
         return walls, cands
 
 
-_SEARCHES: dict = {}
-
-
-def _search(n: int, d: int, extra: tuple[WeightVector, ...] = ()) -> _Search:
-    key = (n, d, extra)
-    if key not in _SEARCHES:
-        _SEARCHES[key] = _Search(n, d, extra)
-    return _SEARCHES[key]
+def _sweep(n: int, d: int, exploratory: bool, extra: tuple[WeightVector, ...] = ()):
+    if (n, d) != SUPPORTED and not exploratory:
+        raise UnsupportedError(f"({n}, {d}) is not a supported target; (3, 3) is")
+    """The wall sweep behind compute_walls and wall_report, with the
+    supported-target guard they share."""
+    return _Search(n, d, extra).walls()
 
 
 def candidate_twalls(n: int, d: int) -> tuple[Fraction, ...]:
     """Sorted candidate slope values -<m, r>/r_j inside (0, 1)."""
-    return tuple(sorted(_search(n, d).candidates()))
+    return tuple(sorted(_Search(n, d).candidates()))
 
 
 def semistable_support_families(n: int, d: int, t) -> tuple[SupportPair, ...]:
@@ -344,7 +335,7 @@ def semistable_support_families(n: int, d: int, t) -> tuple[SupportPair, ...]:
     Constant in t on each open chamber between consecutive candidate values;
     a wall is precisely a candidate where it jumps.
     """
-    return _search(n, d).family(Fraction(t))
+    return _Search(n, d).family(Fraction(t))
 
 
 def compute_walls(
@@ -354,29 +345,25 @@ def compute_walls(
     exploratory: bool = False,
     extra_weights: tuple[WeightVector, ...] = (),
 ) -> WallSet:
-    """Slope walls: candidates where the maximal family differs between
-    t - eps and t + eps, eps being half the minimal candidate gap (interval
-    endpoints included as virtual bounds, so samples stay inside (0, 1)).
+    """Slope walls: candidates where the maximal family sampled at the
+    midpoint of the chamber below differs from the one above (0 and 1 bound
+    the first and last chambers, so samples stay inside (0, 1)).
 
     Only (3, 3) is supported; pass exploratory=True to run other small
     configurations with no acceptance claim.
     """
-    if (n, d) != SUPPORTED and not exploratory:
-        raise UnsupportedError(f"({n}, {d}) is not a supported target; (3, 3) is")
-    walls, _ = _search(n, d, tuple(extra_weights)).walls()
+    walls, _ = _sweep(n, d, exploratory, tuple(extra_weights))
     return WallSet(walls)
 
 
 def wall_report(n: int = 3, d: int = 3, *, exploratory: bool = False) -> dict:
     """JSON-ready report: walls, candidates, and per-wall witness triples."""
-    if (n, d) != SUPPORTED and not exploratory:
-        raise UnsupportedError(f"({n}, {d}) is not a supported target; (3, 3) is")
-    search = _search(n, d)
-    walls, cands = search.walls()
+    walls, cands = _sweep(n, d, exploratory)
     return {
         "walls": [format_rational(t) for t in walls],
         "candidates": [format_rational(t) for t in sorted(cands)],
         "witnesses": {
-            format_rational(t): [w.to_json() for w in cands[t]] for t in walls
+            format_rational(t): [{"r": list(r), "m": list(m), "j": j} for r, m, j in cands[t]]
+            for t in walls
         },
     }

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import wallcross
-from wallcross import arrangement, load_registry
+from wallcross import arrangement, gitwalls, load_registry
 from wallcross.cli import main
 from wallcross.errors import ConsistencyError
 
@@ -303,6 +303,24 @@ def test_git_walls_mismatch_is_exit_3(capsys, tmp_path):
     code, out, _ = run(capsys, "git-walls", "--registry", str(path))
     assert code == 3
     assert "match: NO" in out
+    code, out, _ = run(capsys, "git-walls", "--registry", str(path), "--format", "json")
+    assert code == 3
+    assert json.loads(out)["registry_match"] is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_git_walls_sweeps_once(capsys, monkeypatch, fmt):
+    sweeps = []
+    original = gitwalls._Search.walls
+
+    def counting(self):
+        sweeps.append((self.n, self.d))
+        return original(self)
+
+    monkeypatch.setattr(gitwalls._Search, "walls", counting)
+    code, _, _ = run(capsys, "git-walls", "--format", fmt)
+    assert code == 0
+    assert sweeps == [(3, 3)]
 
 
 def test_check_runs_green(capsys):

@@ -92,6 +92,27 @@ def test_exhaustive_weights_small():
             assert max(abs(v) for v in r) <= bound
 
 
+def old_max_destabilized_support(r, t, j, mons):
+    """The direct comprehension the library replaced with its bitmask test."""
+    p, q = t.numerator, t.denominator
+    return frozenset(m for m in mons if monomial_weight(m, r) * q + p * r[j] > 0)
+
+
+def test_max_destabilized_support_matches_direct_oracle():
+    # at a candidate itself some <m, r> + t * r_j is exactly 0, so the strict
+    # inequality decides membership; between candidates it never is
+    mons = monomials(3, 3)
+    cands = candidate_twalls(3, 3)
+    bounds = [F(0), *cands, F(1)]
+    slopes = [*cands, *((a + b) / 2 for a, b in zip(bounds, bounds[1:]))]
+    for r in candidate_weights(3, 3):
+        for j in range(4):
+            for t in slopes:
+                assert max_destabilized_support(r, t, j) == old_max_destabilized_support(
+                    r, t, j, mons
+                )
+
+
 def test_max_destabilized_support_examples():
     r = (1, 0, 0, -1)
     support = max_destabilized_support(r, F(1), 3)
@@ -268,3 +289,11 @@ def test_wall_report_shape():
             assert F(-monomial_weight(m, r), r[j]) == t
     assert json.dumps(report)  # JSON-serializable
     assert wall_report(3, 3) == wall_report(3, 3)  # deterministic
+
+
+@pytest.mark.parametrize("config", ["2,3", "2,4", "2,5", "2,6", "3,2", "3,4"])
+def test_exploratory_atlas_matches_golden(data_dir, config):
+    atlas = json.loads((data_dir / "git_atlas.json").read_text())
+    n, d = map(int, config.split(","))
+    # dumps compares key and witness order too, not only dict equality
+    assert json.dumps(wall_report(n, d, exploratory=True)) == json.dumps(atlas[config])
