@@ -20,17 +20,18 @@ differ across the literature; this one is pinned by the acceptance suite,
 which requires the degree-3 computation to reproduce the registered slope
 walls {1/5, 1/3, 3/7, 5/9, 9/13} exactly.
 
-The finite probe set R comes from maximal-rank linear systems: together with
-the sum-zero normalization, n - 1 equations chosen among monomial-difference
-hyperplanes <m - m', r> = 0 and consecutive ties r_i = r_{i+1} cut out a ray,
-whose primitive descending generator (when one exists) joins R.  Candidate
-walls are the values t = -<m, r>/r_j landing in (0, 1).  Every support M+
-changes only at such a value, so the family of inclusion-maximal pairs
-(M+, j) is constant on each open chamber between consecutive candidates; it
-is sampled once per chamber, at the midpoint, and a candidate is a wall when
-the samples on its two sides differ.  Completeness of R is not proved here;
-it is backed empirically by the bounded exhaustive refinement check (test
-suite) and by the acceptance comparison against the registered tables.
+The finite probe set R comes from the arrangement of monomial-difference
+hyperplanes <m - m', r> = 0 and consecutive ties r_i = r_{i+1} inside the
+sum-zero space: its flats are walked rank by rank, each cut by each
+hyperplane once, down to the rays, and the primitive descending generator of
+each ray (when one exists) joins R.  Candidate walls are the values
+t = -<m, r>/r_j landing in (0, 1).  Every support M+ changes only at such a
+value, so the family of inclusion-maximal pairs (M+, j) is constant on each
+open chamber between consecutive candidates; it is sampled once per chamber,
+at the midpoint, and a candidate is a wall when the samples on its two sides
+differ.  Completeness of R is not proved here; it is backed empirically by
+the bounded exhaustive refinement check (test suite) and by the acceptance
+comparison against the registered tables.
 
 Open question, recorded: whether thresholds j with r_j = 0 can ever carry a
 wall under this convention.  They contribute t-independent supports only,
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .errors import ConsistencyError, DimensionMismatchError, UnsupportedError
 from .exactq import format_rational
@@ -57,26 +59,26 @@ Monomial = tuple[int, ...]
 WeightVector = tuple[int, ...]
 
 # candidate_weights refuses configurations with more monomials than this;
-# the system enumeration is quadratic-to-cubic in the direction count.
+# its flats walk costs, at each rank, the flats of that rank times the
+# direction count, and both grow with the monomial count.
 MAX_MONOMIALS = 56
 
 SUPPORTED = (3, 3)
 
 
 def monomials(n: int, d: int) -> tuple[Monomial, ...]:
-    """All degree-d exponent tuples in n + 1 variables, x_0-dominant first."""
+    """All degree-d exponent tuples in n + 1 variables, x_0-dominant first.
+
+    Each pass splits the last exponent e into (f, e - f), f descending; the
+    order stays descending lex, since tuples of equal degree first differ
+    before their last entry.
+    """
     if n < 1 or d < 1:
         raise UnsupportedError(f"need n >= 1 and d >= 1, got ({n}, {d})")
-    return tuple(
-        sorted(
-            (
-                e
-                for e in itertools.product(range(d + 1), repeat=n + 1)
-                if sum(e) == d
-            ),
-            reverse=True,
-        )
-    )
+    out = [(d,)]
+    for _ in range(n):
+        out = [(*m[:-1], f, m[-1] - f) for m in out for f in range(m[-1], -1, -1)]
+    return tuple(out)
 
 
 def monomial_weight(m: Monomial, r: WeightVector) -> int:
@@ -104,26 +106,10 @@ def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _sign_canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
-    lead = next((v for v in vec if v != 0), 0)
-    return tuple(-v for v in vec) if lead < 0 else vec
-
-
-def _int_det(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Determinant of a small square integer matrix, Laplace expansion."""
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    rest = rows[1:]
-    for col, v in enumerate(rows[0]):
-        if v == 0:
-            continue
-        minor = tuple(tuple(row[c] for c in range(k) if c != col) for row in rest)
-        term = v * _int_det(minor)
-        total += term if col % 2 == 0 else -term
-    return total
+    for lead in vec:
+        if lead:
+            return tuple(-v for v in vec) if lead < 0 else vec
+    return vec
 
 
 def _equation_directions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -139,14 +125,35 @@ def _equation_directions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(dirs))
 
 
+def _cut(basis: tuple[tuple[int, ...], ...], s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The flat cut from span(basis) by a hyperplane with nonzero functional
+    s_i = a . b_i on it: its reduced echelon rows, primitive with positive
+    pivots, so that equal flats get equal keys when `basis` is such a key.
+
+    Fraction-free: pivoting on the last nonzero s_p, each row
+    s_p * b_i - s_i * b_p (i != p) keeps the pivot of b_i and stays zero in
+    the other pivots' columns, because b_p is zero there and s_i = 0 for i > p.
+    """
+    p = max(i for i, v in enumerate(s) if v)
+    sp, bp = s[p], basis[p]
+    return tuple(
+        _sign_canonical(_primitive(tuple(sp * x - si * y for x, y in zip(b, bp))))
+        for i, (si, b) in enumerate(zip(s, basis))
+        if i != p
+    )
+
+
 @lru_cache(maxsize=None)
 def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
-    """Probe vectors from all maximal-rank (n - 1)-equation systems.
+    """Probe vectors: the descending generators of the rays of the direction
+    arrangement inside the sum-zero space.
 
-    Each system is the sum-zero row plus n - 1 chosen direction rows; when
-    the rank is full the integer cross product yields the solution ray, and
-    the primitive generator is kept if descending (one orientation only;
-    vectors constant on all coordinates die against sum zero).
+    The flats are walked rank by rank from the reduced echelon basis
+    e_i - e_n of that space.  Each flat is cut once by each distinct
+    primitive functional the directions restrict to on it, and kept once
+    under its `_cut` key.  After n - 1 steps every flat is a ray whose key
+    starts positive, as every descending sum-zero vector does, so the key is
+    the only orientation that can join R.
     """
     mons = monomials(n, d)
     if len(mons) > MAX_MONOMIALS:
@@ -154,26 +161,18 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
             f"({n}, {d}) has {len(mons)} monomials, above the bound {MAX_MONOMIALS}"
         )
     dirs = _equation_directions(n, d)
-    ones = tuple([1] * (n + 1))
-    found = set()
-    for chosen in itertools.combinations(dirs, n - 1):
-        rows = (ones, *chosen)
-        # generalized cross product: v_i = (-1)^i det(rows minus column i)
-        v = tuple(
-            (-1 if i % 2 else 1)
-            * _int_det(tuple(tuple(row[c] for c in range(n + 1) if c != i) for row in rows))
-            for i in range(n + 1)
-        )
-        if all(x == 0 for x in v):
-            continue  # rank below n: no ray
-        v = _primitive(v)
-        for cand in (v, tuple(-x for x in v)):
-            if all(a >= b for a, b in zip(cand, cand[1:])):
-                found.add(cand)
-                break
+    flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n))}
+    for _ in range(n - 1):
+        cut_flats = set()
+        for basis in flats:
+            restricted = set(zip(*([sum(map(mul, a, b)) for a in dirs] for b in basis)))
+            cuts = {_sign_canonical(_primitive(s)) for s in restricted if any(s)}
+            cut_flats.update(_cut(basis, s) for s in cuts)
+        flats = cut_flats
+    found = sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:])))
     if not all(is_weight_vector(r) for r in found):
         raise ConsistencyError("a normalized probe is not a weight vector")
-    return tuple(sorted(found))
+    return tuple(found)
 
 
 def exhaustive_weights(n: int, bound: int) -> tuple[WeightVector, ...]:
@@ -317,10 +316,10 @@ class _Search:
 
 
 def _sweep(n: int, d: int, exploratory: bool, extra: tuple[WeightVector, ...] = ()):
-    if (n, d) != SUPPORTED and not exploratory:
-        raise UnsupportedError(f"({n}, {d}) is not a supported target; (3, 3) is")
     """The wall sweep behind compute_walls and wall_report, with the
     supported-target guard they share."""
+    if (n, d) != SUPPORTED and not exploratory:
+        raise UnsupportedError(f"({n}, {d}) is not a supported target; (3, 3) is")
     return _Search(n, d, extra).walls()
 
 

@@ -1,12 +1,15 @@
+import itertools
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from wallcross.errors import DimensionMismatchError, UnsupportedError
 from wallcross.gitwalls import (
+    _cut,
+    _equation_directions,
     candidate_twalls,
     candidate_weights,
     compute_walls,
@@ -39,6 +42,21 @@ def test_monomial_enumeration():
     assert len(monomials(2, 4)) == expected_monomial_count(2, 4) == 15
     with pytest.raises(UnsupportedError):
         monomials(0, 3)
+
+
+def monomials_oracle(n: int, d: int):
+    """Filter all (d + 1)^(n + 1) exponent tuples by degree, then sort."""
+    return tuple(
+        sorted(
+            (e for e in itertools.product(range(d + 1), repeat=n + 1) if sum(e) == d),
+            reverse=True,
+        )
+    )
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 4), (2, 3), (3, 3), (4, 2), (5, 2), (2, 6)])
+def test_monomials_match_filter_oracle(n, d):
+    assert monomials(n, d) == monomials_oracle(n, d)
 
 
 def test_monomial_weight():
@@ -75,6 +93,89 @@ def test_candidate_weights_shape():
 def test_candidate_weights_line_case():
     assert candidate_weights(1, 1) == ((1, -1),)
     assert candidate_weights(1, 3) == ((1, -1),)
+
+
+def _int_det(rows):
+    """Determinant of a small square integer matrix, Laplace expansion."""
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    total = 0
+    for col, v in enumerate(rows[0]):
+        if v:
+            minor = tuple(tuple(row[c] for c in range(k) if c != col) for row in rows[1:])
+            total += (-1) ** col * v * _int_det(minor)
+    return total
+
+
+def probes_oracle(n: int, d: int):
+    """The rays of every maximal-rank system: the sum-zero row plus n - 1
+    directions, solved by the integer cross product (v_i = (-1)^i times the
+    minor without column i), primitive, in its descending orientation."""
+    ones = (1,) * (n + 1)
+    found = set()
+    for chosen in itertools.combinations(_equation_directions(n, d), n - 1):
+        rows = (ones, *chosen)
+        minors = (tuple(row[:i] + row[i + 1 :] for row in rows) for i in range(n + 1))
+        v = tuple((-1) ** i * _int_det(minor) for i, minor in enumerate(minors))
+        if any(v):
+            g = gcd(*v)
+            v = tuple(x // g for x in v)
+            for cand in (v, tuple(-x for x in v)):
+                if all(a >= b for a, b in zip(cand, cand[1:])):
+                    found.add(cand)
+                    break
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize(
+    "n, d", [(1, 1), (1, 3), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4)]
+)
+def test_candidate_weights_match_system_oracle(n, d):
+    assert candidate_weights(n, d) == probes_oracle(n, d)
+
+
+def is_reduced_echelon_key(rows):
+    """Primitive rows with positive pivots in increasing columns, each row
+    zero in every other row's pivot column."""
+    pivots = [next(c for c, v in enumerate(row) if v) for row in rows]
+    return (
+        pivots == sorted(set(pivots))
+        and all(row[c] > 0 and gcd(*row) == 1 for row, c in zip(rows, pivots))
+        and all(row[c] == 0 for i, c in enumerate(pivots) for k, row in enumerate(rows) if k != i)
+    )
+
+
+def test_cut_keys_a_flat_by_its_reduced_echelon_basis():
+    def restrict(a, basis):
+        return tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
+
+    # the sum-zero space of R^5, whose flats have free columns between pivots
+    space = tuple(tuple(int(k == i) - (k == 4) for k in range(5)) for i in range(4))
+    dirs = _equation_directions(4, 2)
+    planes = 0
+    # cutting by a then a' gives the key that cutting by a' then a gives,
+    # and any nonzero multiple of the functional gives the same key
+    for a, a2 in itertools.combinations(dirs, 2):
+        flat = _cut(space, restrict(a, space))
+        assert is_reduced_echelon_key(flat)
+        assert _cut(space, tuple(-3 * v for v in restrict(a, space))) == flat
+        other = _cut(space, restrict(a2, space))
+        s, s2 = restrict(a2, flat), restrict(a, other)
+        assert any(s) == any(s2) == (flat != other)
+        if any(s):
+            plane = _cut(flat, s)
+            assert plane == _cut(other, s2)
+            assert is_reduced_echelon_key(plane)
+            assert restrict(a, plane) == restrict(a2, plane) == (0, 0)
+            assert all(sum(b) == 0 for b in plane)
+            planes += 1
+    assert planes > 1000
+
+
+def test_candidate_weights_counts_past_the_oracle():
+    assert len(candidate_weights(4, 2)) == 42
+    assert len(candidate_weights(3, 5)) == 693
 
 
 def test_candidate_weights_bound():
@@ -291,7 +392,7 @@ def test_wall_report_shape():
     assert wall_report(3, 3) == wall_report(3, 3)  # deterministic
 
 
-@pytest.mark.parametrize("config", ["2,3", "2,4", "2,5", "2,6", "3,2", "3,4"])
+@pytest.mark.parametrize("config", ["2,3", "2,4", "2,5", "2,6", "3,2", "3,4", "4,2"])
 def test_exploratory_atlas_matches_golden(data_dir, config):
     atlas = json.loads((data_dir / "git_atlas.json").read_text())
     n, d = map(int, config.split(","))
