@@ -49,6 +49,9 @@ from .wallsets import Coord, FamilyRecord, WallSet
 # larger than this.
 MAX_FOLD_GROUP = 100_000
 
+# cells(codim) refuses more cells than this before building any; dp3^6 peaks at 540,000.
+MAX_CELLS = 2_000_000
+
 RENDER_FORMATS = ("svg", "ascii", "json")
 
 
@@ -89,10 +92,21 @@ class ProductArrangement:
     def wall_counts(self) -> tuple[int, ...]:
         return tuple(len(ws) for _, ws in self.factors)
 
+    @property
+    def cell_counts(self) -> tuple[int, ...]:
+        """Cells per codimension by the closed form, with no enumeration: a
+        factor with w walls maps the codim-j count c_j to c_j (w + 1) + c_{j-1} w."""
+        counts = [1]
+        for w in self.wall_counts:
+            counts = [a * (w + 1) + b * w for a, b in zip([*counts, 0], [0, *counts])]
+        return tuple(counts)
+
     def cells(self, codim: int) -> tuple[Cell, ...]:
         """All cells of the given codimension, lexicographically ordered."""
         if not 0 <= codim <= self.k:
             raise BadCodimError(f"codim {codim} outside 0..{self.k}")
+        if (count := self.cell_counts[codim]) > MAX_CELLS:
+            raise BoundExceededError(f"{count} codim-{codim} cells, above the bound {MAX_CELLS}")
         chambers = [range(0, 2 * w + 1, 2) for w in self.wall_counts]
         walls = [range(1, 2 * w, 2) for w in self.wall_counts]
         out = []

@@ -101,7 +101,7 @@ def _cmd_product(args) -> int:
             f"factor {i} ({fid}): "
             f"{_plural(len(ws) + 1, 'chamber')}, {_plural(len(ws), 'wall')}"
         )
-    counts = [len(arr.cells(j)) for j in range(arr.k + 1)]
+    counts = arr.cell_counts
     for j, count in enumerate(counts):
         print(f"codim-{j} cells: {count}")
     print(f"total cells: {sum(counts)}")
@@ -343,10 +343,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except WallcrossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (WallcrossError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

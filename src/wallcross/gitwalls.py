@@ -27,11 +27,13 @@ hyperplane once, down to the rays, and the primitive descending generator of
 each ray (when one exists) joins R.  Candidate walls are the values
 t = -<m, r>/r_j landing in (0, 1).  Every support M+ changes only at such a
 value, so the family of inclusion-maximal pairs (M+, j) is constant on each
-open chamber between consecutive candidates; it is sampled once per chamber,
-at the midpoint, and a candidate is a wall when the samples on its two sides
-differ.  Completeness of R is not proved here; it is backed empirically by
-the bounded exhaustive refinement check (test suite) and by the acceptance
-comparison against the registered tables.
+open chamber between consecutive candidates.  One sweep samples every chamber:
+the stability test builds the first chamber's support masks, and each
+candidate then flips only the mask bits whose own threshold it is.  A
+candidate is a wall when the samples on its two sides differ.  Completeness
+of R is not proved here; it is backed empirically by the bounded exhaustive
+refinement check (test suite) and by the acceptance comparison against the
+registered tables.
 
 Open question, recorded: whether thresholds j with r_j = 0 can ever carry a
 wall under this convention.  They contribute t-independent supports only,
@@ -175,48 +177,30 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     return tuple(found)
 
 
-def exhaustive_weights(n: int, bound: int) -> tuple[WeightVector, ...]:
-    """Every normalized weight vector with all |r_i| <= bound, for the
-    refinement robustness check; grows fast with n and bound."""
-
-    def rec(prefix: list[int], remaining: int) -> None:
-        if remaining == 0:
-            if sum(prefix) == 0 and any(prefix) and gcd(*prefix) == 1:
-                out.add(tuple(prefix))
-            return
-        hi = prefix[-1] if prefix else bound
-        # the remaining entries cannot push the sum back to zero otherwise
-        for v in range(hi, -bound - 1, -1):
-            s = sum(prefix) + v
-            if s + (remaining - 1) * (-bound) > 0:
-                continue
-            if s + (remaining - 1) * v < 0:
-                break
-            prefix.append(v)
-            rec(prefix, remaining - 1)
-            prefix.pop()
-
-    out: set[WeightVector] = set()
-    rec([], n + 1)
-    return tuple(sorted(out))
-
-
 def _mask(wvec: tuple[int, ...], rj: int, t: Fraction) -> int:
     """The stability test: bit i is set iff wvec[i] + t * rj > 0."""
-    p, q = t.numerator, t.denominator
-    shift = p * rj
-    mask = 0
-    bit = 1
-    for w in wvec:
-        if w * q + shift > 0:
-            mask |= bit
-        bit <<= 1
-    return mask
+    q, shift = t.denominator, t.numerator * rj
+    return sum(1 << i for i, w in enumerate(wvec) if w * q + shift > 0)
 
 
 def _support(mons: tuple[Monomial, ...], mask: int) -> frozenset[Monomial]:
     """The monomials whose bits are set in mask."""
     return frozenset(m for i, m in enumerate(mons) if mask >> i & 1)
+
+
+def _maximal(pairs) -> frozenset[tuple[int, int]]:
+    """The inclusion-maximal nonempty members of {(mask, j)}: the largest j
+    per mask, less those inside another mask with a threshold at least j."""
+    best_j: dict[int, int] = {}
+    for mask, j in pairs:
+        if mask and best_j.get(mask, -1) < j:
+            best_j[mask] = j
+    members = sorted(best_j.items(), key=lambda kv: -kv[0].bit_count())
+    kept: list[tuple[int, int]] = []
+    for mask, j in members:
+        if not any(mask & ~km == 0 and j <= kj for km, kj in kept):
+            kept.append((mask, j))
+    return frozenset(kept)
 
 
 def max_destabilized_support(r: WeightVector, t: Fraction, j: int, d: int = 3) -> frozenset[Monomial]:
@@ -265,8 +249,7 @@ class _Search:
             for j in range(n + 1):
                 g = gcd(*wvec, r[j])
                 key = (tuple(w // g for w in wvec), r[j] // g) if g > 1 else (wvec, r[j])
-                prev = profiles.get(key)
-                if prev is None or prev < j:
+                if profiles.get(key, -1) < j:
                     profiles[key] = j
         self.profiles = tuple((w, rj, j) for (w, rj), j in sorted(profiles.items()))
 
@@ -274,45 +257,50 @@ class _Search:
         """Candidate values, each with its sorted witness triples (r, m, j)."""
         out: dict[Fraction, list[tuple]] = {}
         for r in self.weights:
-            for j in range(self.n + 1):
-                if r[j] == 0:
-                    continue
-                for m in self.mons:
-                    w = monomial_weight(m, r)
-                    t = Fraction(-w, r[j])
-                    if 0 < t < 1:
-                        out.setdefault(t, []).append((r, m, j))
+            wvec = [monomial_weight(m, r) for m in self.mons]
+            for j, rj in enumerate(r):
+                # 0 < -w / rj < 1, with both sides multiplied by rj^2
+                for m, w in zip(self.mons, wvec):
+                    if 0 < -w * rj < rj * rj:
+                        out.setdefault(Fraction(-w, rj), []).append((r, m, j))
         for witnesses in out.values():
             witnesses.sort()
         return out
 
     def fingerprint(self, t: Fraction) -> frozenset[tuple[int, int]]:
         """Deduplicated, inclusion-maximalized family {(support mask, j)}."""
-        best_j: dict[int, int] = {}
-        for wvec, rj, j in self.profiles:
-            mask = _mask(wvec, rj, t)
-            if mask and best_j.get(mask, -1) < j:
-                best_j[mask] = j
-        members = sorted(best_j.items(), key=lambda kv: -kv[0].bit_count())
-        kept: list[tuple[int, int]] = []
-        for mask, j in members:
-            if not any(mask & ~km == 0 and j <= kj for km, kj in kept):
-                kept.append((mask, j))
-        return frozenset(kept)
+        return _maximal((_mask(wvec, rj, t), j) for wvec, rj, j in self.profiles)
 
     def family(self, t: Fraction) -> tuple[SupportPair, ...]:
         pairs = [SupportPair(_support(self.mons, mask), j) for mask, j in self.fingerprint(t)]
         return tuple(sorted(pairs, key=SupportPair.sort_key))
 
+    def _chamber_samples(self, cuts: list[Fraction]) -> list[frozenset[tuple[int, int]]]:
+        """fingerprint on each open chamber of (0, 1) cut at `cuts`, the sorted
+        candidates, among them every profile threshold -wvec[i] / r_j: _mask
+        builds the first chamber's masks, and each cut XORs in the bits it flips."""
+        flips: dict[Fraction, list[tuple[int, int]]] = {}
+        for k, (wvec, rj, _) in enumerate(self.profiles):
+            for i, w in enumerate(wvec):
+                if 0 < -w * rj < rj * rj:
+                    flips.setdefault(Fraction(-w, rj), []).append((k, 1 << i))
+        start = (cuts[0] if cuts else Fraction(1)) / 2
+        masks = [_mask(wvec, rj, start) for wvec, rj, _ in self.profiles]
+        js = [j for _, _, j in self.profiles]
+        samples = [_maximal(zip(masks, js))]
+        for t in cuts:
+            for k, bit in flips[t]:
+                masks[k] ^= bit
+            samples.append(_maximal(zip(masks, js)))
+        return samples
+
     def walls(self) -> tuple[tuple[Fraction, ...], dict[Fraction, list[tuple]]]:
-        """Candidates whose neighbouring chamber samples differ."""
+        """Candidates whose neighbouring chamber samples differ, the samples
+        taken by one incremental sweep over the sorted candidates."""
         cands = self.candidates()
-        bounds = [Fraction(0), *sorted(cands), Fraction(1)]
-        samples = [self.fingerprint((a + b) / 2) for a, b in zip(bounds, bounds[1:])]
-        walls = tuple(
-            t for t, below, above in zip(bounds[1:-1], samples, samples[1:]) if below != above
-        )
-        return walls, cands
+        cuts = sorted(cands)
+        samples = self._chamber_samples(cuts)
+        return tuple(t for t, lo, hi in zip(cuts, samples, samples[1:]) if lo != hi), cands
 
 
 def _sweep(n: int, d: int, exploratory: bool, extra: tuple[WeightVector, ...] = ()):
@@ -344,9 +332,10 @@ def compute_walls(
     exploratory: bool = False,
     extra_weights: tuple[WeightVector, ...] = (),
 ) -> WallSet:
-    """Slope walls: candidates where the maximal family sampled at the
-    midpoint of the chamber below differs from the one above (0 and 1 bound
-    the first and last chambers, so samples stay inside (0, 1)).
+    """Slope walls: candidates where the maximal family on the chamber below
+    differs from the one above.  One sweep up the sorted candidates updates
+    each support mask only at its own thresholds; 0 and 1 bound the first and
+    last chambers.
 
     Only (3, 3) is supported; pass exploratory=True to run other small
     configurations with no acceptance claim.

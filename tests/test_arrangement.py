@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import arrangement
 from wallcross.arrangement import (
+    MAX_CELLS,
     Cell,
     build_product,
     crossing_graph,
@@ -17,6 +19,7 @@ from wallcross.arrangement import (
 )
 from wallcross.errors import (
     BadCodimError,
+    BoundExceededError,
     DimensionMismatchError,
     MismatchedWallSetsError,
     OutOfRangeError,
@@ -140,6 +143,37 @@ def test_cell_count_formulas_random():
         for w in arr.wall_counts:
             total *= 2 * w + 1
         assert len(arr.all_cells()) == total
+
+
+def test_cell_counts_closed_form_matches_enumeration_random():
+    rng = random.Random(2025)
+    for _ in range(60):
+        k = rng.randint(0, 4)
+        arr = build_product([(f"f{i}", random_wallset(rng)) for i in range(k)])
+        counts = arr.cell_counts
+        assert len(counts) == k + 1
+        assert counts == tuple(len(arr.cells(j)) for j in range(k + 1))
+        assert counts == tuple(codim_count_oracle(arr.wall_counts, j) for j in range(k + 1))
+
+
+def test_cells_bounded_before_enumeration(registry, monkeypatch):
+    class NoEnumeration:
+        def __getattr__(self, name):
+            raise AssertionError(f"itertools.{name} called past the bound")
+
+    dp3 = registry["dp3"]
+    arr = build_product([dp3] * 9)
+    counts = arr.cell_counts
+    assert counts[0] == 6**9 and counts[9] == 5**9
+    monkeypatch.setattr(arrangement, "itertools", NoEnumeration())
+    for j in range(9):
+        assert counts[j] > MAX_CELLS
+        with pytest.raises(BoundExceededError):
+            arr.cells(j)
+    with pytest.raises(BoundExceededError):
+        crossing_graph(arr)
+    # the largest codimension of dp3^6 stays inside the bound
+    assert max(build_product([dp3] * 6).cell_counts) == 540_000 <= MAX_CELLS
 
 
 def test_crossing_graph_two_factors(registry):

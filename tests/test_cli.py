@@ -387,3 +387,23 @@ def test_broken_overlay_is_computation_error(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert "reparam entry 1.7 is not an integer" in err
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_product_text_enumerates_each_codim_at_most_twice(capsys, monkeypatch, fold):
+    calls = []
+    original = arrangement.ProductArrangement.cells
+
+    def counting(self, codim):
+        calls.append(codim)
+        return original(self, codim)
+
+    monkeypatch.setattr(arrangement.ProductArrangement, "cells", counting)
+    argv = ["product", "--families", "dp3,dp3,dp3"] + ["--fold"] * fold
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "codim-3 cells: 125" in out.splitlines()
+    assert all(calls.count(j) <= 2 for j in range(4))
+    # the counts come from the closed form; only the crossing graph and
+    # the orbit enumeration build cells
+    assert sorted(calls) == ([0, 0, 1, 1, 2, 3] if fold else [0, 1])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from bisect import bisect_left
@@ -10,10 +11,10 @@ from wallcross.errors import DimensionMismatchError, UnsupportedError
 from wallcross.gitwalls import (
     _cut,
     _equation_directions,
+    _Search,
     candidate_twalls,
     candidate_weights,
     compute_walls,
-    exhaustive_weights,
     is_weight_vector,
     max_destabilized_support,
     monomial_weight,
@@ -181,6 +182,32 @@ def test_candidate_weights_counts_past_the_oracle():
 def test_candidate_weights_bound():
     with pytest.raises(UnsupportedError):
         candidate_weights(4, 4)  # 70 monomials, above the 56 bound
+
+
+def exhaustive_weights(n: int, bound: int):
+    """Every normalized weight vector with all |r_i| <= bound, for the
+    refinement robustness check; grows fast with n and bound."""
+
+    def rec(prefix: list[int], remaining: int) -> None:
+        if remaining == 0:
+            if sum(prefix) == 0 and any(prefix) and gcd(*prefix) == 1:
+                out.add(tuple(prefix))
+            return
+        hi = prefix[-1] if prefix else bound
+        # the remaining entries cannot push the sum back to zero otherwise
+        for v in range(hi, -bound - 1, -1):
+            s = sum(prefix) + v
+            if s + (remaining - 1) * (-bound) > 0:
+                continue
+            if s + (remaining - 1) * v < 0:
+                break
+            prefix.append(v)
+            rec(prefix, remaining - 1)
+            prefix.pop()
+
+    out: set = set()
+    rec([], n + 1)
+    return tuple(sorted(out))
 
 
 def test_exhaustive_weights_small():
@@ -392,9 +419,54 @@ def test_wall_report_shape():
     assert wall_report(3, 3) == wall_report(3, 3)  # deterministic
 
 
-@pytest.mark.parametrize("config", ["2,3", "2,4", "2,5", "2,6", "3,2", "3,4", "4,2"])
+ATLAS = ["2,3", "2,4", "2,5", "2,6", "3,2", "3,4", "4,2"]
+
+
+@pytest.mark.parametrize("config", ATLAS)
 def test_exploratory_atlas_matches_golden(data_dir, config):
     atlas = json.loads((data_dir / "git_atlas.json").read_text())
     n, d = map(int, config.split(","))
     # dumps compares key and witness order too, not only dict equality
     assert json.dumps(wall_report(n, d, exploratory=True)) == json.dumps(atlas[config])
+
+
+def midpoint_samples(search):
+    """The oracle: fingerprint recomputed anew in every chamber."""
+    bounds = [F(0), *sorted(search.candidates()), F(1)]
+    return [search.fingerprint((a + b) / 2) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("config", ATLAS)
+def test_sweep_samples_match_fingerprint(config):
+    n, d = map(int, config.split(","))
+    search = _Search(n, d)
+    cuts = sorted(search.candidates())
+    assert search._chamber_samples(cuts) == midpoint_samples(search)
+
+
+def test_sweep_samples_match_fingerprint_with_exhaustive_probes():
+    search = _Search(3, 3, exhaustive_weights(3, 9))
+    cuts = sorted(search.candidates())
+    assert search._chamber_samples(cuts) == midpoint_samples(search)
+
+
+def test_sweep_without_candidates_samples_one_chamber():
+    search = _Search(1, 1)
+    assert search.candidates() == {}
+    assert search._chamber_samples([]) == [search.fingerprint(F(1, 2))]
+
+
+def test_wall_report_3_5_matches_golden(data_dir):
+    """The (3, 5) report is 450 KB; the golden keeps its walls and
+    candidates, the witness count per wall, and the SHA-256 of the whole
+    report's json.dumps, so witness content and order count too."""
+    golden = json.loads((data_dir / "git_walls_3_5.json").read_text())
+    report = wall_report(3, 5, exploratory=True)
+    assert len(report["walls"]) == 49 and len(report["candidates"]) == 338
+    assert report["walls"] == golden["walls"]
+    assert report["candidates"] == golden["candidates"]
+    counts = {t: len(w) for t, w in report["witnesses"].items()}
+    assert counts == golden["witness_counts"]
+    assert sum(counts.values()) == 8582
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == golden["report_sha256"]
