@@ -1,25 +1,28 @@
 """Axis-parallel product chamber complexes on the unit k-cube.
 
 A product arrangement is a tuple of factors, each a family id with a wall
-set on (0, 1).  A cell is a tuple of positions, one int per factor, in the
-encoding of Coord.position: chamber i is 2i and wall i is 2i + 1, so the
+set on (0, 1).  A cell is a plain tuple of positions, one int per factor, in
+the encoding of Coord.position: chamber i is 2i and wall i is 2i + 1, so the
 positions of one factor run left to right along the interval, tuple order is
 the lexicographic cell order, and the codimension is the number of odd
-entries.  With w_i walls in factor i there are prod(w_i + 1) top cells,
-prod(2 w_i + 1) cells in total, and the codim-j count is the elementary
-symmetric sum pairing j wall choices with chamber choices elsewhere.
+entries; cell_coords, cell_json and cell_str decode through Coord.  With
+w_i walls in factor i there are prod(w_i + 1) top cells, prod(2 w_i + 1)
+cells in total, and the codim-j count is the elementary symmetric sum
+pairing j wall choices with chamber choices elsewhere.
 
 The crossing graph has the top cells as nodes and one edge per codim-1 cell,
 joining the two chambers adjacent across that wall; it is the box product of
-per-factor path graphs.
+per-factor path graphs, so it is connected with cell_counts[0] nodes and
+cell_counts[1] edges, which is what the text report prints.
 
 Folding quotients the arrangement by permutations of factor positions whose
 wall sets agree exactly (wall-set equality is the computable proxy for
 isomorphic factors; the caller asserts the isomorphism).  Orbit
 representatives follow the lexicographically-least-cell convention, a
-labeling choice, not canon.  Orbit counts are exposed two independent ways:
-direct enumeration by canonical form, and the Burnside average of
-fixed-cell counts, which agree on every codimension.
+labeling choice, not canon: each part's positions sorted into its slots.
+Orbit counts are exposed two independent ways, neither building the cells:
+direct enumeration of those representatives, one sorted position multiset
+per part, and the Burnside average of fixed-cell counts.
 
 Renderers: "svg" and "ascii" for k <= 2 (exact-fraction tick labels; SVG
 positions are rationals rounded to 6 decimal digits, half up, so output is
@@ -32,7 +35,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .errors import (
     BadCodimError,
@@ -55,27 +58,20 @@ MAX_CELLS = 2_000_000
 RENDER_FORMATS = ("svg", "ascii", "json")
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A product cell: one chamber-or-wall position per factor."""
+def cell_codim(cell: tuple[int, ...]) -> int:
+    return sum(p & 1 for p in cell)
 
-    positions: tuple[int, ...]
 
-    @property
-    def coords(self) -> tuple[Coord, ...]:
-        return tuple(
-            (Coord.wall if p & 1 else Coord.chamber)(p >> 1) for p in self.positions
-        )
+def cell_coords(cell: tuple[int, ...]) -> tuple[Coord, ...]:
+    return tuple((Coord.wall if p & 1 else Coord.chamber)(p >> 1) for p in cell)
 
-    @property
-    def codim(self) -> int:
-        return sum(p & 1 for p in self.positions)
 
-    def to_json(self) -> dict:
-        return {"coords": [c.to_json() for c in self.coords], "codim": self.codim}
+def cell_json(cell: tuple[int, ...]) -> dict:
+    return {"coords": [c.to_json() for c in cell_coords(cell)], "codim": cell_codim(cell)}
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+def cell_str(cell: tuple[int, ...]) -> str:
+    return "(" + ", ".join(map(str, cell_coords(cell))) + ")"
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class ProductArrangement:
             counts = [a * (w + 1) + b * w for a, b in zip([*counts, 0], [0, *counts])]
         return tuple(counts)
 
-    def cells(self, codim: int) -> tuple[Cell, ...]:
+    def cells(self, codim: int) -> tuple[tuple[int, ...], ...]:
         """All cells of the given codimension, lexicographically ordered."""
         if not 0 <= codim <= self.k:
             raise BadCodimError(f"codim {codim} outside 0..{self.k}")
@@ -117,23 +113,19 @@ class ProductArrangement:
                 )
             )
         out.sort()
-        return tuple(map(Cell, out))
+        return tuple(out)
 
-    def all_cells(self) -> tuple[Cell, ...]:
-        return tuple(
-            cell for codim in range(self.k + 1) for cell in self.cells(codim)
-        )
+    def all_cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(cell for codim in range(self.k + 1) for cell in self.cells(codim))
 
-    def locate(self, point) -> Cell:
+    def locate(self, point) -> tuple[int, ...]:
         """Cell containing a point with one (0, 1)-coordinate per factor."""
         point = tuple(point)
         if len(point) != self.k:
             raise DimensionMismatchError(
                 f"point of length {len(point)} in a {self.k}-factor arrangement"
             )
-        return Cell(
-            tuple(ws.locate(x).position for (_, ws), x in zip(self.factors, point))
-        )
+        return tuple(ws.locate(x).position for (_, ws), x in zip(self.factors, point))
 
 
 def build_product(families, space: str = "c") -> ProductArrangement:
@@ -154,37 +146,24 @@ def build_product(families, space: str = "c") -> ProductArrangement:
 class CrossingGraph:
     """Top cells as nodes; one labeled edge per codim-1 cell."""
 
-    nodes: tuple[Cell, ...]
-    edges: tuple[tuple[Cell, Cell, Cell], ...]  # (side, side, codim-1 label)
+    nodes: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[tuple[int, ...], ...], ...]  # (side, side, codim-1 label)
 
     def is_connected(self) -> bool:
         if not self.nodes:
             return True
-        adj: dict[Cell, list[Cell]] = {node: [] for node in self.nodes}
+        adj: dict[tuple[int, ...], list] = {node: [] for node in self.nodes}
         for a, b, _ in self.edges:
             adj[a].append(b)
             adj[b].append(a)
         seen = {self.nodes[0]}
-        frontier = [self.nodes[0]]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other in adj[node]:
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-            frontier = nxt
+        stack = [self.nodes[0]]
+        while stack:
+            for other in adj[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
         return len(seen) == len(self.nodes)
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": [n.to_json() for n in self.nodes],
-            "edges": [
-                {"sides": [a.to_json(), b.to_json()], "label": lab.to_json()}
-                for a, b, lab in self.edges
-            ],
-            "connected": self.is_connected(),
-        }
 
 
 def crossing_graph(arr: ProductArrangement) -> CrossingGraph:
@@ -195,25 +174,19 @@ def crossing_graph(arr: ProductArrangement) -> CrossingGraph:
     one edge, so the graph is the box product of per-factor paths.
     """
     edges = []
-    for label in arr.cells(1):
-        p = label.positions
+    for p in arr.cells(1):
         i = next(i for i, x in enumerate(p) if x & 1)
-        below, above = (Cell(p[:i] + (p[i] + s,) + p[i + 1 :]) for s in (-1, 1))
-        edges.append((below, above, label))
+        below, above = (p[:i] + (p[i] + s,) + p[i + 1 :] for s in (-1, 1))
+        edges.append((below, above, p))
     return CrossingGraph(arr.cells(0), tuple(edges))
 
 
-@dataclass(frozen=True)
-class CellOrbit:
-    """An orbit of cells under the folding group; the representative is the
-    lexicographically least member."""
-
-    representative: Cell
-    cells: tuple[Cell, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
+def _orderings(multiset: tuple[int, ...]) -> int:
+    """Distinct orderings of a multiset: the multinomial coefficient."""
+    count = factorial(len(multiset))
+    for p in set(multiset):
+        count //= factorial(multiset.count(p))
+    return count
 
 
 @dataclass(frozen=True)
@@ -223,35 +196,51 @@ class SymmetricFolding:
     arrangement: ProductArrangement
     grouping: tuple[tuple[int, ...], ...]
 
-    def canonical(self, cell: Cell) -> Cell:
+    def canonical(self, cell: tuple[int, ...]) -> tuple[int, ...]:
         """Orbit representative, the lex-least member: each group's
         positions sorted into its slots in increasing order."""
-        positions = list(cell.positions)
+        positions = list(cell)
         for part in self.grouping:
             for slot, p in zip(sorted(part), sorted(positions[s] for s in part)):
                 positions[slot] = p
-        return Cell(tuple(positions))
+        return tuple(positions)
 
-    def orbits(self, codim: int) -> tuple[CellOrbit, ...]:
-        """Orbits in representative order.  Cells arrive in lex order, so
-        each orbit's members stay sorted and its first member, the
-        representative, opens its bucket in representative order."""
-        buckets: dict[Cell, list[Cell]] = {}
-        for cell in self.arrangement.cells(codim):
-            buckets.setdefault(self.canonical(cell), []).append(cell)
-        return tuple(
-            CellOrbit(rep, tuple(members)) for rep, members in buckets.items()
-        )
+    def orbits(self, codim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(representative, size) pairs of the orbits of the given
+        codimension in representative order, enumerated without cells: a
+        representative lays one sorted position multiset per part into the
+        part's sorted slots, and its orbit size is the product over parts of
+        the multiset's distinct orderings."""
+        arr = self.arrangement
+        if not 0 <= codim <= arr.k:
+            raise BadCodimError(f"codim {codim} outside 0..{arr.k}")
+        walls = [arr.wall_counts[part[0]] for part in self.grouping]
+        count = prod(comb(2 * w + len(p), len(p)) for w, p in zip(walls, self.grouping))
+        if count > MAX_CELLS:
+            raise BoundExceededError(f"{count} orbit representatives, above {MAX_CELLS}")
+        choices = []
+        for w, part in zip(walls, self.grouping):
+            multisets = itertools.combinations_with_replacement(range(2 * w + 1), len(part))
+            choices.append([(ms, cell_codim(ms), _orderings(ms)) for ms in multisets])
+        slots = [sorted(part) for part in self.grouping]
+        out = []
+        for choice in itertools.product(*choices):
+            if sum(j for _, j, _ in choice) != codim:
+                continue
+            positions = [0] * arr.k
+            for part_slots, (ms, _, _) in zip(slots, choice):
+                for slot, p in zip(part_slots, ms):
+                    positions[slot] = p
+            out.append((tuple(positions), prod(n for _, _, n in choice)))
+        out.sort()
+        return tuple(out)
 
     def orbit_count(self, codim: int) -> int:
-        """Direct enumeration by canonical form."""
+        """Direct enumeration of the orbit representatives."""
         return len(self.orbits(codim))
 
     def group_order(self) -> int:
-        order = 1
-        for part in self.grouping:
-            order *= factorial(len(part))
-        return order
+        return prod(factorial(len(part)) for part in self.grouping)
 
     def burnside_orbit_count(self, codim: int) -> int:
         """Burnside average of per-element fixed-cell counts.
@@ -362,13 +351,13 @@ def _render_json(arr: ProductArrangement, folding: SymmetricFolding | None) -> s
     for j in range(arr.k + 1):
         codim_cells = arr.cells(j)
         cell_counts[str(j)] = len(codim_cells)
-        cells.extend(cell.to_json() for cell in codim_cells)
+        cells.extend(map(cell_json, codim_cells))
         if folding is not None:
             codim_orbits = folding.orbits(j)
             orbit_counts[str(j)] = len(codim_orbits)
             orbits.extend(
-                {"codim": j, "representative": orb.representative.to_json(), "size": orb.size}
-                for orb in codim_orbits
+                {"codim": j, "representative": cell_json(rep), "size": size}
+                for rep, size in codim_orbits
             )
     doc = {
         "factors": [
@@ -441,10 +430,10 @@ def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> st
         )
         chambers_x = arr.factors[0][1].chambers()
         chambers_y = arr.factors[1][1].chambers()
-        label = {o.representative: i for i, o in enumerate(folding.orbits(0))}
+        label = {rep: i for i, (rep, _) in enumerate(folding.orbits(0))}
         for cell in arr.cells(0):
-            cx = chambers_x[cell.positions[0] >> 1]
-            cy = chambers_y[cell.positions[1] >> 1]
+            cx = chambers_x[cell[0] >> 1]
+            cy = chambers_y[cell[1] >> 1]
             parts.append(
                 f'<text x="{_svg_x((cx.lower + cx.upper) / 2)}" '
                 f'y="{_fmt6(MARGIN_TOP + (1 - (cy.lower + cy.upper) / 2) * BOX + 4)}" '

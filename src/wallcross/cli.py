@@ -94,7 +94,6 @@ def _cmd_product(args) -> int:
         out = arrangement.render(arr, args.format, folding)
         sys.stdout.write(out)
         return 0
-    graph = arrangement.crossing_graph(arr)
     print("families: " + ", ".join(args.families))
     for i, (fid, ws) in enumerate(arr.factors):
         print(
@@ -105,10 +104,10 @@ def _cmd_product(args) -> int:
     for j, count in enumerate(counts):
         print(f"codim-{j} cells: {count}")
     print(f"total cells: {sum(counts)}")
+    # a box product of paths (--families is never empty): one node per
+    # chamber, one edge per codim-1 cell
     print(
-        f"crossing graph: {_plural(len(graph.nodes), 'node')}, "
-        f"{_plural(len(graph.edges), 'edge')}, "
-        + ("connected" if graph.is_connected() else "disconnected")
+        f"crossing graph: {_plural(counts[0], 'node')}, {_plural(counts[1], 'edge')}, connected"
     )
     if folding is not None:
         groups = ", ".join(
@@ -137,13 +136,13 @@ def _cmd_chamber(args) -> int:
                 "families": list(args.families),
                 "space": args.space,
                 "point": [format_rational(x) for x in args.point],
-                "cell": cell.to_json(),
+                "cell": arrangement.cell_json(cell),
             }
         )
     else:
         print("point: " + ", ".join(format_rational(x) for x in args.point))
-        print(f"cell: {cell}")
-        print(f"codim: {cell.codim}")
+        print(f"cell: {arrangement.cell_str(cell)}")
+        print(f"codim: {arrangement.cell_codim(cell)}")
     return 0
 
 
@@ -350,3 +349,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

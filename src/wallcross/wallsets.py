@@ -282,6 +282,10 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         raise ValueError(
             f"registry record {family_id!r} missing field(s): " + ", ".join(missing)
         )
+    for key in ("hilbert", "c_walls", "t_walls", "reparam"):
+        value = data.get(key)
+        if not isinstance(value, list) and (key == "hilbert" or value is not None):
+            raise ValueError(f"registry record {family_id!r}: {key} {value!r} is not a list")
 
     def maybe_walls(key: str) -> WallSet | None:
         if data.get(key) is None:
@@ -290,11 +294,11 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
 
     c_walls = maybe_walls("c_walls")
     t_walls = maybe_walls("t_walls")
-    reparam = None
-    if data.get("reparam") is not None:
-        reparam = MoebiusMap(
-            *(_strict_int(family_id, "reparam", v) for v in data["reparam"])
-        )
+    reparam = data.get("reparam")
+    if reparam is not None:
+        if len(reparam) != 4:
+            raise ValueError(f"registry record {family_id!r}: reparam {reparam} needs 4 entries")
+        reparam = MoebiusMap(*(_strict_int(family_id, "reparam", v) for v in reparam))
     if t_walls is None and c_walls is not None and reparam is not None:
         t_walls = c_walls.map(reparam)
     return FamilyRecord(

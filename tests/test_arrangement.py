@@ -2,16 +2,22 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallcross import arrangement
 from wallcross.arrangement import (
     MAX_CELLS,
-    Cell,
     build_product,
+    cell_codim,
+    cell_coords,
+    cell_json,
+    cell_str,
     crossing_graph,
     fold_symmetric,
     grouping_by_id,
@@ -83,7 +89,7 @@ def test_two_factor_cell_counts(registry):
 def test_no_factor_and_single_factor_counts(registry):
     empty = build_product([])
     assert empty.k == 0
-    assert [c.to_json() for c in empty.cells(0)] == [{"coords": [], "codim": 0}]
+    assert [cell_json(c) for c in empty.cells(0)] == [{"coords": [], "codim": 0}]
     single = build_product([registry["dp3"]])
     assert len(single.cells(0)) == 6
     assert len(single.cells(1)) == 5
@@ -102,26 +108,30 @@ def test_cells_are_lex_sorted(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
     for j in range(3):
         cells = arr.cells(j)
-        keys = [cell.positions for cell in cells]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
-    assert arr.cells(0)[0] == Cell((0, 0))
-    assert arr.cells(2)[0] == Cell((1, 1))
-    assert arr.cells(2)[0].coords == (Coord.wall(0), Coord.wall(0))
+        assert list(cells) == sorted(cells)
+        assert len(set(cells)) == len(cells)
+    assert arr.cells(0)[0] == (0, 0)
+    assert arr.cells(2)[0] == (1, 1)
+    assert cell_coords(arr.cells(2)[0]) == (Coord.wall(0), Coord.wall(0))
 
 
 def test_locate_points(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
     cell = arr.locate((F(1, 2), F(1, 5)))
-    assert cell.coords == (Coord.chamber(3), Coord.chamber(1))
-    assert cell == Cell((6, 2))
-    assert cell.codim == 0
+    assert cell_coords(cell) == (Coord.chamber(3), Coord.chamber(1))
+    assert cell == (6, 2)
+    assert cell_codim(cell) == 0
+    assert cell_str(cell) == "(chamber 3, chamber 1)"
     on_walls = arr.locate((F(2, 5), F(1, 4)))
-    assert on_walls.coords == (Coord.wall(2), Coord.wall(1))
-    assert on_walls.codim == 2
+    assert cell_coords(on_walls) == (Coord.wall(2), Coord.wall(1))
+    assert cell_codim(on_walls) == 2
     mixed = arr.locate((F(2, 5), F(9, 10)))
-    assert mixed.coords == (Coord.wall(2), Coord.chamber(5))
-    assert mixed.codim == 1
+    assert cell_coords(mixed) == (Coord.wall(2), Coord.chamber(5))
+    assert cell_codim(mixed) == 1
+    assert cell_json(mixed) == {
+        "coords": [{"kind": "wall", "index": 2}, {"kind": "chamber", "index": 5}],
+        "codim": 1,
+    }
     with pytest.raises(DimensionMismatchError):
         arr.locate((F(1, 2),))
     with pytest.raises(OutOfRangeError):
@@ -137,8 +147,8 @@ def test_cell_count_formulas_random():
         for j in range(k + 1):
             cells = arr.cells(j)
             assert len(cells) == codim_count_oracle(arr.wall_counts, j)
-            assert [c.coords for c in cells] == cells_oracle(arr.wall_counts, j)
-            assert all(c.codim == j for c in cells)
+            assert [cell_coords(c) for c in cells] == cells_oracle(arr.wall_counts, j)
+            assert all(cell_codim(c) == j for c in cells)
         total = 1
         for w in arr.wall_counts:
             total *= 2 * w + 1
@@ -165,6 +175,8 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
     arr = build_product([dp3] * 9)
     counts = arr.cell_counts
     assert counts[0] == 6**9 and counts[9] == 5**9
+    # singleton parts leave 11**9 representatives, one per cell
+    unfolded = fold_symmetric(arr, [(i,) for i in range(9)])
     monkeypatch.setattr(arrangement, "itertools", NoEnumeration())
     for j in range(9):
         assert counts[j] > MAX_CELLS
@@ -172,6 +184,10 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
             arr.cells(j)
     with pytest.raises(BoundExceededError):
         crossing_graph(arr)
+    assert 11**9 > MAX_CELLS
+    for j in range(10):
+        with pytest.raises(BoundExceededError):
+            unfolded.orbits(j)
     # the largest codimension of dp3^6 stays inside the bound
     assert max(build_product([dp3] * 6).cell_counts) == 540_000 <= MAX_CELLS
 
@@ -186,13 +202,14 @@ def test_crossing_graph_two_factors(registry):
     assert len(set(labels)) == 60
     assert set(labels) == set(arr.cells(1))
     for a, b, label in graph.edges:
-        pos = next(i for i, c in enumerate(label.coords) if c.is_wall)
-        idx = label.coords[pos].index
-        assert a.coords[pos] == Coord.chamber(idx)
-        assert b.coords[pos] == Coord.chamber(idx + 1)
+        a, b, label = map(cell_coords, (a, b, label))
+        pos = next(i for i, c in enumerate(label) if c.is_wall)
+        idx = label[pos].index
+        assert a[pos] == Coord.chamber(idx)
+        assert b[pos] == Coord.chamber(idx + 1)
         for i in range(arr.k):
             if i != pos:
-                assert a.coords[i] == b.coords[i] == label.coords[i]
+                assert a[i] == b[i] == label[i]
 
 
 def test_crossing_graph_single_factor_is_path(registry):
@@ -200,7 +217,7 @@ def test_crossing_graph_single_factor_is_path(registry):
     graph = crossing_graph(arr)
     assert len(graph.nodes) == 6
     got = {
-        (a.coords[0].index, b.coords[0].index) for a, b, _ in graph.edges
+        (cell_coords(a)[0].index, cell_coords(b)[0].index) for a, b, _ in graph.edges
     }
     assert got == {(i, i + 1) for i in range(5)}
     assert graph.is_connected()
@@ -215,8 +232,9 @@ def test_crossing_graph_is_box_product_of_paths():
         graph = crossing_graph(arr)
 
         def chamber_tuple(cell):
-            assert all(not c.is_wall for c in cell.coords)
-            return tuple(c.index for c in cell.coords)
+            coords = cell_coords(cell)
+            assert all(not c.is_wall for c in coords)
+            return tuple(c.index for c in coords)
 
         nodes = {chamber_tuple(n) for n in graph.nodes}
         expected_nodes = set(
@@ -244,14 +262,14 @@ def test_fold_two_equal_factors(registry):
     assert [folding.orbit_count(j) for j in range(3)] == [21, 30, 15]
     assert [folding.burnside_orbit_count(j) for j in range(3)] == [21, 30, 15]
     # mirror cells share one orbit; the representative is the lex-least member
-    a = Cell((4, 0))  # chambers (2, 0)
-    b = Cell((0, 4))
+    a = (4, 0)  # chambers (2, 0)
+    b = (0, 4)
     assert folding.canonical(a) == b
-    orbit = next(o for o in folding.orbits(0) if o.representative == b)
-    assert set(orbit.cells) == {a, b}
-    diagonal = Cell((8, 8))
-    fixed = next(o for o in folding.orbits(0) if o.representative == diagonal)
-    assert fixed.size == 1
+    sizes = dict(folding.orbits(0))
+    assert a not in sizes
+    assert sizes[b] == 2  # the orbit {a, b}
+    diagonal = (8, 8)
+    assert sizes[diagonal] == 1
 
 
 def test_fold_singleton_groups_do_nothing(registry):
@@ -261,7 +279,7 @@ def test_fold_singleton_groups_do_nothing(registry):
     for j in range(3):
         assert folding.orbit_count(j) == len(arr.cells(j))
         assert folding.burnside_orbit_count(j) == len(arr.cells(j))
-        assert all(o.size == 1 for o in folding.orbits(j))
+        assert folding.orbits(j) == tuple((cell, 1) for cell in arr.cells(j))
 
 
 def test_fold_three_equal_factors(registry):
@@ -318,7 +336,7 @@ def test_burnside_matches_enumeration_random():
         for j in range(arr.k + 1):
             assert folding.orbit_count(j) == folding.burnside_orbit_count(j)
             assert_orbits_partition(folding, j)
-        assert sum(o.size for o in folding.orbits(0)) == len(arr.cells(0))
+        assert sum(size for _, size in folding.orbits(0)) == len(arr.cells(0))
 
 
 def group_images(grouping, positions):
@@ -335,25 +353,60 @@ def group_images(grouping, positions):
     return images
 
 
+def orbits_oracle(folding, j):
+    """(representative, size) pairs by bucketing every codim-j cell under its
+    lex-least group image, in representative order."""
+    buckets = Counter(
+        min(group_images(folding.grouping, cell)) for cell in folding.arrangement.cells(j)
+    )
+    return tuple(sorted(buckets.items()))
+
+
 def assert_orbits_partition(folding, j):
     """Orbits are the group orbits of the codim-j cells, in representative
-    order, each listing its members in lex order with the least first."""
+    order, each given by its lex-least member and its size."""
     orbits = folding.orbits(j)
-    cells = [c.positions for c in folding.arrangement.cells(j)]
-    members = [[c.positions for c in o.cells] for o in orbits]
-    assert sorted(p for m in members for p in m) == cells
-    for orbit, m in zip(orbits, members):
-        assert m == sorted(m)
-        assert orbit.representative.positions == m[0]
-        assert set(m) == group_images(folding.grouping, m[0])
-    reps = [o.representative.positions for o in orbits]
-    assert reps == sorted(reps)
+    assert orbits == orbits_oracle(folding, j)
+    for rep, size in orbits:
+        assert folding.canonical(rep) == rep
+        assert len(group_images(folding.grouping, rep)) == size
+    assert sum(size for _, size in orbits) == len(folding.arrangement.cells(j))
+
+
+@st.composite
+def folded_products(draw):
+    """An arrangement of up to 4 factors and a set partition of its
+    positions, parts listed out of order, with interleaving slots and one
+    random wall count (0-3) per part."""
+    k = draw(st.integers(0, 4))
+    blocks: dict[int, list[int]] = {}
+    for pos in range(k):
+        blocks.setdefault(draw(st.integers(0, k - 1)), []).append(pos)
+    grouping = draw(st.permutations([draw(st.permutations(p)) for p in blocks.values()]))
+    walls = [None] * k
+    for part in grouping:
+        w = draw(st.integers(0, 3))
+        for pos in part:
+            walls[pos] = WallSet(tuple(F(i + 1, w + 1) for i in range(w)))
+    return build_product([(f"f{pos}", ws) for pos, ws in enumerate(walls)]), grouping
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(folded_products())
+def test_representative_orbits_match_bucketing_and_burnside(case):
+    arr, grouping = case
+    folding = fold_symmetric(arr, grouping)
+    for j in range(arr.k + 1):
+        orbits = folding.orbits(j)
+        assert orbits == orbits_oracle(folding, j)
+        assert len(orbits) == folding.burnside_orbit_count(j)
+        assert sum(size for _, size in orbits) == arr.cell_counts[j]
 
 
 def test_fold_unsorted_part_keeps_lex_least_representatives(registry):
     arr = build_product([registry["dp3"]] * 3)
     folding = fold_symmetric(arr, [(2, 0), (1,)])
-    assert folding.canonical(Cell((4, 1, 0))) == Cell((0, 1, 4))
+    assert folding.canonical((4, 1, 0)) == (0, 1, 4)
     for j in range(arr.k + 1):
         assert_orbits_partition(folding, j)
 

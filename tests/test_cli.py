@@ -332,18 +332,21 @@ def test_check_runs_green(capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+def _subprocess_env():
+    src = str(Path(wallcross.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+
+
 def test_check_fails_under_optimize(tmp_path):
     # python -O strips assert statements; the checks must not depend on them
     path = tmp_path / "overlay.json"
     path.write_text(json.dumps(ONE_WALL_DP3))
-    src = str(Path(wallcross.__file__).resolve().parents[1])
-    path_entries = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
          "import sys; from wallcross.cli import main; sys.exit(main(sys.argv[1:]))",
          "check", "--registry", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
     )
     assert proc.returncode == 3, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
@@ -404,6 +407,47 @@ def test_product_text_enumerates_each_codim_at_most_twice(capsys, monkeypatch, f
     assert code == 0
     assert "codim-3 cells: 125" in out.splitlines()
     assert all(calls.count(j) <= 2 for j in range(4))
-    # the counts come from the closed form; only the crossing graph and
-    # the orbit enumeration build cells
-    assert sorted(calls) == ([0, 0, 1, 1, 2, 3] if fold else [0, 1])
+    # the counts and the crossing-graph line come from the closed form, and
+    # the orbits from their representatives: no cell is built
+    assert calls == []
+
+
+def test_product_text_past_cell_bound_uses_closed_form(capsys):
+    nine = ",".join(["dp3"] * 9)
+    code, out, err = run(capsys, "product", "--families", nine)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert f"codim-0 cells: {6**9}" in lines and f"codim-9 cells: {5**9}" in lines
+    assert f"total cells: {11**9}" in lines
+    assert lines[-1] == f"crossing graph: {6**9} nodes, {9 * 5 * 6**8} edges, connected"
+
+
+def test_cli_module_runs_as_script(tmp_path):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(ONE_WALL_DP3))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wallcross.cli", "check", "--registry", str(path)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "FAIL _check_arrangement: dp3 x dp4 cell counts [12, 16, 5]" in lines
+    assert lines[-1] == "CHECKS FAILED"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("reparam", [9, 0, 1], "reparam [9, 0, 1] needs 4 entries"),
+        ("reparam", 7, "reparam 7 is not a list"),
+        ("reparam", [], "reparam [] needs 4 entries"),
+        ("c_walls", 5, "c_walls 5 is not a list"),
+        ("hilbert", 3, "hilbert 3 is not a list"),
+    ],
+)
+def test_malformed_overlay_shape_is_computation_error(capsys, tmp_path, field, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dp3": dict(ONE_WALL_DP3["dp3"], **{field: value})}))
+    code, out, err = run(capsys, "walls", "--family", "dp3", "--registry", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
