@@ -24,9 +24,9 @@ Orbit counts are exposed two independent ways, neither building the cells:
 direct enumeration of those representatives, one sorted position multiset
 per part, and the Burnside average of fixed-cell counts.
 
-Renderers: "svg" and "ascii" for k <= 2 (exact-fraction tick labels; SVG
-positions are rationals rounded to 6 decimal digits, half up, so output is
-byte-identical across runs), "json" for any k.
+Renderers: "svg" and "ascii" for k <= 2 (exact-fraction ticks, SVG positions
+rounded half up to 6 decimals), "json" for any k in the layout of json.dumps(
+indent=2, sort_keys=True), written as text cached per position, no dict per cell.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .exactq import format_rational
-from .wallsets import Coord, FamilyRecord, WallSet
+from .wallsets import KIND_CHAMBER, KIND_WALL, Coord, FamilyRecord, WallSet
 
 # Burnside iterates the whole position group; folding refuses groups
 # larger than this.
@@ -218,20 +218,21 @@ class SymmetricFolding:
         count = prod(comb(2 * w + len(p), len(p)) for w, p in zip(walls, self.grouping))
         if count > MAX_CELLS:
             raise BoundExceededError(f"{count} orbit representatives, above {MAX_CELLS}")
-        choices = []
+        by_codim = []  # per part, its sorted position multisets by codimension
         for w, part in zip(walls, self.grouping):
-            multisets = itertools.combinations_with_replacement(range(2 * w + 1), len(part))
-            choices.append([(ms, cell_codim(ms), _orderings(ms)) for ms in multisets])
+            by_codim.append([[] for _ in range(len(part) + 1)])
+            for ms in itertools.combinations_with_replacement(range(2 * w + 1), len(part)):
+                by_codim[-1][cell_codim(ms)].append(ms)
         slots = [sorted(part) for part in self.grouping]
         out = []
-        for choice in itertools.product(*choices):
-            if sum(j for _, j, _ in choice) != codim:
-                continue
-            positions = [0] * arr.k
-            for part_slots, (ms, _, _) in zip(slots, choice):
-                for slot, p in zip(part_slots, ms):
-                    positions[slot] = p
-            out.append((tuple(positions), prod(n for _, _, n in choice)))
+        for split in itertools.product(*(range(len(part) + 1) for part in self.grouping)):
+            if sum(split) == codim:
+                for choice in itertools.product(*(g[c] for g, c in zip(by_codim, split))):
+                    positions = [0] * arr.k
+                    for part_slots, ms in zip(slots, choice):
+                        for slot, p in zip(part_slots, ms):
+                            positions[slot] = p
+                    out.append((tuple(positions), prod(map(_orderings, choice))))
         out.sort()
         return tuple(out)
 
@@ -347,32 +348,41 @@ def render(arr: ProductArrangement, fmt: str, folding: SymmetricFolding | None =
 
 
 def _render_json(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:
+    """What json.dumps(indent=2, sort_keys=True) gives for the report document,
+    written without building it: a dumped skeleton marks where the cells and the
+    orbits go, and each coords list is joined from fragments cached per position."""
+    def coords_writer(pad: str):
+        kinds, close = (KIND_CHAMBER, KIND_WALL), "\n" + pad[2:] + "]"
+        frag = [f'{pad}{{\n{pad}  "index": {p >> 1},\n{pad}  "kind": "{kinds[p & 1]}"\n{pad}}}'
+                for p in range(2 * max(arr.wall_counts, default=0) + 1)].__getitem__
+        return lambda cell: "[\n" + ",\n".join(map(frag, cell)) + close if cell else "[]"
+
+    cell_text, rep_text = coords_writer(" " * 8), coords_writer(" " * 12)
     cell_counts, cells, orbit_counts, orbits = {}, [], {}, []
     for j in range(arr.k + 1):
-        codim_cells = arr.cells(j)
-        cell_counts[str(j)] = len(codim_cells)
-        cells.extend(map(cell_json, codim_cells))
+        cell_counts[str(j)] = len(codim_cells := arr.cells(j))
+        cell_head = f'    {{\n      "codim": {j},\n      "coords": '
+        cells.extend(cell_head + cell_text(cell) + "\n    }," for cell in codim_cells)
         if folding is not None:
-            codim_orbits = folding.orbits(j)
-            orbit_counts[str(j)] = len(codim_orbits)
+            orbit_counts[str(j)] = len(codim_orbits := folding.orbits(j))
+            orbit_head = f'      {{\n        "codim": {j},\n        "representative": {{\n'
             orbits.extend(
-                {"codim": j, "representative": cell_json(rep), "size": size}
+                f'{orbit_head}          "codim": {j},\n          "coords": {rep_text(rep)}\n'
+                f'        }},\n        "size": {size}\n      }},'
                 for rep, size in codim_orbits
             )
-    doc = {
-        "factors": [
-            {"id": fid, "walls": ws.to_json()} for fid, ws in arr.factors
-        ],
-        "cell_counts": cell_counts,
-        "cells": cells,
-    }
+    factors = [{"id": fid, "walls": ws.to_json()} for fid, ws in arr.factors]
+    doc = {"cell_counts": cell_counts, "cells": ["@"], "factors": factors}
     if folding is not None:
-        doc["folding"] = {
-            "grouping": [list(part) for part in folding.grouping],
-            "orbit_counts": orbit_counts,
-            "orbits": orbits,
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["folding"] = {"grouping": folding.grouping, "orbit_counts": orbit_counts,
+                          "orbits": ["@"]}
+    lines, rest = [], json.dumps(doc, indent=2, sort_keys=True)
+    for marker, items in (('\n    "@"\n', cells), ('\n      "@"\n', orbits)):
+        if items:  # orbits is empty unfolded
+            items[-1] = items[-1][:-1]  # no comma after the last item
+            before, rest = rest.split(marker)
+            lines += [before, *items]
+    return "\n".join([*lines, rest]) + "\n"
 
 
 def _svg_x(value: Fraction) -> str:

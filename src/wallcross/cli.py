@@ -94,6 +94,10 @@ def _cmd_product(args) -> int:
         out = arrangement.render(arr, args.format, folding)
         sys.stdout.write(out)
         return 0
+    # the orbit rows first, so that a bound error leaves stdout empty
+    rows = [] if folding is None else [
+        (folding.orbit_count(j), folding.burnside_orbit_count(j)) for j in range(arr.k + 1)
+    ]
     print("families: " + ", ".join(args.families))
     for i, (fid, ws) in enumerate(arr.factors):
         print(
@@ -115,9 +119,7 @@ def _cmd_product(args) -> int:
             for part in folding.grouping
         )
         print(f"folding by family id: {groups}")
-        for j in range(arr.k + 1):
-            direct = folding.orbit_count(j)
-            burnside = folding.burnside_orbit_count(j)
+        for j, (direct, burnside) in enumerate(rows):
             print(f"codim-{j} orbits: {direct} (enumeration) = {burnside} (burnside)")
             if direct != burnside:
                 print("error: orbit counts disagree", file=sys.stderr)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross import arrangement
+from wallcross import arrangement, wallsets
 from wallcross.arrangement import (
     MAX_CELLS,
     build_product,
@@ -435,6 +435,116 @@ def test_render_json_shapes(registry):
     assert doc["folding"]["grouping"] == [[0, 1]]
     sizes = [o["size"] for o in doc["folding"]["orbits"] if o["codim"] == 0]
     assert sorted(set(sizes)) == [1, 2] and sum(sizes) == 36
+
+
+def render_json_oracle(arr, folding=None):
+    """The JSON report as a dict document through cell_json and Coord, dumped
+    by one json.dumps(indent=2, sort_keys=True) call."""
+    cell_counts, cells, orbit_counts, orbits = {}, [], {}, []
+    for j in range(arr.k + 1):
+        codim_cells = arr.cells(j)
+        cell_counts[str(j)] = len(codim_cells)
+        cells.extend(map(cell_json, codim_cells))
+        if folding is not None:
+            codim_orbits = folding.orbits(j)
+            orbit_counts[str(j)] = len(codim_orbits)
+            orbits.extend(
+                {"codim": j, "representative": cell_json(rep), "size": size}
+                for rep, size in codim_orbits
+            )
+    doc = {
+        "factors": [{"id": fid, "walls": ws.to_json()} for fid, ws in arr.factors],
+        "cell_counts": cell_counts,
+        "cells": cells,
+    }
+    if folding is not None:
+        doc["folding"] = {
+            "grouping": [list(part) for part in folding.grouping],
+            "orbit_counts": orbit_counts,
+            "orbits": orbits,
+        }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_text(got, want):
+    """got == want, reporting the first differing line: pytest's own diff of
+    texts this long takes minutes."""
+    if got != want:
+        pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+        line, (a, b) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+        pytest.fail(f"{len(got)} vs {len(want)} chars; first differing line {line}: {a!r}, {b!r}")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(folded_products(), st.data())
+def test_render_json_matches_oracle(case, data):
+    arr, grouping = case
+    # ids that need escaping or look like the writer's own marker
+    ids = data.draw(st.lists(st.sampled_from(["@", '"@"', "d\u00e9", "a\\b", "f"]),
+                             min_size=arr.k, max_size=arr.k))
+    arr = build_product([(fid, ws) for fid, (_, ws) in zip(ids, arr.factors)])
+    assert_same_text(render(arr, "json"), render_json_oracle(arr))
+    folding = fold_symmetric(arr, grouping)
+    assert_same_text(render(arr, "json", folding), render_json_oracle(arr, folding))
+
+
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("k", [0, 10])
+def test_render_json_fixed_cases(registry, k, fold):
+    # k = 0: one cell with empty coords; ten p1 factors: key "10" sorts before "2"
+    arr = build_product([registry["p1"]] * k)
+    folding = fold_symmetric(arr, grouping_by_id(arr)) if fold else None
+    text = render(arr, "json", folding)
+    assert_same_text(text, render_json_oracle(arr, folding))
+    if k == 0:
+        assert '"coords": []' in text
+    else:
+        assert text.index('"10": 0') < text.index('"2": 0')
+
+
+def record_calls(monkeypatch, owner, name, calls):
+    """Wrap owner.name(self, codim) so that each call appends its codim to calls."""
+    original = getattr(owner, name)
+
+    def recording(self, codim):
+        calls.append(codim)
+        return original(self, codim)
+
+    monkeypatch.setattr(owner, name, recording)
+
+
+def test_render_json_builds_no_coord_and_enumerates_once(registry, monkeypatch):
+    arr = build_product([registry["dp3"]] * 3)
+    folding = fold_symmetric(arr, grouping_by_id(arr))
+    expected = render_json_oracle(arr, folding)
+
+    def fail(*args):
+        raise AssertionError("the JSON writer decoded a cell through Coord")
+
+    monkeypatch.setattr(arrangement, "cell_coords", fail)
+    monkeypatch.setattr(wallsets.Coord, "to_json", fail)
+    cell_calls, orbit_calls, dumped = [], [], []
+    record_calls(monkeypatch, arrangement.ProductArrangement, "cells", cell_calls)
+    record_calls(monkeypatch, arrangement.SymmetricFolding, "orbits", orbit_calls)
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: dumped.append(dumps(*a, **k)) or dumped[-1])
+    assert_same_text(render(arr, "json", folding), expected)
+    assert cell_calls == orbit_calls == [0, 1, 2, 3]
+    # json.dumps writes only the small skeleton, never the cells
+    assert len(dumped) == 1 and len(dumped[0]) < 1000 < len(expected)
+
+
+def test_orbits_visit_only_their_codimension(registry, monkeypatch):
+    arr = build_product([registry["dp3"]] * 3)
+    folding = fold_symmetric(arr, [(0, 2), (1,)])
+    orderings, calls = arrangement._orderings, []
+    monkeypatch.setattr(arrangement, "_orderings", lambda ms: calls.append(ms) or orderings(ms))
+    for j in range(arr.k + 1):
+        calls.clear()
+        orbits = folding.orbits(j)
+        # one multinomial per part of each codim-j representative, and no other
+        assert len(calls) == 2 * len(orbits)
+        assert sum(map(cell_codim, calls)) == j * len(orbits)
 
 
 def test_render_ascii(registry):

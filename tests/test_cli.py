@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -132,6 +133,23 @@ def test_product_fold_matches_golden(capsys, data_dir, fmt, golden):
     )
     assert code == 0
     assert out == (data_dir / golden).read_text()  # orbit order and labels
+
+
+def test_product_json_dp3_4_fold_matches_digest_golden(capsys, data_dir):
+    golden = json.loads((data_dir / "product_dp3_4_fold.json").read_text())
+    argv = ["product", "--families", ",".join(golden["families"]), "--space", golden["space"]]
+    code, out, _ = run(capsys, *argv, "--fold", "--format", "json")
+    assert code == 0 and golden["fold"]
+    data = out.encode()
+    assert len(data) == golden["bytes"] == 5_391_850
+    assert hashlib.sha256(data).hexdigest() == golden["sha256"]
+
+
+@pytest.mark.parametrize("family", ["dp3", "p1"])
+def test_product_fold_bound_error_leaves_stdout_empty(capsys, family):
+    code, out, err = run(capsys, "product", "--families", ",".join([family] * 9), "--fold")
+    assert code == 2 and out == ""
+    assert err == "error: folding group of order 362880\n"
 
 
 def test_product_ascii(capsys):
@@ -433,6 +451,17 @@ def test_cli_module_runs_as_script(tmp_path):
     lines = proc.stdout.splitlines()
     assert "FAIL _check_arrangement: dp3 x dp4 cell counts [12, 16, 5]" in lines
     assert lines[-1] == "CHECKS FAILED"
+
+
+def test_package_runs_as_module(tmp_path):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(ONE_WALL_DP3))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wallcross", "check", "--registry", str(path)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "CHECKS FAILED"
 
 
 @pytest.mark.parametrize(
