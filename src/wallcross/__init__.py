@@ -1,6 +1,6 @@
 """Exact wall-and-chamber toolkit for moduli of log Fano products.
 
-Subpackages:
+Modules:
   exactq       exact rationals and fractional-linear reparametrizations
   wallsets     per-family wall registries on the unit interval
   arrangement  axis-parallel product chamber complexes and their diagrams

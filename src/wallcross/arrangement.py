@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -45,7 +44,7 @@ from .errors import (
     MismatchedWallSetsError,
     UnsupportedDimensionError,
 )
-from .exactq import format_rational
+from .exactq import Value, format_rational
 from .wallsets import KIND_CHAMBER, KIND_WALL, Coord, FamilyRecord, WallSet
 
 # Burnside iterates the whole position group; folding refuses groups
@@ -74,11 +73,11 @@ def cell_str(cell: tuple[int, ...]) -> str:
     return "(" + ", ".join(map(str, cell_coords(cell))) + ")"
 
 
-@dataclass(frozen=True)
-class ProductArrangement:
+class ProductArrangement(Value):
     """Factors as (family id, wall set) pairs, in fixed order."""
 
-    factors: tuple[tuple[str, WallSet], ...]
+    def __init__(self, factors: tuple[tuple[str, WallSet], ...]) -> None:
+        self.__dict__.update(factors=factors)
 
     @property
     def k(self) -> int:
@@ -142,12 +141,15 @@ def build_product(families, space: str = "c") -> ProductArrangement:
     return ProductArrangement(tuple(factors))
 
 
-@dataclass(frozen=True)
-class CrossingGraph:
+class CrossingGraph(Value):
     """Top cells as nodes; one labeled edge per codim-1 cell."""
 
-    nodes: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[tuple[int, ...], ...], ...]  # (side, side, codim-1 label)
+    def __init__(
+        self,
+        nodes: tuple[tuple[int, ...], ...],
+        edges: tuple[tuple[tuple[int, ...], ...], ...],  # (side, side, codim-1 label)
+    ) -> None:
+        self.__dict__.update(nodes=nodes, edges=edges)
 
     def is_connected(self) -> bool:
         if not self.nodes:
@@ -189,12 +191,13 @@ def _orderings(multiset: tuple[int, ...]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SymmetricFolding:
+class SymmetricFolding(Value):
     """Quotient bookkeeping for an arrangement and a position partition."""
 
-    arrangement: ProductArrangement
-    grouping: tuple[tuple[int, ...], ...]
+    def __init__(
+        self, arrangement: ProductArrangement, grouping: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.__dict__.update(arrangement=arrangement, grouping=grouping)
 
     def canonical(self, cell: tuple[int, ...]) -> tuple[int, ...]:
         """Orbit representative, the lex-least member: each group's

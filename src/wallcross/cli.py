@@ -8,6 +8,9 @@ Identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 usage error, 2 computation error (missing data,
 out-of-range input, unsupported configuration), 3 consistency failure (a
 cross-check that should hold did not).
+
+A request is one cold process, so arrangement, stackalg and gitwalls are
+imported only by the verbs and checks that run them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import arrangement, gitwalls, invariants, stackalg, wallsets
+from . import invariants, wallsets
 from .errors import ConsistencyError, WallcrossError
 from .exactq import format_rational, parse_rational
 
@@ -84,6 +87,8 @@ def _cmd_walls(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from . import arrangement
+
     registry = wallsets.load_registry(args.registry)
     recs = _records(registry, args.families)
     arr = arrangement.build_product(recs, args.space)
@@ -128,6 +133,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_chamber(args) -> int:
+    from . import arrangement
+
     registry = wallsets.load_registry(args.registry)
     recs = _records(registry, args.families)
     arr = arrangement.build_product(recs, args.space)
@@ -149,6 +156,8 @@ def _cmd_chamber(args) -> int:
 
 
 def _cmd_stack(args) -> int:
+    from . import stackalg
+
     registry = wallsets.load_registry(args.registry)
     iso = args.iso or ()
     point_ids = frozenset(
@@ -176,6 +185,8 @@ def _cmd_stack(args) -> int:
 
 
 def _cmd_git_walls(args) -> int:
+    from . import gitwalls
+
     if args.degree != 3:
         raise gitwalls.UnsupportedError(
             f"degree {args.degree} is registry-only; only degree 3 is recomputed"
@@ -237,6 +248,8 @@ def _check_products(registry) -> str:
 
 
 def _check_arrangement(registry) -> str:
+    from . import arrangement
+
     arr = arrangement.build_product([registry["dp3"], registry["dp4"]])
     counts = [len(arr.cells(j)) for j in range(3)]
     _require(counts == [36, 60, 25], f"dp3 x dp4 cell counts {counts}")
@@ -252,6 +265,8 @@ def _check_arrangement(registry) -> str:
 
 
 def _check_stack(registry) -> str:
+    from . import stackalg
+
     descriptor = str(stackalg.canonicalize({"dp3": 1, "dp4": 1}))
     _require(descriptor == "dp3 x dp4", f"descriptor {descriptor}")
     kind = stackalg.classify_product_map({"dp3": 2})

@@ -6,13 +6,13 @@ and arithmetic.  The type is re-exported here as ``Rational``.  This module
 adds the "p/q" string codec used on every JSON surface and implements
 fractional-linear (Moebius) maps x -> (a*x + b)/(c*x + d) with a canonical
 integer-coefficient form, which the wall registries use to translate between
-coefficient scales.
+coefficient scales.  Value, the base of the package's immutable value types,
+lives here too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +21,32 @@ from .errors import DegenerateMapError, PoleError
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+
+
+class Value:
+    """Immutable value: equality within one class, hash and repr by field.
+
+    A subclass's __init__ fills __dict__ once with exactly its fields, in
+    constructor order, so hash(x) is the hash of the field tuple.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -50,8 +76,7 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(Value):
     """The map x -> (a*x + b)/(c*x + d) with integer coefficients.
 
     Canonical form, enforced at construction: gcd(a, b, c, d) = 1 and the
@@ -61,24 +86,19 @@ class MoebiusMap:
     multiply), and the constructor re-checks anyway.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        coeffs = (self.a, self.b, self.c, self.d)
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        coeffs = (a, b, c, d)
         if not all(isinstance(v, int) for v in coeffs):
             raise TypeError(f"integer coefficients required, got {coeffs!r}")
-        if self.a * self.d - self.b * self.c == 0:
+        if a * d - b * c == 0:
             raise DegenerateMapError(f"vanishing determinant: {coeffs!r}")
         g = gcd(*coeffs)
         lead = next(v for v in coeffs if v != 0)
         if lead < 0:
             g = -g
         if g != 1:
-            for name, v in zip("abcd", coeffs):
-                object.__setattr__(self, name, v // g)
+            a, b, c, d = a // g, b // g, c // g, d // g
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
     def identity(cls) -> "MoebiusMap":

@@ -47,14 +47,13 @@ exploratory mode with no acceptance claim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
 
 from .errors import ConsistencyError, DimensionMismatchError, UnsupportedError
-from .exactq import format_rational
+from .exactq import Value, format_rational
 from .wallsets import WallSet
 
 Monomial = tuple[int, ...]
@@ -212,13 +211,12 @@ def max_destabilized_support(r: WeightVector, t: Fraction, j: int, d: int = 3) -
     return _support(mons, _mask(tuple(monomial_weight(m, r) for m in mons), r[j], t))
 
 
-@dataclass(frozen=True)
-class SupportPair:
+class SupportPair(Value):
     """One maximal destabilizing datum: a hypersurface support M and the
     largest variable index j allowed in the hyperplane."""
 
-    support: frozenset[Monomial]
-    threshold: int
+    def __init__(self, support: frozenset[Monomial], threshold: int) -> None:
+        self.__dict__.update(support=support, threshold=threshold)
 
     def sort_key(self):
         return (self.threshold, len(self.support), tuple(sorted(self.support)))

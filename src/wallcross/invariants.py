@@ -19,11 +19,10 @@ Polynomials are tuples of Fractions, constant term first, no trailing zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactq import format_rational, parse_rational
+from .exactq import Value, format_rational, parse_rational
 
 Polynomial = tuple[Fraction, ...]
 
@@ -71,8 +70,7 @@ def format_poly(coeffs) -> list[str]:
     return [format_rational(c) for c in poly_trim(coeffs)]
 
 
-@dataclass(frozen=True)
-class FanoNumerics:
+class FanoNumerics(Value):
     """Dimension, anticanonical volume, and Hilbert polynomial of one factor.
 
     Construction checks only shape (dimension >= 0, volume > 0); whether the
@@ -80,17 +78,13 @@ class FanoNumerics:
     consistency_check, so deliberately broken inputs can be examined.
     """
 
-    dimension: int
-    volume: Fraction
-    hilbert: Polynomial
-
-    def __post_init__(self) -> None:
-        if self.dimension < 0:
-            raise ValueError(f"negative dimension {self.dimension}")
-        object.__setattr__(self, "volume", Fraction(self.volume))
-        if self.volume <= 0:
-            raise ValueError(f"volume must be positive, got {self.volume}")
-        object.__setattr__(self, "hilbert", poly_trim(self.hilbert))
+    def __init__(self, dimension: int, volume: Fraction, hilbert: Polynomial) -> None:
+        if dimension < 0:
+            raise ValueError(f"negative dimension {dimension}")
+        volume = Fraction(volume)
+        if volume <= 0:
+            raise ValueError(f"volume must be positive, got {volume}")
+        self.__dict__.update(dimension=dimension, volume=volume, hilbert=poly_trim(hilbert))
 
 
 def consistency_check(x: FanoNumerics) -> list[str]:

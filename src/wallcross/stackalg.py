@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import ArityError, BoundExceededError, ConsistencyError, GroupTooLargeError
+from .exactq import Value
 from .wallsets import load_registry
 
 DEFAULT_ORDER_BOUND = 100_000
@@ -37,7 +37,7 @@ SYM_ENUMERATION_BOUND = 1_000_000
 # -- descriptors -------------------------------------------------------------
 
 
-class Descriptor:
+class Descriptor(Value):
     """Base class; concrete kinds are Atom, Point, Product, SymQuotient, Named."""
 
     def to_json(self) -> dict:
@@ -49,11 +49,11 @@ class Descriptor:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Atom(Descriptor):
     """The moduli of one registered family, named by its id."""
 
-    id: str
+    def __init__(self, id: str) -> None:
+        self.__dict__.update(id=id)
 
     def to_json(self) -> dict:
         return {"kind": "atom", "id": self.id}
@@ -65,7 +65,6 @@ class Atom(Descriptor):
         return self.id
 
 
-@dataclass(frozen=True)
 class Point(Descriptor):
     """A single reduced point."""
 
@@ -79,19 +78,17 @@ class Point(Descriptor):
         return "pt"
 
 
-@dataclass(frozen=True)
 class Product(Descriptor):
     """At least two factors, canonically sorted, never Point, never nested."""
 
-    children: tuple[Descriptor, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Descriptor, ...]) -> None:
+        if len(children) < 2:
             raise ValueError("Product needs at least 2 children")
-        if any(isinstance(c, (Point, Product)) for c in self.children):
+        if any(isinstance(c, (Point, Product)) for c in children):
             raise ValueError("Product children must be elided/flattened first")
-        if list(self.children) != sorted(self.children, key=lambda c: c.sort_key()):
+        if list(children) != sorted(children, key=lambda c: c.sort_key()):
             raise ValueError("Product children must be canonically sorted")
+        self.__dict__.update(children=children)
 
     def to_json(self) -> dict:
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
@@ -103,18 +100,15 @@ class Product(Descriptor):
         return " x ".join(str(c) for c in self.children)
 
 
-@dataclass(frozen=True)
 class SymQuotient(Descriptor):
     """The symmetric quotient [base^power / S_power], power >= 2."""
 
-    base: Descriptor
-    power: int
-
-    def __post_init__(self) -> None:
-        if self.power < 2:
-            raise ValueError(f"symmetric power must be >= 2, got {self.power}")
-        if isinstance(self.base, Point):
+    def __init__(self, base: Descriptor, power: int) -> None:
+        if power < 2:
+            raise ValueError(f"symmetric power must be >= 2, got {power}")
+        if isinstance(base, Point):
             raise ValueError("symmetric quotients of a point are elided")
+        self.__dict__.update(base=base, power=power)
 
     def to_json(self) -> dict:
         return {"kind": "sym", "base": self.base.to_json(), "power": self.power}
@@ -126,11 +120,11 @@ class SymQuotient(Descriptor):
         return f"[{self.base}^{self.power}/S{self.power}]"
 
 
-@dataclass(frozen=True)
 class Named(Descriptor):
     """An explicit space referenced by name, e.g. "P(1,2,3)"."""
 
-    name: str
+    def __init__(self, name: str) -> None:
+        self.__dict__.update(name=name)
 
     def to_json(self) -> dict:
         return {"kind": "named", "name": self.name}
@@ -165,8 +159,7 @@ def product_of(children) -> Descriptor:
 # -- factor multisets and canonicalization -----------------------------------
 
 
-@dataclass(frozen=True)
-class FactorMultiset:
+class FactorMultiset(Value):
     """Family ids with multiplicities, plus an iso-relation on the ids.
 
     The iso-relation is an explicit partition (ids not mentioned form
@@ -174,23 +167,23 @@ class FactorMultiset:
     isomorphic, defaulting to id equality.
     """
 
-    entries: tuple[tuple[str, int], ...]
-    iso: tuple[frozenset[str], ...] = field(default=())
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, entries: tuple[tuple[str, int], ...], iso: tuple[frozenset[str], ...] = ()
+    ) -> None:
         counts: dict[str, int] = {}
-        for fid, mult in self.entries:
+        for fid, mult in entries:
             if mult < 1:
                 raise ValueError(f"multiplicity of {fid} must be >= 1, got {mult}")
             counts[str(fid)] = counts.get(str(fid), 0) + int(mult)
-        object.__setattr__(self, "entries", tuple(sorted(counts.items())))
-        classes = [frozenset(cls) for cls in self.iso if len(cls) >= 2]
+        classes = [frozenset(cls) for cls in iso if len(cls) >= 2]
         seen: set[str] = set()
         for cls in classes:
             if seen & cls:
                 raise ValueError("iso classes must be disjoint")
             seen |= cls
-        object.__setattr__(self, "iso", tuple(sorted(classes, key=sorted)))
+        self.__dict__.update(
+            entries=tuple(sorted(counts.items())), iso=tuple(sorted(classes, key=sorted))
+        )
 
     @classmethod
     def of(cls, factors, iso=()) -> "FactorMultiset":
@@ -311,12 +304,11 @@ def _closure(
     return frozenset(elements)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Value):
     """One orbit: points in carrier order, first point as representative."""
 
-    points: tuple
-    stabilizer_order: int
+    def __init__(self, points: tuple, stabilizer_order: int) -> None:
+        self.__dict__.update(points=points, stabilizer_order=stabilizer_order)
 
     @property
     def representative(self):
@@ -327,26 +319,26 @@ class Orbit:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class FiniteGroupoidModel:
+class FiniteGroupoidModel(Value):
     """A finite carrier with a permutation action given by generators.
 
     Generators are one-line arrays over carrier indices.  The group is the
     generator closure, materialized on demand and capped by order_bound.
     """
 
-    carrier: tuple
-    generators: tuple[tuple[int, ...], ...]
-    order_bound: int = DEFAULT_ORDER_BOUND
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        gens = tuple(tuple(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        n = len(self.carrier)
+    def __init__(
+        self,
+        carrier: tuple,
+        generators: tuple[tuple[int, ...], ...],
+        order_bound: int = DEFAULT_ORDER_BOUND,
+    ) -> None:
+        carrier = tuple(carrier)
+        gens = tuple(tuple(g) for g in generators)
+        n = len(carrier)
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
+        self.__dict__.update(carrier=carrier, generators=gens, order_bound=order_bound)
 
     def elements(self) -> frozenset[tuple[int, ...]]:
         return _closure(self.generators, len(self.carrier), self.order_bound)

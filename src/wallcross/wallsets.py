@@ -15,21 +15,19 @@ MissingDataError rather than guessing.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import MissingDataError, OutOfRangeError
-from .exactq import MoebiusMap, format_rational, parse_rational
+from .exactq import MoebiusMap, Value, format_rational, parse_rational
 from .invariants import FanoNumerics, consistency_check, parse_poly, poly_trim
 
 KIND_CHAMBER = "chamber"
 KIND_WALL = "wall"
 
 
-@dataclass(frozen=True)
-class Coord:
+class Coord(Value):
     """Position of a point relative to one wall set: a chamber or a wall.
 
     Chamber i is the open interval between wall i-1 and wall i (with the
@@ -37,14 +35,12 @@ class Coord:
     counting from 0 in increasing order.
     """
 
-    kind: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_CHAMBER, KIND_WALL):
-            raise ValueError(f"bad coord kind {self.kind!r}")
-        if self.index < 0:
-            raise ValueError(f"negative coord index {self.index}")
+    def __init__(self, kind: str, index: int) -> None:
+        if kind not in (KIND_CHAMBER, KIND_WALL):
+            raise ValueError(f"bad coord kind {kind!r}")
+        if index < 0:
+            raise ValueError(f"negative coord index {index}")
+        self.__dict__.update(kind=kind, index=index)
 
     @classmethod
     def chamber(cls, index: int) -> "Coord":
@@ -70,13 +66,11 @@ class Coord:
         return f"{self.kind} {self.index}"
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(Value):
     """Open interval between consecutive walls (or interval endpoints)."""
 
-    index: int
-    lower: Fraction
-    upper: Fraction
+    def __init__(self, index: int, lower: Fraction, upper: Fraction) -> None:
+        self.__dict__.update(index=index, lower=lower, upper=upper)
 
     def __contains__(self, x) -> bool:
         return self.lower < Fraction(x) < self.upper
@@ -88,20 +82,17 @@ class Chamber:
         )
 
 
-@dataclass(frozen=True)
-class WallSet:
+class WallSet(Value):
     """Strictly increasing rationals in the open interval (0, 1)."""
 
-    walls: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        walls = tuple(Fraction(w) for w in self.walls)
-        object.__setattr__(self, "walls", walls)
+    def __init__(self, walls: tuple[Fraction, ...]) -> None:
+        walls = tuple(Fraction(w) for w in walls)
         for w in walls:
             if not 0 < w < 1:
                 raise ValueError(f"wall {format_rational(w)} outside (0, 1)")
         if any(a >= b for a, b in zip(walls, walls[1:])):
             raise ValueError(f"walls not strictly increasing: {walls}")
+        self.__dict__.update(walls=walls)
 
     def __len__(self) -> int:
         return len(self.walls)
@@ -137,8 +128,7 @@ class WallSet:
         return " ".join(format_rational(w) for w in self.walls)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(Value):
     """Wall tables and numerical invariants for one registered family.
 
     Invariants, enforced at construction:
@@ -147,20 +137,23 @@ class FamilyRecord:
       * hilbert(0) = 1 and dimension! * lead(hilbert) = volume.
     """
 
-    id: str
-    dimension: int
-    volume: Fraction
-    moduli_note: str
-    hilbert: tuple[Fraction, ...]
-    c_walls: WallSet | None = None
-    t_walls: WallSet | None = None
-    reparam: MoebiusMap | None = None
-
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        dimension: int,
+        volume: Fraction,
+        moduli_note: str,
+        hilbert: tuple[Fraction, ...],
+        c_walls: WallSet | None = None,
+        t_walls: WallSet | None = None,
+        reparam: MoebiusMap | None = None,
+    ) -> None:
+        if not id:
             raise ValueError("empty family id")
-        object.__setattr__(self, "volume", Fraction(self.volume))
-        object.__setattr__(self, "hilbert", poly_trim(self.hilbert))
+        self.__dict__.update(
+            id=id, dimension=dimension, volume=Fraction(volume), moduli_note=moduli_note,
+            hilbert=poly_trim(hilbert), c_walls=c_walls, t_walls=t_walls, reparam=reparam,
+        )
         problems = consistency_check(self.numerics())
         if problems:
             raise ValueError(f"family {self.id}: " + "; ".join(problems))
@@ -313,7 +306,7 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
     )
 
 
-def load_registry(overlay_path: str | Path | None = None) -> dict[str, FamilyRecord]:
+def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, FamilyRecord]:
     """Compiled-in families, optionally extended or overridden by a JSON file.
 
     The overlay maps family ids to objects with fields {dimension, volume,
@@ -325,7 +318,8 @@ def load_registry(overlay_path: str | Path | None = None) -> dict[str, FamilyRec
     """
     registry = _compiled_registry()
     if overlay_path is not None:
-        raw = json.loads(Path(overlay_path).read_text())
+        with open(overlay_path) as f:
+            raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError("registry overlay must be a JSON object keyed by family id")
         for family_id in sorted(raw):

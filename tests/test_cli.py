@@ -480,3 +480,37 @@ def test_malformed_overlay_shape_is_computation_error(capsys, tmp_path, field, v
     code, out, err = run(capsys, "walls", "--family", "dp3", "--registry", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+# Imports a cold request adds to a bare interpreter, printed after the request.
+IMPORT_PROBE = (
+    "import io, sys\n"
+    "bare = set(sys.modules)\n"
+    "from wallcross.cli import main\n"
+    "out, sys.stdout = sys.stdout, io.StringIO()\n"
+    "main(sys.argv[1:])\n"
+    "print(' '.join(sorted(set(sys.modules) - bare)), file=out)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (["walls", "--family", "dp3"], "wallsets", "arrangement gitwalls stackalg"),
+        (["walls"], "wallsets", "arrangement gitwalls stackalg"),  # usage error
+        (["stack", "--factors", "dp3,dp4"], "stackalg", "arrangement gitwalls"),
+        (["product", "--families", "dp3,dp4"], "arrangement", "gitwalls stackalg"),
+        (["chamber", "--families", "dp3,dp4", "--point", "1/2,1/5"], "arrangement",
+         "gitwalls stackalg"),
+        (["check"], "arrangement stackalg", "gitwalls"),
+    ],
+)
+def test_verbs_import_only_their_modules(argv, loaded, absent):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    added = set(proc.stdout.split())
+    assert {f"wallcross.{m}" for m in loaded.split()} <= added, proc.stderr
+    assert not added & {f"wallcross.{m}" for m in absent.split()}
+    assert not added & {"dataclasses", "inspect"}

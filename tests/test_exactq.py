@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallcross.errors import DegenerateMapError, PoleError
 from wallcross.exactq import MoebiusMap, format_rational, parse_rational
@@ -186,3 +188,18 @@ def test_determinant_and_identity():
     m = MoebiusMap(3, -2, 1, 4)
     assert m.compose(MoebiusMap.identity()) == m
     assert MoebiusMap.identity().compose(m) == m
+
+
+# nondegenerate integer Moebius maps with small coefficients
+moebius_maps = st.tuples(*[st.integers(-6, 6)] * 4).filter(
+    lambda q: q[0] * q[3] - q[1] * q[2] != 0
+).map(lambda q: MoebiusMap(*q))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(moebius_maps, moebius_maps, moebius_maps, st.integers(-9, 9).filter(bool))
+def test_moebius_laws(f, g, h, k):
+    assert f.compose(g).compose(h) == f.compose(g.compose(h))
+    assert f.compose(f.inverse()) == f.inverse().compose(f) == MoebiusMap.identity()
+    scaled = MoebiusMap(*(k * v for v in f.coefficients()))
+    assert scaled == f and hash(scaled) == hash(f)

@@ -20,6 +20,19 @@ def test_no_assert_in_library():
     assert found == []
 
 
+def test_no_dataclasses_in_library():
+    """dataclasses pulls in inspect on every cold start; value types derive
+    from exactq.Value instead."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
 def test_traced_targets_resolve():
     """Every span target of the benchmark tracer names a function or method
     that the package defines itself, so a rename fails here before it breaks

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _models import assert_product_laws, random_model, random_model_pair
 from wallcross.errors import ArityError, BoundExceededError, GroupTooLargeError
@@ -68,6 +70,32 @@ def test_canonicalize_input_order_invariance():
         shuffled = items[:]
         rng.shuffle(shuffled)
         assert canonicalize(shuffled) == reference
+
+
+IDS = "abcdp"
+
+
+def _factor_ids(desc) -> list[str]:
+    """The factor list a descriptor stands for, one id per slot."""
+    if isinstance(desc, Product):
+        return [fid for child in desc.children for fid in _factor_ids(child)]
+    if isinstance(desc, SymQuotient):
+        return _factor_ids(desc.base) * desc.power
+    return [] if isinstance(desc, Point) else [desc.id]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(IDS), max_size=8),
+    st.lists(st.integers(0, 2), min_size=len(IDS), max_size=len(IDS)),
+    st.frozensets(st.sampled_from(IDS)),
+    st.data(),
+)
+def test_canonicalize_idempotent_and_order_free(factors, labels, points, data):
+    iso = [{i for i, lab in zip(IDS, labels) if lab == label} for label in set(labels)]
+    desc = canonicalize(factors, iso, points)
+    assert canonicalize(_factor_ids(desc), iso, points) == desc
+    assert canonicalize(data.draw(st.permutations(factors)), iso, points) == desc
 
 
 def test_canonicalize_explicit_point_ids():

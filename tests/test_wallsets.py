@@ -214,6 +214,7 @@ def test_overlay_adds_family(tmp_path):
     path = tmp_path / "overlay.json"
     path.write_text(json.dumps(overlay))
     reg = load_registry(path)
+    assert load_registry(str(path)) == reg  # a str path and a PathLike both work
     rec = reg["toy"]
     assert rec.walls("c").walls == (F(1, 3), F(1, 2))
     assert rec.walls("t").walls == (F(1, 3), F(1, 2))  # derived via reparam
