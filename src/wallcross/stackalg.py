@@ -11,11 +11,13 @@ moduli: an isomorphism when the slots are non-isomorphic, and an S2-gerbe
 over the symmetric quotient when they coincide (the same structure is
 sometimes called an S2-torsor; this module reports "s2-gerbe").
 
-The quotient-stack identities behind the algebra are exercised at finite
-scale by permutation groupoids [X/G]: orbits of a product action are pairs
-of orbits, stabilizers multiply, symmetric k-fold quotients count multisets,
-and the groupoid cardinality sum(1/|stab|) over orbits equals |X|/|G|.
-Groups are materialized by generator closure, capped by an order bound.
+The quotient-stack identities behind the algebra are modelled at finite
+scale by permutation groupoids [X/G], each count by its closed form: the
+stabilizer order |G|/|orbit|, the groupoid cardinality sum(1/|stab|) over
+orbits, which is |X|/|G|, and C(N + k - 1, k) multisets in the symmetric
+k-fold quotient of N orbits.  Orbits of a product action are pairs of
+orbits, so stabilizers multiply.  Groups are materialized by generator
+closure, capped by an order bound.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import ArityError, BoundExceededError, ConsistencyError, GroupTooLargeError
+from .errors import ArityError, ConsistencyError, GroupTooLargeError
 from .exactq import Value
 from .wallsets import load_registry
 
 DEFAULT_ORDER_BOUND = 100_000
-SYM_ENUMERATION_BOUND = 1_000_000
 
 
 # -- descriptors -------------------------------------------------------------
@@ -207,19 +208,17 @@ class FactorMultiset(Value):
 
     def grouped(self) -> tuple[tuple[str, int], ...]:
         """(class representative, total multiplicity) per iso class present,
-        sorted by representative; the representative is the least present id."""
-        present = {fid for fid, _ in self.entries}
-        groups: dict[frozenset[str], int] = {}
+        in one pass over the id-sorted entries: a class is first met at its
+        least present id, its representative, so the result is sorted."""
+        groups: dict[frozenset[str], list] = {}
         for fid, mult in self.entries:
-            cls = self.class_of(fid)
-            groups[cls] = groups.get(cls, 0) + mult
-        return tuple(
-            sorted((min(cls & present), mult) for cls, mult in groups.items())
-        )
+            groups.setdefault(self.class_of(fid), [fid, 0])[1] += mult
+        return tuple((rep, mult) for rep, mult in groups.values())
 
 
+@lru_cache(maxsize=None)
 def default_point_ids() -> frozenset[str]:
-    """Ids whose registered moduli is a single point."""
+    """Ids whose compiled-in moduli is a single point (loaded once)."""
     return frozenset(fid for fid, rec in load_registry().items() if rec.is_point)
 
 
@@ -233,18 +232,8 @@ def canonicalize(factors, iso=(), point_ids: frozenset[str] | None = None) -> De
     fm = FactorMultiset.of(factors, iso)
     if point_ids is None:
         point_ids = default_point_ids()
-    nodes: list[Descriptor] = []
-    groups: dict[frozenset[str], list] = {}
-    for fid, mult in fm.entries:
-        if fid in point_ids:
-            continue
-        cls = fm.class_of(fid)
-        groups.setdefault(cls, [set(), 0])
-        groups[cls][0].add(fid)
-        groups[cls][1] += mult
-    for cls, (present, mult) in groups.items():
-        rep = Atom(min(present))
-        nodes.append(rep if mult == 1 else SymQuotient(rep, mult))
+    free = FactorMultiset(tuple(e for e in fm.entries if e[0] not in point_ids), fm.iso)
+    nodes = [Atom(r) if m == 1 else SymQuotient(Atom(r), m) for r, m in free.grouped()]
     return product_of(nodes)
 
 
@@ -377,16 +366,14 @@ class FiniteGroupoidModel(Value):
 
 
 def orbit_space(model: FiniteGroupoidModel) -> tuple[Orbit, ...]:
-    """Orbits with stabilizer orders counted directly over group elements;
-    the orbit-stabilizer identity |orbit| * |stab| = |G| is checked."""
-    elements = model.elements()
-    order = len(elements)
+    """Orbits with stabilizer orders |G| / |orbit| by the orbit-stabilizer
+    identity; an orbit size that does not divide |G| is a ConsistencyError."""
+    order = model.group_order()
     out = []
     for block in model.orbit_partition():
-        rep = block[0]
-        stab = sum(1 for g in elements if g[rep] == rep)
-        if stab * len(block) != order:
-            raise ConsistencyError("orbit-stabilizer identity failed")
+        stab, rem = divmod(order, len(block))
+        if rem:
+            raise ConsistencyError(f"orbit of size {len(block)} does not divide |G| = {order}")
         out.append(Orbit(tuple(model.carrier[i] for i in block), stab))
     return tuple(out)
 
@@ -419,30 +406,13 @@ def product_model(
 
 
 def sym_quotient_model(model: FiniteGroupoidModel, k: int) -> int:
-    """Number of S_k-orbits of k-tuples of G-orbits.
-
-    Counted by brute-force enumeration (canonical sorted tuples) and checked
-    against the multiset formula C(N + k - 1, k); the two must agree.
-    """
+    """Number of S_k-orbits of k-tuples of G-orbits: the multisets of size k
+    from N orbits, C(N + k - 1, k)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n_orbits = len(model.orbit_partition())
-    if n_orbits**k > SYM_ENUMERATION_BOUND:
-        raise BoundExceededError(
-            f"{n_orbits}^{k} tuples exceed the enumeration bound"
-        )
-    seen = {
-        tuple(sorted(t)) for t in itertools.product(range(n_orbits), repeat=k)
-    }
-    count = len(seen)
-    if count != comb(n_orbits + k - 1, k):
-        raise ConsistencyError("multiset count mismatch")
-    return count
+    return comb(len(model.orbit_partition()) + k - 1, k)
 
 
 def groupoid_cardinality(model: FiniteGroupoidModel) -> Fraction:
-    """sum over orbits of 1/|stabilizer|; equals |carrier| / |G|."""
-    return sum(
-        (Fraction(1, orbit.stabilizer_order) for orbit in orbit_space(model)),
-        Fraction(0),
-    )
+    """sum over orbits of 1/|stabilizer|, which is |carrier| / |G|."""
+    return Fraction(len(model.carrier), model.group_order())

@@ -1,16 +1,22 @@
-"""Seeded random permutation models shared by the groupoid test suites."""
+"""Seeded random permutation models shared by the groupoid test suites,
+and brute-force oracles for the closed forms that `stackalg` computes."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from wallcross.errors import GroupTooLargeError
 from wallcross.stackalg import (
+    Atom,
+    FactorMultiset,
     FiniteGroupoidModel,
+    SymQuotient,
     groupoid_cardinality,
     orbit_space,
     product_model,
+    product_of,
 )
 
 FACTOR_ORDER_BOUND = 10_000
@@ -57,13 +63,64 @@ def random_model_pair(rng: random.Random):
             return a, b
 
 
+def brute_stabilizer_orders(model: FiniteGroupoidModel) -> list[int]:
+    """Per orbit, the group elements fixing its least point, counted."""
+    reps = [block[0] for block in model.orbit_partition()]
+    counts = [0] * len(reps)
+    for g in model.elements():
+        for i, r in enumerate(reps):
+            if g[r] == r:
+                counts[i] += 1
+    return counts
+
+
+def brute_cardinality(model: FiniteGroupoidModel) -> Fraction:
+    """sum over orbits of 1/|stab|, with the stabilizers counted."""
+    return sum((Fraction(1, s) for s in brute_stabilizer_orders(model)), Fraction(0))
+
+
+def brute_multiset_count(n: int, k: int) -> int:
+    """Multisets of size k from n symbols, as the distinct sorted k-tuples."""
+    return len({tuple(sorted(t)) for t in itertools.product(range(n), repeat=k)})
+
+
+def brute_grouped(fm) -> tuple[tuple[str, int], ...]:
+    """`FactorMultiset.grouped` by collecting each class, then sorting."""
+    present = {fid for fid, _ in fm.entries}
+    groups: dict[frozenset[str], int] = {}
+    for fid, mult in fm.entries:
+        cls = fm.class_of(fid)
+        groups[cls] = groups.get(cls, 0) + mult
+    return tuple(sorted((min(cls & present), mult) for cls, mult in groups.items()))
+
+
+def brute_canonicalize(factors, iso, point_ids):
+    """`canonicalize` by its own grouping of the non-point ids per class."""
+    fm = FactorMultiset.of(factors, iso)
+    groups: dict[frozenset[str], list] = {}
+    for fid, mult in fm.entries:
+        if fid in point_ids:
+            continue
+        entry = groups.setdefault(fm.class_of(fid), [set(), 0])
+        entry[0].add(fid)
+        entry[1] += mult
+    nodes = []
+    for present, mult in groups.values():
+        rep = Atom(min(present))
+        nodes.append(rep if mult == 1 else SymQuotient(rep, mult))
+    return product_of(nodes)
+
+
 def assert_product_laws(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> None:
     """Product-model identities: orbits are pairs of orbits (matching
-    representatives), stabilizer orders multiply, cardinality multiplies."""
+    representatives), stabilizer orders multiply, cardinality multiplies.
+    Every stabilizer order is also counted over the group's elements."""
     prod = product_model(a, b, order_bound=PAIR_ORDER_BOUND)
     assert prod.group_order() == a.group_order() * b.group_order()
     orb_a, orb_b = orbit_space(a), orbit_space(b)
     orb_p = orbit_space(prod)
+    for model, orbits in ((a, orb_a), (b, orb_b), (prod, orb_p)):
+        assert [o.stabilizer_order for o in orbits] == brute_stabilizer_orders(model)
     assert len(orb_p) == len(orb_a) * len(orb_b)
     expected = {}
     for oa in orb_a:

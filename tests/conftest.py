@@ -3,10 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from wallcross import load_registry
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# One profile for every property test: the same examples on every run, and
+# no per-example deadline on a shared machine.  Tests set only max_examples.
+settings.register_profile("wallcross", derandomize=True, deadline=None)
+settings.load_profile("wallcross")
 
 
 @pytest.fixture(scope="session")

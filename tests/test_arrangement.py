@@ -391,7 +391,7 @@ def folded_products(draw):
     return build_product([(f"f{pos}", ws) for pos, ws in enumerate(walls)]), grouping
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(folded_products())
 def test_representative_orbits_match_bucketing_and_burnside(case):
     arr, grouping = case
@@ -475,7 +475,7 @@ def assert_same_text(got, want):
         pytest.fail(f"{len(got)} vs {len(want)} chars; first differing line {line}: {a!r}, {b!r}")
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(folded_products(), st.data())
 def test_render_json_matches_oracle(case, data):
     arr, grouping = case

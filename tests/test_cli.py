@@ -372,6 +372,36 @@ def test_check_fails_under_optimize(tmp_path):
     assert lines[-1] == "CHECKS FAILED"
 
 
+# dp4 re-registered as a point, with its compiled-in numerics and walls
+POINT_DP4 = {
+    "dp4": {
+        "dimension": 2,
+        "volume": "4",
+        "moduli_note": "point",
+        "hilbert": ["1", "2", "2"],
+        "c_walls": ["1/7", "1/4", "1/3", "1/2", "5/8"],
+        "t_walls": ["1/6", "2/7", "3/8", "6/11", "2/3"],
+        "reparam": [6, 0, 1, 5],
+    }
+}
+
+
+def test_stack_and_check_read_overlay_point_ids(capsys, tmp_path):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(POINT_DP4))
+    code, out, _ = run(capsys, "stack", "--factors", "dp3,dp4", "--registry", str(path))
+    assert code == 0
+    assert "descriptor: dp3" in out.splitlines()
+    code, out, _ = run(capsys, "check", "--registry", str(path))
+    assert code == 3
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL _check_stack: descriptor dp3"
+    ]
+    assert sum(1 for line in lines if line.startswith("ok ")) == 4
+    assert lines[-1] == "CHECKS FAILED"
+
+
 def test_registry_overlay_round_trip(capsys, tmp_path):
     overlay = {
         "toy": {

@@ -196,7 +196,7 @@ moebius_maps = st.tuples(*[st.integers(-6, 6)] * 4).filter(
 ).map(lambda q: MoebiusMap(*q))
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(moebius_maps, moebius_maps, moebius_maps, st.integers(-9, 9).filter(bool))
 def test_moebius_laws(f, g, h, k):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallcross.errors import DimensionMismatchError, UnsupportedError
 from wallcross.gitwalls import (
@@ -172,6 +174,30 @@ def test_cut_keys_a_flat_by_its_reduced_echelon_basis():
             assert all(sum(b) == 0 for b in plane)
             planes += 1
     assert planes > 1000
+
+
+def _cut_all(basis, normals):
+    """The flat of span(basis) inside every hyperplane a . x = 0, cut in order."""
+    for a in normals:
+        s = tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
+        if any(s):
+            basis = _cut(basis, s)
+    return basis
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)]), st.data())
+def test_cut_keys_do_not_depend_on_cut_order(nd, data):
+    n, d = nd
+    normals = data.draw(st.lists(st.sampled_from(_equation_directions(n, d)), min_size=2,
+                                 max_size=n))
+    scale = data.draw(st.integers(-3, 3).filter(bool))
+    space = tuple(tuple(int(k == i) - (k == n) for k in range(n + 1)) for i in range(n))
+    flat = _cut_all(space, normals)
+    assert is_reduced_echelon_key(flat)
+    assert all(sum(x * y for x, y in zip(a, b)) == 0 for a in normals for b in flat)
+    assert _cut_all(space, data.draw(st.permutations(normals))) == flat
+    assert _cut_all(space, [tuple(scale * v for v in a) for a in normals]) == flat
 
 
 def test_candidate_weights_counts_past_the_oracle():

@@ -1,12 +1,23 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _models import assert_product_laws, random_model, random_model_pair
-from wallcross.errors import ArityError, BoundExceededError, GroupTooLargeError
+from _models import (
+    assert_product_laws,
+    brute_canonicalize,
+    brute_cardinality,
+    brute_grouped,
+    brute_multiset_count,
+    brute_stabilizer_orders,
+    random_model,
+    random_model_pair,
+)
+from wallcross import stackalg
+from wallcross.errors import ArityError, GroupTooLargeError
 from wallcross.stackalg import (
     Atom,
     FactorMultiset,
@@ -84,18 +95,36 @@ def _factor_ids(desc) -> list[str]:
     return [] if isinstance(desc, Point) else [desc.id]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(
-    st.lists(st.sampled_from(IDS), max_size=8),
-    st.lists(st.integers(0, 2), min_size=len(IDS), max_size=len(IDS)),
-    st.frozensets(st.sampled_from(IDS)),
-    st.data(),
-)
+FACTORS = st.lists(st.sampled_from(IDS), max_size=8)
+# labels[i] names the iso class of IDS[i]; classes of one id are dropped
+LABELS = st.lists(st.integers(0, 2), min_size=len(IDS), max_size=len(IDS))
+POINTS = st.frozensets(st.sampled_from(IDS))
+
+
+def _iso(labels):
+    return [{i for i, lab in zip(IDS, labels) if lab == label} for label in set(labels)]
+
+
+@settings(max_examples=150)
+@given(FACTORS, LABELS, POINTS, st.data())
 def test_canonicalize_idempotent_and_order_free(factors, labels, points, data):
-    iso = [{i for i, lab in zip(IDS, labels) if lab == label} for label in set(labels)]
+    iso = _iso(labels)
     desc = canonicalize(factors, iso, points)
     assert canonicalize(_factor_ids(desc), iso, points) == desc
     assert canonicalize(data.draw(st.permutations(factors)), iso, points) == desc
+
+
+@settings(max_examples=200)
+@given(FACTORS, LABELS, POINTS)
+# iso classes that mix point and non-point ids, the point the least id or not
+@example(["a", "b", "b", "p"], [0, 0, 1, 1, 1], frozenset({"a"}))
+@example(["c", "d", "p", "p"], [1, 1, 0, 0, 0], frozenset({"p", "c"}))
+@example(["a", "p", "p"], [0, 1, 1, 1, 0], frozenset({"p"}))
+def test_canonicalize_matches_brute_force_grouping(factors, labels, points):
+    iso = _iso(labels)
+    assert canonicalize(factors, iso, points) == brute_canonicalize(factors, iso, points)
+    fm = FactorMultiset.of(factors, iso)
+    assert fm.grouped() == brute_grouped(fm)
 
 
 def test_canonicalize_explicit_point_ids():
@@ -106,6 +135,19 @@ def test_canonicalize_explicit_point_ids():
 
 def test_default_point_ids():
     assert default_point_ids() == frozenset({"p1"})
+
+
+def test_default_point_ids_loads_the_registry_once(monkeypatch):
+    loads = []
+    real = stackalg.load_registry
+    monkeypatch.setattr(stackalg, "load_registry", lambda: loads.append(1) or real())
+    default_point_ids.cache_clear()
+    try:
+        for _ in range(3):
+            assert canonicalize({"dp3": 1, "p1": 2}) == Atom("dp3")
+    finally:
+        default_point_ids.cache_clear()
+    assert loads == [1]
 
 
 def test_descriptor_sort_order():
@@ -297,10 +339,20 @@ def test_sym_quotient_counts():
         sym_quotient_model(six, 0)
 
 
-def test_sym_quotient_enumeration_bound():
+def test_sym_quotient_past_enumeration_scale():
+    # 120^3 = 1,728,000 k-tuples: the count must not come from enumerating them
     big = FiniteGroupoidModel(tuple(range(120)), ())
-    with pytest.raises(BoundExceededError):
-        sym_quotient_model(big, 3)  # 120^3 > 10^6
+    assert sym_quotient_model(big, 3) == comb(122, 3) == 295_240
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_closed_forms_match_brute_force_oracles(seed, k):
+    model = random_model(random.Random(seed))
+    orbits = orbit_space(model)
+    assert [o.stabilizer_order for o in orbits] == brute_stabilizer_orders(model)
+    assert groupoid_cardinality(model) == brute_cardinality(model)
+    assert sym_quotient_model(model, k) == brute_multiset_count(len(orbits), k)
 
 
 def test_cardinality_equals_carrier_over_group():
