@@ -73,7 +73,7 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q", omitting the denominator when it is 1."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 class MoebiusMap(Value):
@@ -87,15 +87,12 @@ class MoebiusMap(Value):
     """
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        coeffs = (a, b, c, d)
-        if not all(isinstance(v, int) for v in coeffs):
-            raise TypeError(f"integer coefficients required, got {coeffs!r}")
+        if not all(map(isinstance, (a, b, c, d), (int,) * 4)):
+            raise TypeError(f"integer coefficients required, got {(a, b, c, d)!r}")
         if a * d - b * c == 0:
-            raise DegenerateMapError(f"vanishing determinant: {coeffs!r}")
-        g = gcd(*coeffs)
-        lead = next(v for v in coeffs if v != 0)
-        if lead < 0:
-            g = -g
+            raise DegenerateMapError(f"vanishing determinant: {(a, b, c, d)!r}")
+        # a or b is the leading coefficient, as a = b = 0 would make det 0
+        g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)
         if g != 1:
             a, b, c, d = a // g, b // g, c // g, d // g
         self.__dict__.update(a=a, b=b, c=c, d=d)
@@ -116,11 +113,14 @@ class MoebiusMap(Value):
         return (self.a, self.b, self.c, self.d)
 
     def __call__(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        den = self.c * x + self.d
+        """f(p/q) = (a*p + b*q)/(c*p + d*q) for x = p/q in lowest terms: one
+        Fraction normalisation, and x is a pole exactly when c*p + d*q = 0."""
+        x = x if isinstance(x, Fraction) else Fraction(x)
+        p, q = x.numerator, x.denominator
+        den = self.c * p + self.d * q
         if den == 0:
             raise PoleError(f"{self} has a pole at {format_rational(x)}")
-        return (self.a * x + self.b) / den
+        return Fraction(self.a * p + self.b * q, den)
 
     def inverse(self) -> "MoebiusMap":
         """The inverse map; adjugate coefficients, re-canonicalized."""

@@ -15,12 +15,15 @@ anticanonical powers.  Both rules are cross-checked against each other here:
 lead(chi1 * chi2) = (V1/n1!) * (V2/n2!) forces the binomial in the volume.
 
 Polynomials are tuples of Fractions, constant term first, no trailing zeros.
+FanoNumerics trims its polynomial once, at construction, and the checks read
+it as stored.  poly_mul convolves integer numerators over each factor's
+common denominator and builds one Fraction per output coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .exactq import Value, format_rational, parse_rational
 
@@ -29,7 +32,7 @@ Polynomial = tuple[Fraction, ...]
 
 def poly_trim(coeffs) -> Polynomial:
     """Normalize to a tuple of Fractions with no trailing zero coefficients."""
-    out = [Fraction(v) for v in coeffs]
+    out = [v if isinstance(v, Fraction) else Fraction(v) for v in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out) if out else (Fraction(0),)
@@ -45,11 +48,15 @@ def poly_eval(coeffs, x) -> Fraction:
 
 def poly_mul(f, g) -> Polynomial:
     f, g = poly_trim(f), poly_trim(g)
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return poly_trim(out)
+    fd, gd = lcm(*[c.denominator for c in f]), lcm(*[c.denominator for c in g])
+    fn = [c.numerator * (fd // c.denominator) for c in f]
+    gn = [c.numerator * (gd // c.denominator) for c in g]
+    out = [0] * (len(fn) + len(gn) - 1)
+    for i, a in enumerate(fn):
+        for j, b in enumerate(gn, i):
+            out[j] += a * b
+    den = fd * gd
+    return poly_trim([Fraction(v, den) for v in out])  # trims only a zero factor
 
 
 def poly_degree(coeffs) -> int:
@@ -81,7 +88,7 @@ class FanoNumerics(Value):
     def __init__(self, dimension: int, volume: Fraction, hilbert: Polynomial) -> None:
         if dimension < 0:
             raise ValueError(f"negative dimension {dimension}")
-        volume = Fraction(volume)
+        volume = volume if isinstance(volume, Fraction) else Fraction(volume)
         if volume <= 0:
             raise ValueError(f"volume must be positive, got {volume}")
         self.__dict__.update(dimension=dimension, volume=volume, hilbert=poly_trim(hilbert))
@@ -90,19 +97,15 @@ class FanoNumerics(Value):
 def consistency_check(x: FanoNumerics) -> list[str]:
     """Return the violated invariants of x; empty list means pass."""
     problems = []
-    if poly_eval(x.hilbert, 0) != 1:
+    h = x.hilbert  # trimmed at construction: h[0] = chi(0), h[-1] the lead
+    if h[0] != 1:
+        problems.append(f"hilbert(0) = {format_rational(h[0])}, expected 1")
+    if len(h) - 1 != x.dimension:
+        problems.append(f"hilbert degree {len(h) - 1}, expected {x.dimension}")
+    top = factorial(x.dimension) * h[-1]
+    if top != x.volume:
         problems.append(
-            f"hilbert(0) = {format_rational(poly_eval(x.hilbert, 0))}, expected 1"
-        )
-    if poly_degree(x.hilbert) != x.dimension:
-        problems.append(
-            f"hilbert degree {poly_degree(x.hilbert)}, expected {x.dimension}"
-        )
-    lead = poly_lead(x.hilbert)
-    if factorial(x.dimension) * lead != x.volume:
-        problems.append(
-            f"{x.dimension}! * lead = "
-            f"{format_rational(factorial(x.dimension) * lead)}, "
+            f"{x.dimension}! * lead = {format_rational(top)}, "
             f"expected volume {format_rational(x.volume)}"
         )
     return problems

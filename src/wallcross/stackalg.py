@@ -206,13 +206,15 @@ class FactorMultiset(Value):
                 return cls
         return frozenset((fid,))
 
-    def grouped(self) -> tuple[tuple[str, int], ...]:
+    def grouped(self, _drop: frozenset[str] = frozenset()) -> tuple[tuple[str, int], ...]:
         """(class representative, total multiplicity) per iso class present,
         in one pass over the id-sorted entries: a class is first met at its
-        least present id, its representative, so the result is sorted."""
+        least present id, its representative, so the result is sorted.
+        Ids in _drop count as absent."""
         groups: dict[frozenset[str], list] = {}
         for fid, mult in self.entries:
-            groups.setdefault(self.class_of(fid), [fid, 0])[1] += mult
+            if fid not in _drop:
+                groups.setdefault(self.class_of(fid), [fid, 0])[1] += mult
         return tuple((rep, mult) for rep, mult in groups.values())
 
 
@@ -232,8 +234,8 @@ def canonicalize(factors, iso=(), point_ids: frozenset[str] | None = None) -> De
     fm = FactorMultiset.of(factors, iso)
     if point_ids is None:
         point_ids = default_point_ids()
-    free = FactorMultiset(tuple(e for e in fm.entries if e[0] not in point_ids), fm.iso)
-    nodes = [Atom(r) if m == 1 else SymQuotient(Atom(r), m) for r, m in free.grouped()]
+    groups = fm.grouped(_drop=point_ids)
+    nodes = [Atom(r) if m == 1 else SymQuotient(Atom(r), m) for r, m in groups]
     return product_of(nodes)
 
 
@@ -264,24 +266,20 @@ def classify_product_map(factors, iso=()) -> MapKind:
 # -- finite groupoid models ---------------------------------------------------
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p after q)(i) = p[q[i]]."""
-    return tuple(p[v] for v in q)
-
-
 @lru_cache(maxsize=256)
 def _closure(
     generators: tuple[tuple[int, ...], ...], n: int, bound: int
 ) -> frozenset[tuple[int, ...]]:
-    """Generated permutation group by breadth-first products."""
+    """Generated permutation group by breadth-first products gen after g."""
     identity = tuple(range(n))
     elements = {identity}
     frontier = [identity]
+    gets = [gen.__getitem__ for gen in generators]
     while frontier:
         nxt = []
         for g in frontier:
-            for gen in generators:
-                h = _compose(gen, g)
+            for get in gets:
+                h = tuple(map(get, g))  # (gen after g)(i) = gen[g[i]]
                 if h not in elements:
                     if len(elements) >= bound:
                         raise GroupTooLargeError(
@@ -387,19 +385,17 @@ def product_model(
     checked against the bound before any closure of the product is taken.
     """
     bound = order_bound if order_bound is not None else max(a.order_bound, b.order_bound)
-    if a.group_order() * b.group_order() > bound:
-        raise GroupTooLargeError(
-            f"product group order {a.group_order() * b.group_order()} "
-            f"exceeds bound {bound}"
-        )
+    order = a.group_order() * b.group_order()
+    if order > bound:
+        raise GroupTooLargeError(f"product group order {order} exceeds bound {bound}")
     na, nb = len(a.carrier), len(b.carrier)
     carrier = tuple(itertools.product(a.carrier, b.carrier))
 
     def lift_a(g):
-        return tuple(g[i] * nb + j for i in range(na) for j in range(nb))
+        return tuple(gi * nb + j for gi in g for j in range(nb))
 
     def lift_b(h):
-        return tuple(i * nb + h[j] for i in range(na) for j in range(nb))
+        return tuple(i + hj for i in range(0, na * nb, nb) for hj in h)
 
     gens = tuple(lift_a(g) for g in a.generators) + tuple(lift_b(h) for h in b.generators)
     return FiniteGroupoidModel(carrier, gens, bound)

@@ -1,5 +1,6 @@
 """Seeded random permutation models shared by the groupoid test suites,
-and brute-force oracles for the closed forms that `stackalg` computes."""
+brute-force oracles for the closed forms that `stackalg` computes, and the
+plain `Fraction` polynomial product that `invariants.poly_mul` must match."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 from fractions import Fraction
 
 from wallcross.errors import GroupTooLargeError
+from wallcross.invariants import Polynomial
 from wallcross.stackalg import (
     Atom,
     FactorMultiset,
@@ -135,3 +137,21 @@ def assert_product_laws(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> None:
     }
     assert got == expected
     assert groupoid_cardinality(prod) == groupoid_cardinality(a) * groupoid_cardinality(b)
+
+
+def poly_trim_oracle(coeffs) -> Polynomial:
+    """Each entry through `Fraction`, then trailing zeros dropped."""
+    out = [Fraction(v) for v in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out) if out else (Fraction(0),)
+
+
+def poly_mul_oracle(f, g) -> Polynomial:
+    """`poly_mul` as the convolution of the trimmed inputs in `Fraction`s."""
+    f, g = poly_trim_oracle(f), poly_trim_oracle(g)
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_trim_oracle(out)

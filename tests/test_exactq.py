@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wallcross.errors import DegenerateMapError, PoleError
@@ -203,3 +203,41 @@ def test_moebius_laws(f, g, h, k):
     assert f.compose(f.inverse()) == f.inverse().compose(f) == MoebiusMap.identity()
     scaled = MoebiusMap(*(k * v for v in f.coefficients()))
     assert scaled == f and hash(scaled) == hash(f)
+
+
+# evaluation points: ints and small fractions
+points = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+
+
+def plain_eval(f: MoebiusMap, x) -> Fraction | None:
+    """(a*x + b)/(c*x + d) in plain Fraction arithmetic; None at a pole."""
+    a, b, c, d = f.coefficients()
+    x = Fraction(x)
+    den = c * x + d
+    return None if den == 0 else (a * x + b) / den
+
+
+@settings(max_examples=200)
+@given(moebius_maps, points, st.booleans())
+def test_evaluation_matches_fraction_arithmetic(f, x, at_pole):
+    if at_pole and f.c != 0:  # the pole itself, an int whenever c divides d
+        x = Fraction(-f.d, f.c)
+        x = x.numerator if x.denominator == 1 else x
+    want = plain_eval(f, x)
+    if want is None:
+        with pytest.raises(PoleError) as err:
+            f(x)
+        assert str(err.value) == f"{f} has a pole at {format_rational(Fraction(x))}"
+    else:
+        got = f(x)
+        assert got == want and type(got) is Fraction
+
+
+@settings(max_examples=150)
+@given(moebius_maps, moebius_maps, points)
+def test_compose_evaluates_as_nested_calls(f, g, x):
+    inner = plain_eval(g, x)
+    assume(inner is not None and plain_eval(f, inner) is not None)
+    assert f.compose(g)(x) == f(g(x)) == plain_eval(f, inner)

@@ -4,7 +4,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _models import poly_mul_oracle
 from wallcross.invariants import (
     FanoNumerics,
     consistency_check,
@@ -63,6 +66,25 @@ def test_poly_mul_matches_pointwise_products():
             assert poly_eval(h, x) == poly_eval(f, x) * poly_eval(g, x)
 
 
+# coefficients: ints and small fractions; lists may be empty or end in zeros
+coefficients = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=9)
+)
+polynomials = st.lists(coefficients, max_size=5)
+
+
+@settings(max_examples=150)
+@given(polynomials, polynomials)
+@example([], [1, 2])
+@example([0, 0], [F(1, 2), 3])
+@example([1, F(1, 3), 0, 0], [0, F(3, 4), 0])
+@example([F(2, 3), F(5, 6)], [F(3, 4), F(-7, 10), F(1, 9)])
+def test_poly_mul_matches_fraction_convolution(f, g):
+    got = poly_mul(f, g)
+    assert got == poly_mul_oracle(f, g)
+    assert all(type(c) is Fraction for c in got)
+
+
 def test_line_times_cubic_surface():
     p1 = FanoNumerics(1, F(2), (F(1), F(2)))
     dp3 = FanoNumerics(2, F(3), (F(1), F(3, 2), F(3, 2)))
@@ -114,6 +136,43 @@ def test_consistency_check_flags_bad_records():
     assert any("lead" in m for m in consistency_check(bad_lead))
     good = FanoNumerics(2, F(3), (F(1), F(3, 2), F(3, 2)))
     assert consistency_check(good) == []
+
+
+def test_fano_numerics_stores_trimmed_fractions():
+    x = FanoNumerics(2, 3, [1, F(3, 2), F(3, 2), 0, F(0)])
+    assert x.hilbert == (F(1), F(3, 2), F(3, 2)) and type(x.volume) is Fraction
+    assert all(type(c) is Fraction for c in x.hilbert)
+    assert consistency_check(x) == []
+    zero = FanoNumerics(1, F(2), (0, 0))
+    assert zero.hilbert == (F(0),) and type(zero.hilbert[0]) is Fraction
+    assert FanoNumerics(1, F(2), ()).hilbert == (F(0),)
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        ((1, F(2), (F(2), F(2))), ["hilbert(0) = 2, expected 1"]),
+        (
+            (2, F(3), (1, 3, 0)),
+            ["hilbert degree 1, expected 2", "2! * lead = 6, expected volume 3"],
+        ),
+        ((2, F(3), (F(1), F(1), F(1))), ["2! * lead = 2, expected volume 3"]),
+        (
+            (2, F(7, 2), (F(1, 2), 3, F(5, 3), 0, 0)),
+            ["hilbert(0) = 1/2, expected 1", "2! * lead = 10/3, expected volume 7/2"],
+        ),
+        (
+            (1, 2, (0, 0)),
+            [
+                "hilbert(0) = 0, expected 1",
+                "hilbert degree 0, expected 1",
+                "1! * lead = 0, expected volume 2",
+            ],
+        ),
+    ],
+)
+def test_consistency_check_messages(args, want):
+    assert consistency_check(FanoNumerics(*args)) == want
 
 
 def test_fano_numerics_shape_validation():

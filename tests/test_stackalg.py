@@ -356,12 +356,14 @@ def test_closed_forms_match_brute_force_oracles(seed, k):
 
 
 def test_cardinality_equals_carrier_over_group():
+    """The closed form against stabilizers counted over the group, and that
+    count against |carrier| / |G|."""
     rng = random.Random(717)
     for _ in range(25):
         model = random_model(rng)
-        assert groupoid_cardinality(model) == F(
-            len(model.carrier), model.group_order()
-        )
+        counted = brute_cardinality(model)
+        assert groupoid_cardinality(model) == counted
+        assert counted == F(len(model.carrier), model.group_order())
 
 
 def test_orbit_partition_matches_orbit_space():
