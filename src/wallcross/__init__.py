@@ -10,7 +10,7 @@ Modules:
   cli          command-line front end
 """
 
-from .exactq import MoebiusMap, Rational, format_rational, parse_rational
+from .exactq import MoebiusMap, format_rational, parse_rational
 from .wallsets import Chamber, Coord, FamilyRecord, WallSet, c_to_t_walls, load_registry
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "Coord",
     "FamilyRecord",
     "MoebiusMap",
-    "Rational",
     "WallSet",
     "c_to_t_walls",
     "format_rational",

@@ -155,17 +155,12 @@ def _cmd_chamber(args) -> int:
     return 0
 
 
-def _point_ids(registry) -> frozenset[str]:
-    """Ids whose moduli is a point in this registry, overlay included."""
-    return frozenset(fid for fid, rec in registry.items() if rec.is_point)
-
-
 def _cmd_stack(args) -> int:
     from . import stackalg
 
     registry = wallsets.load_registry(args.registry)
     iso = args.iso or ()
-    descriptor = stackalg.canonicalize(list(args.factors), iso, _point_ids(registry))
+    descriptor = stackalg.canonicalize(list(args.factors), iso, stackalg.point_ids(registry))
     kind = None
     if len(args.factors) == 2:
         kind = stackalg.classify_product_map(list(args.factors), iso)
@@ -269,7 +264,7 @@ def _check_arrangement(registry) -> str:
 def _check_stack(registry) -> str:
     from . import stackalg
 
-    descriptor = str(stackalg.canonicalize({"dp3": 1, "dp4": 1}, (), _point_ids(registry)))
+    descriptor = str(stackalg.canonicalize({"dp3": 1, "dp4": 1}, (), stackalg.point_ids(registry)))
     _require(descriptor == "dp3 x dp4", f"descriptor {descriptor}")
     kind = stackalg.classify_product_map({"dp3": 2})
     _require(kind is stackalg.MapKind.S2_GERBE, f"product map {kind}")

@@ -2,12 +2,11 @@
 
 Rational values throughout the package are stdlib ``fractions.Fraction``
 objects: always reduced, denominator always positive, with exact comparison
-and arithmetic.  The type is re-exported here as ``Rational``.  This module
-adds the "p/q" string codec used on every JSON surface and implements
-fractional-linear (Moebius) maps x -> (a*x + b)/(c*x + d) with a canonical
-integer-coefficient form, which the wall registries use to translate between
-coefficient scales.  Value, the base of the package's immutable value types,
-lives here too.
+and arithmetic.  This module adds the "p/q" string codec used on every JSON
+surface and implements fractional-linear (Moebius) maps
+x -> (a*x + b)/(c*x + d) with a canonical integer-coefficient form, which the
+wall registries use to translate between coefficient scales.  Value, the base
+of the package's immutable value types, lives here too.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateMapError, PoleError
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -100,14 +97,6 @@ class MoebiusMap(Value):
     @classmethod
     def identity(cls) -> "MoebiusMap":
         return cls(1, 0, 0, 1)
-
-    @property
-    def determinant(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
     def coefficients(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

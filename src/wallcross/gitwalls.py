@@ -53,7 +53,7 @@ from math import gcd
 from operator import mul
 
 from .errors import ConsistencyError, DimensionMismatchError, UnsupportedError
-from .exactq import Value, format_rational
+from .exactq import format_rational
 from .wallsets import WallSet
 
 Monomial = tuple[int, ...]
@@ -182,11 +182,6 @@ def _mask(wvec: tuple[int, ...], rj: int, t: Fraction) -> int:
     return sum(1 << i for i, w in enumerate(wvec) if w * q + shift > 0)
 
 
-def _support(mons: tuple[Monomial, ...], mask: int) -> frozenset[Monomial]:
-    """The monomials whose bits are set in mask."""
-    return frozenset(m for i, m in enumerate(mons) if mask >> i & 1)
-
-
 def _maximal(pairs) -> frozenset[tuple[int, int]]:
     """The inclusion-maximal nonempty members of {(mask, j)}: the largest j
     per mask, less those inside another mask with a threshold at least j."""
@@ -200,26 +195,6 @@ def _maximal(pairs) -> frozenset[tuple[int, int]]:
         if not any(mask & ~km == 0 and j <= kj for km, kj in kept):
             kept.append((mask, j))
     return frozenset(kept)
-
-
-def max_destabilized_support(r: WeightVector, t: Fraction, j: int, d: int = 3) -> frozenset[Monomial]:
-    """M+(r, t, j): monomials of degree d with <m, r> + t * r_j > 0."""
-    t = Fraction(t)
-    if not 0 <= j < len(r):
-        raise DimensionMismatchError(f"variable index {j} out of range for {r}")
-    mons = monomials(len(r) - 1, d)
-    return _support(mons, _mask(tuple(monomial_weight(m, r) for m in mons), r[j], t))
-
-
-class SupportPair(Value):
-    """One maximal destabilizing datum: a hypersurface support M and the
-    largest variable index j allowed in the hyperplane."""
-
-    def __init__(self, support: frozenset[Monomial], threshold: int) -> None:
-        self.__dict__.update(support=support, threshold=threshold)
-
-    def sort_key(self):
-        return (self.threshold, len(self.support), tuple(sorted(self.support)))
 
 
 class _Search:
@@ -269,10 +244,6 @@ class _Search:
         """Deduplicated, inclusion-maximalized family {(support mask, j)}."""
         return _maximal((_mask(wvec, rj, t), j) for wvec, rj, j in self.profiles)
 
-    def family(self, t: Fraction) -> tuple[SupportPair, ...]:
-        pairs = [SupportPair(_support(self.mons, mask), j) for mask, j in self.fingerprint(t)]
-        return tuple(sorted(pairs, key=SupportPair.sort_key))
-
     def _chamber_samples(self, cuts: list[Fraction]) -> list[frozenset[tuple[int, int]]]:
         """fingerprint on each open chamber of (0, 1) cut at `cuts`, the sorted
         candidates, among them every profile threshold -wvec[i] / r_j: _mask
@@ -301,12 +272,12 @@ class _Search:
         return tuple(t for t, lo, hi in zip(cuts, samples, samples[1:]) if lo != hi), cands
 
 
-def _sweep(n: int, d: int, exploratory: bool, extra: tuple[WeightVector, ...] = ()):
+def _sweep(n: int, d: int, exploratory: bool):
     """The wall sweep behind compute_walls and wall_report, with the
     supported-target guard they share."""
     if (n, d) != SUPPORTED and not exploratory:
         raise UnsupportedError(f"({n}, {d}) is not a supported target; (3, 3) is")
-    return _Search(n, d, extra).walls()
+    return _Search(n, d).walls()
 
 
 def candidate_twalls(n: int, d: int) -> tuple[Fraction, ...]:
@@ -314,31 +285,16 @@ def candidate_twalls(n: int, d: int) -> tuple[Fraction, ...]:
     return tuple(sorted(_Search(n, d).candidates()))
 
 
-def semistable_support_families(n: int, d: int, t) -> tuple[SupportPair, ...]:
-    """The family of inclusion-maximal (M+, j) at slope t, canonically ordered.
-
-    Constant in t on each open chamber between consecutive candidate values;
-    a wall is precisely a candidate where it jumps.
-    """
-    return _Search(n, d).family(Fraction(t))
-
-
-def compute_walls(
-    n: int = 3,
-    d: int = 3,
-    *,
-    exploratory: bool = False,
-    extra_weights: tuple[WeightVector, ...] = (),
-) -> WallSet:
+def compute_walls(n: int = 3, d: int = 3, *, exploratory: bool = False) -> WallSet:
     """Slope walls: candidates where the maximal family on the chamber below
-    differs from the one above.  One sweep up the sorted candidates updates
-    each support mask only at its own thresholds; 0 and 1 bound the first and
-    last chambers.
+    differs from the one above, over the probe set candidate_weights(n, d).
+    One sweep up the sorted candidates updates each support mask only at its
+    own thresholds; 0 and 1 bound the first and last chambers.
 
     Only (3, 3) is supported; pass exploratory=True to run other small
     configurations with no acceptance claim.
     """
-    walls, _ = _sweep(n, d, exploratory, tuple(extra_weights))
+    walls, _ = _sweep(n, d, exploratory)
     return WallSet(walls)
 
 

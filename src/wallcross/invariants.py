@@ -38,14 +38,6 @@ def poly_trim(coeffs) -> Polynomial:
     return tuple(out) if out else (Fraction(0),)
 
 
-def poly_eval(coeffs, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
 def poly_mul(f, g) -> Polynomial:
     f, g = poly_trim(f), poly_trim(g)
     fd, gd = lcm(*[c.denominator for c in f]), lcm(*[c.denominator for c in g])
@@ -59,22 +51,9 @@ def poly_mul(f, g) -> Polynomial:
     return poly_trim([Fraction(v, den) for v in out])  # trims only a zero factor
 
 
-def poly_degree(coeffs) -> int:
-    return len(poly_trim(coeffs)) - 1
-
-
-def poly_lead(coeffs) -> Fraction:
-    return poly_trim(coeffs)[-1]
-
-
 def parse_poly(values) -> Polynomial:
     """Parse a constant-first list of "p/q" strings or ints."""
     return poly_trim([parse_rational(v) for v in values])
-
-
-def format_poly(coeffs) -> list[str]:
-    """Constant-first list of "p/q" strings, the JSON form of a polynomial."""
-    return [format_rational(c) for c in poly_trim(coeffs)]
 
 
 class FanoNumerics(Value):
@@ -111,20 +90,10 @@ def consistency_check(x: FanoNumerics) -> list[str]:
     return problems
 
 
-def product_volume(a: FanoNumerics, b: FanoNumerics) -> tuple[int, Fraction]:
-    """Dimension and volume of the product factor."""
-    n = a.dimension + b.dimension
-    return n, comb(n, a.dimension) * a.volume * b.volume
-
-
-def product_hilbert(a: FanoNumerics, b: FanoNumerics) -> Polynomial:
-    """Hilbert polynomial of the product: the product of the polynomials."""
-    return poly_mul(a.hilbert, b.hilbert)
-
-
 def product_numerics(a: FanoNumerics, b: FanoNumerics) -> FanoNumerics:
     """Combine two factors; the result satisfies the FanoNumerics invariants
     whenever the inputs do (leading coefficients multiply, so n! * lead
     reproduces exactly the binomial-weighted volume)."""
-    n, vol = product_volume(a, b)
-    return FanoNumerics(n, vol, product_hilbert(a, b))
+    n = a.dimension + b.dimension
+    volume = comb(n, a.dimension) * a.volume * b.volume
+    return FanoNumerics(n, volume, poly_mul(a.hilbert, b.hilbert))

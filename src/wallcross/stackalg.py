@@ -39,14 +39,14 @@ DEFAULT_ORDER_BOUND = 100_000
 
 
 class Descriptor(Value):
-    """Base class; concrete kinds are Atom, Point, Product, SymQuotient, Named."""
+    """Base class; concrete kinds are Atom, Point, Product and SymQuotient."""
 
     def to_json(self) -> dict:
         raise NotImplementedError
 
     def sort_key(self) -> tuple:
-        """Total order: atoms, then named spaces, then symmetric quotients,
-        then products, then points; ties by payload, recursively."""
+        """Total order: atoms, then symmetric quotients, then products, then
+        points; ties by payload, recursively."""
         raise NotImplementedError
 
 
@@ -121,22 +121,6 @@ class SymQuotient(Descriptor):
         return f"[{self.base}^{self.power}/S{self.power}]"
 
 
-class Named(Descriptor):
-    """An explicit space referenced by name, e.g. "P(1,2,3)"."""
-
-    def __init__(self, name: str) -> None:
-        self.__dict__.update(name=name)
-
-    def to_json(self) -> dict:
-        return {"kind": "named", "name": self.name}
-
-    def sort_key(self) -> tuple:
-        return (1, self.name)
-
-    def __str__(self) -> str:
-        return self.name
-
-
 def product_of(children) -> Descriptor:
     """Smart constructor: flatten nested products, drop points, sort."""
     flat: list[Descriptor] = []
@@ -189,8 +173,6 @@ class FactorMultiset(Value):
     @classmethod
     def of(cls, factors, iso=()) -> "FactorMultiset":
         """Accept a mapping id -> multiplicity or an iterable of ids/pairs."""
-        if isinstance(factors, FactorMultiset):
-            return factors
         if isinstance(factors, dict):
             entries = tuple(factors.items())
         else:
@@ -218,10 +200,15 @@ class FactorMultiset(Value):
         return tuple((rep, mult) for rep, mult in groups.values())
 
 
+def point_ids(registry) -> frozenset[str]:
+    """Ids whose moduli is a single point in a loaded registry."""
+    return frozenset(fid for fid, rec in registry.items() if rec.is_point)
+
+
 @lru_cache(maxsize=None)
 def default_point_ids() -> frozenset[str]:
-    """Ids whose compiled-in moduli is a single point (loaded once)."""
-    return frozenset(fid for fid, rec in load_registry().items() if rec.is_point)
+    """point_ids of the compiled-in registry, loaded once."""
+    return point_ids(load_registry())
 
 
 def canonicalize(factors, iso=(), point_ids: frozenset[str] | None = None) -> Descriptor:

@@ -72,9 +72,6 @@ class Chamber(Value):
     def __init__(self, index: int, lower: Fraction, upper: Fraction) -> None:
         self.__dict__.update(index=index, lower=lower, upper=upper)
 
-    def __contains__(self, x) -> bool:
-        return self.lower < Fraction(x) < self.upper
-
     def __str__(self) -> str:
         return (
             f"chamber {self.index} "

@@ -184,7 +184,11 @@ def test_str_forms():
 
 def test_determinant_and_identity():
     assert MoebiusMap.identity()(Fraction(5, 7)) == Fraction(5, 7)
-    assert MoebiusMap(9, 0, 1, 8).determinant == 72
+    # f after its adjugate is det * identity, and the canonical form divides
+    # the determinant 72 out
+    f = MoebiusMap(9, 0, 1, 8)
+    assert f.inverse().coefficients() == (8, 0, -1, 9)
+    assert f.compose(f.inverse()) == MoebiusMap.identity() == MoebiusMap(72, 0, 0, 72)
     m = MoebiusMap(3, -2, 1, 4)
     assert m.compose(MoebiusMap.identity()) == m
     assert MoebiusMap.identity().compose(m) == m

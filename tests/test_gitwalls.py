@@ -13,15 +13,14 @@ from wallcross.errors import DimensionMismatchError, UnsupportedError
 from wallcross.gitwalls import (
     _cut,
     _equation_directions,
+    _mask,
     _Search,
     candidate_twalls,
     candidate_weights,
     compute_walls,
     is_weight_vector,
-    max_destabilized_support,
     monomial_weight,
     monomials,
-    semistable_support_families,
     wall_report,
 )
 
@@ -246,43 +245,40 @@ def test_exhaustive_weights_small():
             assert max(abs(v) for v in r) <= bound
 
 
-def old_max_destabilized_support(r, t, j, mons):
-    """The direct comprehension the library replaced with its bitmask test."""
-    p, q = t.numerator, t.denominator
-    return frozenset(m for m in mons if monomial_weight(m, r) * q + p * r[j] > 0)
-
-
 def test_max_destabilized_support_matches_direct_oracle():
-    # at a candidate itself some <m, r> + t * r_j is exactly 0, so the strict
-    # inequality decides membership; between candidates it never is
+    # M+(r, t, j) = {m : <m, r> + t * r_j > 0} as bits, straight from the
+    # definition with a Fraction comparison.  At a candidate itself some
+    # <m, r> + t * r_j is exactly 0, so the strict inequality decides
+    # membership; between candidates it never is.
     mons = monomials(3, 3)
     cands = candidate_twalls(3, 3)
     bounds = [F(0), *cands, F(1)]
     slopes = [*cands, *((a + b) / 2 for a, b in zip(bounds, bounds[1:]))]
     for r in candidate_weights(3, 3):
+        wvec = tuple(monomial_weight(m, r) for m in mons)
         for j in range(4):
             for t in slopes:
-                assert max_destabilized_support(r, t, j) == old_max_destabilized_support(
-                    r, t, j, mons
-                )
+                floor = -t * r[j]  # m is in M+ iff <m, r> > floor
+                want = sum(1 << i for i, w in enumerate(wvec) if floor < w)
+                assert _mask(wvec, r[j], t) == want
 
 
 def test_max_destabilized_support_examples():
+    mons = monomials(3, 3)
+    bit = {m: 1 << i for i, m in enumerate(mons)}
     r = (1, 0, 0, -1)
-    support = max_destabilized_support(r, F(1), 3)
-    assert (3, 0, 0, 0) in support  # weight 3, shift -1
-    assert (2, 0, 0, 1) not in support  # weight 1, 1 + 1*(-1) = 0, not > 0
+    wvec = tuple(monomial_weight(m, r) for m in mons)
+    support = _mask(wvec, r[3], F(1))
+    assert support & bit[(3, 0, 0, 0)]  # weight 3, shift -1
+    assert not support & bit[(2, 0, 0, 1)]  # weight 1, 1 + 1*(-1) = 0, not > 0
     # t = 0 reduces to the plain positive-weight test, independent of j
-    for j in range(4):
-        assert max_destabilized_support(r, F(0), j) == frozenset(
-            m for m in monomials(3, 3) if monomial_weight(m, r) > 0
-        )
+    positive = sum(bit[m] for m in mons if monomial_weight(m, r) > 0)
+    assert all(_mask(wvec, r[j], F(0)) == positive for j in range(4))
     r = (3, 1, -1, -3)
-    support = max_destabilized_support(r, F(1, 5), 0)
-    assert (0, 1, 2, 0) not in support  # -1 + 3/5 <= 0
-    assert (1, 1, 1, 0) in support  # weight 3, 3 + 3/5 > 0
-    with pytest.raises(DimensionMismatchError):
-        max_destabilized_support(r, F(1, 2), 4)
+    wvec = tuple(monomial_weight(m, r) for m in mons)
+    support = _mask(wvec, r[0], F(1, 5))
+    assert not support & bit[(0, 1, 2, 0)]  # -1 + 3/5 <= 0
+    assert support & bit[(1, 1, 1, 0)]  # weight 3, 3 + 3/5 > 0
 
 
 def test_candidate_values():
@@ -306,77 +302,75 @@ def test_walls_match_registry(registry):
 
 
 def test_walls_are_candidates_where_family_jumps():
+    search = _Search(3, 3)
     cands = list(candidate_twalls(3, 3))
     walls = set(compute_walls(3, 3))
     bounds = [F(0), *cands, F(1)]
     for i, t in enumerate(cands):
         below = (bounds[i] + t) / 2
         above = (t + bounds[i + 2]) / 2
-        jumped = semistable_support_families(3, 3, below) != semistable_support_families(
-            3, 3, above
-        )
+        jumped = search.fingerprint(below) != search.fingerprint(above)
         assert jumped == (t in walls)
 
 
 def test_family_jumps_across_first_wall():
+    search = _Search(3, 3)
     cands = list(candidate_twalls(3, 3))
     i = bisect_left(cands, F(1, 5))
     assert cands[i] == F(1, 5)
     prev = F(0) if i == 0 else cands[i - 1]
     nxt = cands[i + 1]
-    below = semistable_support_families(3, 3, (prev + F(1, 5)) / 2)
-    above = semistable_support_families(3, 3, (F(1, 5) + nxt) / 2)
+    below = search.fingerprint((prev + F(1, 5)) / 2)
+    above = search.fingerprint((F(1, 5) + nxt) / 2)
     assert below != above
 
 
 def test_family_differs_across_one_fifth():
-    assert semistable_support_families(3, 3, F(1, 4)) != semistable_support_families(
-        3, 3, F(1, 5) - F(1, 100)
-    )
+    search = _Search(3, 3)
+    assert search.fingerprint(F(1, 4)) != search.fingerprint(F(1, 5) - F(1, 100))
 
 
 def test_family_locally_constant_between_candidates():
-    cands = candidate_twalls(3, 3)
-    bounds = [F(0), *cands, F(1)]
+    search = _Search(3, 3)
+    bounds = [F(0), *candidate_twalls(3, 3), F(1)]
     for a, b in zip(bounds, bounds[1:]):
-        families = {
-            semistable_support_families(3, 3, a + (b - a) * k / 4)
-            for k in (1, 2, 3)
-        }
+        families = {search.fingerprint(a + (b - a) * k / 4) for k in (1, 2, 3)}
         assert len(families) == 1
 
 
 def test_family_constant_inside_chamber():
     # (1/3, 3/7) is a chamber of the degree-3 wall set; sample points that
     # avoid all intermediate candidate values must give identical families
+    search = _Search(3, 3)
     cands = set(candidate_twalls(3, 3))
     samples = [F(5, 14), F(8, 21), F(17, 42)]
     assert all(F(1, 3) < s < F(3, 7) and s not in cands for s in samples)
-    families = {semistable_support_families(3, 3, s) for s in samples}
-    assert len(families) == 1
+    assert len({search.fingerprint(s) for s in samples}) == 1
 
 
 def test_family_members_are_a_maximal_antichain():
-    family = semistable_support_families(3, 3, F(1, 2))
-    assert family == tuple(sorted(family, key=lambda sp: sp.sort_key()))
-    for sp in family:
-        assert sp.support
-        assert 0 <= sp.threshold <= 3
+    # a member (mask, j) is a support bitmask and the largest variable index
+    # allowed in the hyperplane
+    family = _Search(3, 3).fingerprint(F(1, 2))
+    assert family
+    for mask, j in family:
+        assert 0 < mask < 1 << 20
+        assert 0 <= j <= 3
     for a in family:
         for b in family:
-            if a is not b:
-                assert not (a.support <= b.support and a.threshold <= b.threshold)
+            if a != b:
+                assert not (a[0] & ~b[0] == 0 and a[1] <= b[1])
 
 
 def test_family_at_small_t_matches_limit_construction():
     # t -> 0+ limit: m survives iff <m, r> > 0, or <m, r> = 0 and r_j > 0
     mons = monomials(3, 3)
-    best: dict[frozenset, int] = {}
+    best: dict[int, int] = {}
     for r in candidate_weights(3, 3):
         for j in range(4):
-            support = frozenset(
-                m
-                for m in mons
+            support = sum(
+                1 << i
+                for i, m in enumerate(mons)
                 if monomial_weight(m, r) > 0
                 or (monomial_weight(m, r) == 0 and r[j] > 0)
             )
@@ -385,22 +379,18 @@ def test_family_at_small_t_matches_limit_construction():
     expected = {
         (s, j)
         for s, j in best.items()
-        if not any(s != s2 and s <= s2 and j <= j2 for s2, j2 in best.items())
+        if not any(s != s2 and s & ~s2 == 0 and j <= j2 for s2, j2 in best.items())
     }
     t0 = min(candidate_twalls(3, 3)) / 2
-    got = {
-        (sp.support, sp.threshold)
-        for sp in semistable_support_families(3, 3, t0)
-    }
-    assert got == expected
+    assert _Search(3, 3).fingerprint(t0) == expected
 
 
 def test_walls_stable_under_exhaustive_refinement():
     extra = exhaustive_weights(3, 9)
     assert all(is_weight_vector(r) and len(r) == 4 for r in extra)
     assert set(extra) - set(candidate_weights(3, 3))  # genuinely new probes
-    refined = compute_walls(3, 3, extra_weights=extra)
-    assert refined.walls == DEGREE3_WALLS
+    refined, _ = _Search(3, 3, extra).walls()
+    assert refined == DEGREE3_WALLS
 
 
 def test_compute_walls_rejects_unsupported_targets():
@@ -419,11 +409,11 @@ def test_exploratory_mode_runs_small_cases():
     assert all(0 < w < 1 for w in conic.walls)
 
 
-def test_compute_walls_rejects_bad_extra_weights():
+def test_search_rejects_bad_extra_weights():
     with pytest.raises(ValueError):
-        compute_walls(3, 3, extra_weights=((2, 0, 0, -2),))
+        _Search(3, 3, ((2, 0, 0, -2),))
     with pytest.raises(DimensionMismatchError):
-        compute_walls(3, 3, extra_weights=((1, -1),))
+        _Search(3, 3, ((1, -1),))
 
 
 def test_wall_report_shape():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wallcross").glob("*.py"))
@@ -56,3 +57,38 @@ def test_traced_targets_resolve():
         if not callable(getattr(owner, "__dict__", {}).get(attr)):
             missing.append(f"{modname}:{path}")
     assert missing == []
+
+
+def test_every_public_name_is_reached():
+    """Each public module-level function, class and constant is used by code
+    in the package, or named by the benchmark or the README: an API that only
+    its own tests call does not belong in the library.  Uses are AST names and
+    attributes outside the name's own definition; docstrings and the package's
+    re-export list do not count."""
+    root = Path(__file__).resolve().parents[1]
+    named = "\n".join(
+        p.read_text() for p in [root / "README.md", *sorted((root / "perfbench").glob("*.*"))]
+    )
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    uses: dict[str, set] = {}  # name -> the (module, top-level statement) using it
+    for module, tree in trees.items():
+        for index, node in enumerate(tree.body):
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    name = sub.id if isinstance(sub, ast.Name) else sub.attr
+                    uses.setdefault(name, set()).add((module, index))
+    unreached = []
+    for module, tree in trees.items():
+        for index, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") or re.search(rf"\b{name}\b", named):
+                    continue
+                if not uses.get(name, set()) - {(module, index)}:
+                    unreached.append(f"{module}:{name}")
+    assert unreached == []

@@ -23,7 +23,6 @@ from wallcross.stackalg import (
     FactorMultiset,
     FiniteGroupoidModel,
     MapKind,
-    Named,
     Point,
     Product,
     SymQuotient,
@@ -133,8 +132,11 @@ def test_canonicalize_explicit_point_ids():
     assert canonicalize({"z": 4}, point_ids=frozenset({"z"})) == Point()
 
 
-def test_default_point_ids():
-    assert default_point_ids() == frozenset({"p1"})
+def test_default_point_ids(registry):
+    assert default_point_ids() == stackalg.point_ids(registry) == frozenset({"p1"})
+    extended = {**registry, "q": registry["p1"]}
+    assert stackalg.point_ids(extended) == frozenset({"p1", "q"})
+    assert stackalg.point_ids({}) == frozenset()
 
 
 def test_default_point_ids_loads_the_registry_once(monkeypatch):
@@ -151,11 +153,12 @@ def test_default_point_ids_loads_the_registry_once(monkeypatch):
 
 
 def test_descriptor_sort_order():
-    desc = product_of([Named("P(1,2,3)"), SymQuotient(Atom("zz"), 2), Atom("dp3")])
+    # atoms before symmetric quotients, whatever their ids
+    desc = product_of([SymQuotient(Atom("aa"), 3), SymQuotient(Atom("aa"), 2), Atom("zz")])
     assert desc == Product(
-        (Atom("dp3"), Named("P(1,2,3)"), SymQuotient(Atom("zz"), 2))
+        (Atom("zz"), SymQuotient(Atom("aa"), 2), SymQuotient(Atom("aa"), 3))
     )
-    assert str(desc) == "dp3 x P(1,2,3) x [zz^2/S2]"
+    assert str(desc) == "zz x [aa^2/S2] x [aa^3/S3]"
 
 
 def test_product_of_flattens_and_elides():
@@ -192,7 +195,6 @@ def test_descriptor_json():
         ],
     }
     assert Point().to_json() == {"kind": "point"}
-    assert Named("P(1,2,3)").to_json() == {"kind": "named", "name": "P(1,2,3)"}
 
 
 def test_factor_multiset_normalization():

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wallcross.arrangement import ProductArrangement, cell_coords
 from wallcross.errors import MissingDataError, OutOfRangeError
 from wallcross.exactq import MoebiusMap
 from wallcross.wallsets import (
@@ -126,6 +129,39 @@ def test_locate_random_consistency():
         for i, ch in enumerate(ws.chambers()):
             mid = (ch.lower + ch.upper) / 2
             assert ws.locate(mid) == Coord.chamber(i)
+
+
+# points of (0, 1) with denominators dividing 60, so that walls are often hit
+unit_points = st.integers(1, 59).map(lambda n: F(n, 60))
+wall_sets = st.lists(unit_points, max_size=6, unique=True).map(sorted)
+
+
+@settings(max_examples=100)
+@given(wall_sets, st.lists(unit_points, min_size=1, max_size=6))
+def test_chambers_tile_the_interval_as_locate_says(walls, points):
+    ws = WallSet(tuple(walls))
+    chambers = ws.chambers()
+    # contiguous and covering (0, 1): each chamber ends at the next wall
+    assert [ch.index for ch in chambers] == list(range(len(walls) + 1))
+    assert chambers[0].lower == 0 and chambers[-1].upper == 1
+    for ch, wall, nxt in zip(chambers, walls, chambers[1:]):
+        assert ch.upper == wall == nxt.lower
+    for x in points:
+        coord = ws.locate(x)
+        if x in walls:
+            assert coord == Coord.wall(walls.index(x))
+        else:
+            assert not coord.is_wall
+            assert chambers[coord.index].lower < x < chambers[coord.index].upper
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(wall_sets, unit_points), min_size=1, max_size=3))
+def test_product_locate_is_the_per_factor_positions(factors):
+    sets = [WallSet(tuple(walls)) for walls, _ in factors]
+    arr = ProductArrangement(tuple((f"f{i}", ws) for i, ws in enumerate(sets)))
+    point = [x for _, x in factors]
+    assert cell_coords(arr.locate(point)) == tuple(ws.locate(x) for ws, x in zip(sets, point))
 
 
 def test_coord_ordering_and_forms():
@@ -302,5 +338,6 @@ def test_registry_internal_consistency(registry):
         assert factorial(rec.dimension) * rec.hilbert[-1] == rec.volume
         if rec.c_walls is not None and rec.reparam is not None:
             assert c_to_t_walls(rec) == rec.walls("t")
-            assert rec.reparam.determinant > 0
+            a, b, c, d = rec.reparam.coefficients()
+            assert a * d - b * c > 0
             assert rec.reparam(F(1, 2)) > 0  # no pole in (0, 1)
