@@ -11,13 +11,11 @@ Modules:
 """
 
 from .exactq import MoebiusMap, format_rational, parse_rational
-from .wallsets import Chamber, Coord, FamilyRecord, WallSet, c_to_t_walls, load_registry
+from .wallsets import FamilyRecord, WallSet, c_to_t_walls, load_registry
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chamber",
-    "Coord",
     "FamilyRecord",
     "MoebiusMap",
     "WallSet",

@@ -2,13 +2,14 @@
 
 A product arrangement is a tuple of factors, each a family id with a wall
 set on (0, 1).  A cell is a plain tuple of positions, one int per factor, in
-the encoding of Coord.position: chamber i is 2i and wall i is 2i + 1, so the
+the encoding of WallSet.locate: chamber i is 2i and wall i is 2i + 1, so the
 positions of one factor run left to right along the interval, tuple order is
 the lexicographic cell order, and the codimension is the number of odd
-entries; cell_coords, cell_json and cell_str decode through Coord.  With
-w_i walls in factor i there are prod(w_i + 1) top cells, prod(2 w_i + 1)
-cells in total, and the codim-j count is the elementary symmetric sum
-pairing j wall choices with chamber choices elsewhere.
+entries; cell_json, cell_str and the JSON writer name position p by
+KINDS[p & 1] and index p >> 1.  With w_i walls in factor i there are
+prod(w_i + 1) top cells, prod(2 w_i + 1) cells in total, and the codim-j
+count is the elementary symmetric sum pairing j wall choices with chamber
+choices elsewhere.
 
 The crossing graph has the top cells as nodes and one edge per codim-1 cell,
 joining the two chambers adjacent across that wall; it is the box product of
@@ -45,7 +46,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .exactq import Value, format_rational
-from .wallsets import KIND_CHAMBER, KIND_WALL, Coord, FamilyRecord, WallSet
+from .wallsets import FamilyRecord, WallSet
 
 # Burnside iterates the whole position group; folding refuses groups
 # larger than this.
@@ -56,21 +57,20 @@ MAX_CELLS = 2_000_000
 
 RENDER_FORMATS = ("svg", "ascii", "json")
 
+KINDS = ("chamber", "wall")
+
 
 def cell_codim(cell: tuple[int, ...]) -> int:
     return sum(p & 1 for p in cell)
 
 
-def cell_coords(cell: tuple[int, ...]) -> tuple[Coord, ...]:
-    return tuple((Coord.wall if p & 1 else Coord.chamber)(p >> 1) for p in cell)
-
-
 def cell_json(cell: tuple[int, ...]) -> dict:
-    return {"coords": [c.to_json() for c in cell_coords(cell)], "codim": cell_codim(cell)}
+    coords = [{"kind": KINDS[p & 1], "index": p >> 1} for p in cell]
+    return {"coords": coords, "codim": cell_codim(cell)}
 
 
 def cell_str(cell: tuple[int, ...]) -> str:
-    return "(" + ", ".join(map(str, cell_coords(cell))) + ")"
+    return "(" + ", ".join(f"{KINDS[p & 1]} {p >> 1}" for p in cell) + ")"
 
 
 class ProductArrangement(Value):
@@ -124,7 +124,7 @@ class ProductArrangement(Value):
             raise DimensionMismatchError(
                 f"point of length {len(point)} in a {self.k}-factor arrangement"
             )
-        return tuple(ws.locate(x).position for (_, ws), x in zip(self.factors, point))
+        return tuple(ws.locate(x) for (_, ws), x in zip(self.factors, point))
 
 
 def build_product(families, space: str = "c") -> ProductArrangement:
@@ -355,8 +355,8 @@ def _render_json(arr: ProductArrangement, folding: SymmetricFolding | None) -> s
     written without building it: a dumped skeleton marks where the cells and the
     orbits go, and each coords list is joined from fragments cached per position."""
     def coords_writer(pad: str):
-        kinds, close = (KIND_CHAMBER, KIND_WALL), "\n" + pad[2:] + "]"
-        frag = [f'{pad}{{\n{pad}  "index": {p >> 1},\n{pad}  "kind": "{kinds[p & 1]}"\n{pad}}}'
+        close = "\n" + pad[2:] + "]"
+        frag = [f'{pad}{{\n{pad}  "index": {p >> 1},\n{pad}  "kind": "{KINDS[p & 1]}"\n{pad}}}'
                 for p in range(2 * max(arr.wall_counts, default=0) + 1)].__getitem__
         return lambda cell: "[\n" + ",\n".join(map(frag, cell)) + close if cell else "[]"
 
@@ -445,11 +445,10 @@ def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> st
         chambers_y = arr.factors[1][1].chambers()
         label = {rep: i for i, (rep, _) in enumerate(folding.orbits(0))}
         for cell in arr.cells(0):
-            cx = chambers_x[cell[0] >> 1]
-            cy = chambers_y[cell[1] >> 1]
+            cx = sum(chambers_x[cell[0] >> 1]) / 2
+            cy = sum(chambers_y[cell[1] >> 1]) / 2
             parts.append(
-                f'<text x="{_svg_x((cx.lower + cx.upper) / 2)}" '
-                f'y="{_fmt6(MARGIN_TOP + (1 - (cy.lower + cy.upper) / 2) * BOX + 4)}" '
+                f'<text x="{_svg_x(cx)}" y="{_fmt6(MARGIN_TOP + (1 - cy) * BOX + 4)}" '
                 'font-family="monospace" font-size="12" text-anchor="middle">'
                 f"{label[folding.canonical(cell)]}</text>"
             )

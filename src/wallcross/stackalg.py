@@ -17,7 +17,7 @@ stabilizer order |G|/|orbit|, the groupoid cardinality sum(1/|stab|) over
 orbits, which is |X|/|G|, and C(N + k - 1, k) multisets in the symmetric
 k-fold quotient of N orbits.  Orbits of a product action are pairs of
 orbits, so stabilizers multiply.  Groups are materialized by generator
-closure, capped by an order bound.
+closure, which refuses to grow past MAX_GROUP_ORDER elements.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .errors import ArityError, ConsistencyError, GroupTooLargeError
 from .exactq import Value
 from .wallsets import load_registry
 
-DEFAULT_ORDER_BOUND = 100_000
+# Generator closure refuses groups larger than this, and product_model
+# refuses a product of larger order before taking any closure.
+MAX_GROUP_ORDER = 100_000
 
 
 # -- descriptors -------------------------------------------------------------
@@ -297,25 +299,21 @@ class FiniteGroupoidModel(Value):
     """A finite carrier with a permutation action given by generators.
 
     Generators are one-line arrays over carrier indices.  The group is the
-    generator closure, materialized on demand and capped by order_bound.
+    generator closure, materialized on demand and capped by MAX_GROUP_ORDER.
     """
 
-    def __init__(
-        self,
-        carrier: tuple,
-        generators: tuple[tuple[int, ...], ...],
-        order_bound: int = DEFAULT_ORDER_BOUND,
-    ) -> None:
+    def __init__(self, carrier: tuple, generators: tuple[tuple[int, ...], ...]) -> None:
         carrier = tuple(carrier)
         gens = tuple(tuple(g) for g in generators)
         n = len(carrier)
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
-        self.__dict__.update(carrier=carrier, generators=gens, order_bound=order_bound)
+        self.__dict__.update(carrier=carrier, generators=gens)
 
     def elements(self) -> frozenset[tuple[int, ...]]:
-        return _closure(self.generators, len(self.carrier), self.order_bound)
+        # the bound is part of the cache key, so a changed bound hits no stale entry
+        return _closure(self.generators, len(self.carrier), MAX_GROUP_ORDER)
 
     def group_order(self) -> int:
         return len(self.elements())
@@ -343,12 +341,6 @@ class FiniteGroupoidModel(Value):
             orbits.append(tuple(sorted(block)))
         return tuple(orbits)
 
-    def to_json(self) -> dict:
-        return {
-            "carrier": list(self.carrier),
-            "generators": [list(g) for g in self.generators],
-        }
-
 
 def orbit_space(model: FiniteGroupoidModel) -> tuple[Orbit, ...]:
     """Orbits with stabilizer orders |G| / |orbit| by the orbit-stabilizer
@@ -363,18 +355,15 @@ def orbit_space(model: FiniteGroupoidModel) -> tuple[Orbit, ...]:
     return tuple(out)
 
 
-def product_model(
-    a: FiniteGroupoidModel, b: FiniteGroupoidModel, order_bound: int | None = None
-) -> FiniteGroupoidModel:
+def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroupoidModel:
     """The direct product acting coordinatewise on pairs.
 
     The generated group is exactly G x H (order the product of the orders),
     checked against the bound before any closure of the product is taken.
     """
-    bound = order_bound if order_bound is not None else max(a.order_bound, b.order_bound)
     order = a.group_order() * b.group_order()
-    if order > bound:
-        raise GroupTooLargeError(f"product group order {order} exceeds bound {bound}")
+    if order > MAX_GROUP_ORDER:
+        raise GroupTooLargeError(f"product group order {order} exceeds bound {MAX_GROUP_ORDER}")
     na, nb = len(a.carrier), len(b.carrier)
     carrier = tuple(itertools.product(a.carrier, b.carrier))
 
@@ -385,7 +374,7 @@ def product_model(
         return tuple(i + hj for i in range(0, na * nb, nb) for hj in h)
 
     gens = tuple(lift_a(g) for g in a.generators) + tuple(lift_b(h) for h in b.generators)
-    return FiniteGroupoidModel(carrier, gens, bound)
+    return FiniteGroupoidModel(carrier, gens)
 
 
 def sym_quotient_model(model: FiniteGroupoidModel, k: int) -> int:

@@ -10,6 +10,11 @@ Walls are always stored strictly increasing and strictly inside (0, 1); the
 interval endpoints are never walls.  Families without an established wall
 table store None there, and operations that need walls raise
 MissingDataError rather than guessing.
+
+A point of (0, 1) sits relative to a wall set at one int position, counting
+left to right along the interval: chamber i, the open interval between wall
+i - 1 and wall i (the interval endpoints at the extremes), is 2i, and wall i
+itself is 2i + 1, walls counting from 0 in increasing order.
 """
 
 from __future__ import annotations
@@ -22,62 +27,6 @@ from fractions import Fraction
 from .errors import MissingDataError, OutOfRangeError
 from .exactq import MoebiusMap, Value, format_rational, parse_rational
 from .invariants import FanoNumerics, consistency_check, parse_poly, poly_trim
-
-KIND_CHAMBER = "chamber"
-KIND_WALL = "wall"
-
-
-class Coord(Value):
-    """Position of a point relative to one wall set: a chamber or a wall.
-
-    Chamber i is the open interval between wall i-1 and wall i (with the
-    unit-interval endpoints at the extremes); wall i is the i-th wall itself,
-    counting from 0 in increasing order.
-    """
-
-    def __init__(self, kind: str, index: int) -> None:
-        if kind not in (KIND_CHAMBER, KIND_WALL):
-            raise ValueError(f"bad coord kind {kind!r}")
-        if index < 0:
-            raise ValueError(f"negative coord index {index}")
-        self.__dict__.update(kind=kind, index=index)
-
-    @classmethod
-    def chamber(cls, index: int) -> "Coord":
-        return cls(KIND_CHAMBER, index)
-
-    @classmethod
-    def wall(cls, index: int) -> "Coord":
-        return cls(KIND_WALL, index)
-
-    @property
-    def is_wall(self) -> bool:
-        return self.kind == KIND_WALL
-
-    @property
-    def position(self) -> int:
-        # left-to-right rank along the interval: chamber 0, wall 0, chamber 1, ...
-        return 2 * self.index + (1 if self.is_wall else 0)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "index": self.index}
-
-    def __str__(self) -> str:
-        return f"{self.kind} {self.index}"
-
-
-class Chamber(Value):
-    """Open interval between consecutive walls (or interval endpoints)."""
-
-    def __init__(self, index: int, lower: Fraction, upper: Fraction) -> None:
-        self.__dict__.update(index=index, lower=lower, upper=upper)
-
-    def __str__(self) -> str:
-        return (
-            f"chamber {self.index} "
-            f"({format_rational(self.lower)}, {format_rational(self.upper)})"
-        )
-
 
 class WallSet(Value):
     """Strictly increasing rationals in the open interval (0, 1)."""
@@ -97,22 +46,18 @@ class WallSet(Value):
     def __iter__(self):
         return iter(self.walls)
 
-    def chambers(self) -> tuple[Chamber, ...]:
-        """The len(walls) + 1 open chambers tiling (0, 1)."""
+    def chambers(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(lower, upper) of the len(walls) + 1 open chambers tiling (0, 1)."""
         bounds = (Fraction(0), *self.walls, Fraction(1))
-        return tuple(
-            Chamber(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        )
+        return tuple(zip(bounds, bounds[1:]))
 
-    def locate(self, x) -> Coord:
-        """Chamber or wall containing x; x must lie strictly inside (0, 1)."""
+    def locate(self, x) -> int:
+        """Position of x, which must lie strictly inside (0, 1)."""
         x = Fraction(x)
         if not 0 < x < 1:
             raise OutOfRangeError(f"{format_rational(x)} outside the open interval (0, 1)")
         i = bisect_left(self.walls, x)
-        if i < len(self.walls) and self.walls[i] == x:
-            return Coord.wall(i)
-        return Coord.chamber(i)
+        return 2 * i + (i < len(self.walls) and self.walls[i] == x)
 
     def map(self, m: MoebiusMap) -> "WallSet":
         """Elementwise image; construction re-checks order and range."""
@@ -182,16 +127,11 @@ class FamilyRecord(Value):
 def c_to_t_walls(rec: FamilyRecord) -> WallSet:
     """Image of the c-scale walls under the family's reparametrization.
 
-    Raises MissingDataError when the record lacks c_walls or reparam; raises
-    ValueError when a stored t-wall table disagrees with the computed image
-    (a corrupt record, never a silent fallback).
+    Raises MissingDataError when the record lacks c_walls or reparam.
     """
     if rec.c_walls is None or rec.reparam is None:
         raise MissingDataError(f"family {rec.id} lacks c-walls or a reparametrization")
-    image = rec.c_walls.map(rec.reparam)
-    if rec.t_walls is not None and image != rec.t_walls:
-        raise ValueError(f"family {rec.id}: stored t-walls disagree with reparam image")
-    return image
+    return rec.c_walls.map(rec.reparam)
 
 
 def _ws(*values: str) -> WallSet:

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross import arrangement, wallsets
+from wallcross import arrangement
 from wallcross.arrangement import (
     MAX_CELLS,
     build_product,
     cell_codim,
-    cell_coords,
     cell_json,
     cell_str,
     crossing_graph,
@@ -31,7 +30,7 @@ from wallcross.errors import (
     OutOfRangeError,
     UnsupportedDimensionError,
 )
-from wallcross.wallsets import Coord, WallSet
+from wallcross.wallsets import WallSet
 
 F = Fraction
 
@@ -55,18 +54,22 @@ def codim_count_oracle(wall_counts, j):
     return total
 
 
+def decode(cell):
+    """(kind, index) per position: even positions are chambers, odd ones walls."""
+    return tuple(("wall" if p % 2 else "chamber", p // 2) for p in cell)
+
+
 def cells_oracle(wall_counts, j):
-    """Coord tuples of codim j, filtered from the full (2w+1)^k product of
-    per-factor coords in left-to-right interval order, hence in lex order."""
+    """(kind, index) tuples of codim j, filtered from the full (2w+1)^k product
+    of per-factor coords in left-to-right interval order, hence in lex order."""
     per_factor = [
-        [c for i in range(w) for c in (Coord.chamber(i), Coord.wall(i))]
-        + [Coord.chamber(w)]
+        [c for i in range(w) for c in (("chamber", i), ("wall", i))] + [("chamber", w)]
         for w in wall_counts
     ]
     return [
         coords
         for coords in itertools.product(*per_factor)
-        if sum(1 for c in coords if c.is_wall) == j
+        if sum(1 for kind, _ in coords if kind == "wall") == j
     ]
 
 
@@ -112,21 +115,21 @@ def test_cells_are_lex_sorted(registry):
         assert len(set(cells)) == len(cells)
     assert arr.cells(0)[0] == (0, 0)
     assert arr.cells(2)[0] == (1, 1)
-    assert cell_coords(arr.cells(2)[0]) == (Coord.wall(0), Coord.wall(0))
+    assert cell_str(arr.cells(2)[0]) == "(wall 0, wall 0)"
 
 
 def test_locate_points(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
     cell = arr.locate((F(1, 2), F(1, 5)))
-    assert cell_coords(cell) == (Coord.chamber(3), Coord.chamber(1))
     assert cell == (6, 2)
     assert cell_codim(cell) == 0
     assert cell_str(cell) == "(chamber 3, chamber 1)"
     on_walls = arr.locate((F(2, 5), F(1, 4)))
-    assert cell_coords(on_walls) == (Coord.wall(2), Coord.wall(1))
+    assert on_walls == (5, 3)
     assert cell_codim(on_walls) == 2
+    assert cell_str(on_walls) == "(wall 2, wall 1)"
     mixed = arr.locate((F(2, 5), F(9, 10)))
-    assert cell_coords(mixed) == (Coord.wall(2), Coord.chamber(5))
+    assert mixed == (5, 10)
     assert cell_codim(mixed) == 1
     assert cell_json(mixed) == {
         "coords": [{"kind": "wall", "index": 2}, {"kind": "chamber", "index": 5}],
@@ -147,7 +150,7 @@ def test_cell_count_formulas_random():
         for j in range(k + 1):
             cells = arr.cells(j)
             assert len(cells) == codim_count_oracle(arr.wall_counts, j)
-            assert [cell_coords(c) for c in cells] == cells_oracle(arr.wall_counts, j)
+            assert [decode(c) for c in cells] == cells_oracle(arr.wall_counts, j)
             assert all(cell_codim(c) == j for c in cells)
         total = 1
         for w in arr.wall_counts:
@@ -202,11 +205,11 @@ def test_crossing_graph_two_factors(registry):
     assert len(set(labels)) == 60
     assert set(labels) == set(arr.cells(1))
     for a, b, label in graph.edges:
-        a, b, label = map(cell_coords, (a, b, label))
-        pos = next(i for i, c in enumerate(label) if c.is_wall)
-        idx = label[pos].index
-        assert a[pos] == Coord.chamber(idx)
-        assert b[pos] == Coord.chamber(idx + 1)
+        a, b, label = map(decode, (a, b, label))
+        pos = next(i for i, (kind, _) in enumerate(label) if kind == "wall")
+        idx = label[pos][1]
+        assert a[pos] == ("chamber", idx)
+        assert b[pos] == ("chamber", idx + 1)
         for i in range(arr.k):
             if i != pos:
                 assert a[i] == b[i] == label[i]
@@ -216,9 +219,7 @@ def test_crossing_graph_single_factor_is_path(registry):
     arr = build_product([registry["dp3"]])
     graph = crossing_graph(arr)
     assert len(graph.nodes) == 6
-    got = {
-        (cell_coords(a)[0].index, cell_coords(b)[0].index) for a, b, _ in graph.edges
-    }
+    got = {(decode(a)[0][1], decode(b)[0][1]) for a, b, _ in graph.edges}
     assert got == {(i, i + 1) for i in range(5)}
     assert graph.is_connected()
 
@@ -232,9 +233,9 @@ def test_crossing_graph_is_box_product_of_paths():
         graph = crossing_graph(arr)
 
         def chamber_tuple(cell):
-            coords = cell_coords(cell)
-            assert all(not c.is_wall for c in coords)
-            return tuple(c.index for c in coords)
+            coords = decode(cell)
+            assert all(kind == "chamber" for kind, _ in coords)
+            return tuple(index for _, index in coords)
 
         nodes = {chamber_tuple(n) for n in graph.nodes}
         expected_nodes = set(
@@ -438,18 +439,22 @@ def test_render_json_shapes(registry):
 
 
 def render_json_oracle(arr, folding=None):
-    """The JSON report as a dict document through cell_json and Coord, dumped
-    by one json.dumps(indent=2, sort_keys=True) call."""
+    """The JSON report as a dict document, each cell decoded by this module,
+    dumped by one json.dumps(indent=2, sort_keys=True) call."""
+
+    def cell_doc(cell, codim):
+        return {"coords": [{"kind": k, "index": i} for k, i in decode(cell)], "codim": codim}
+
     cell_counts, cells, orbit_counts, orbits = {}, [], {}, []
     for j in range(arr.k + 1):
         codim_cells = arr.cells(j)
         cell_counts[str(j)] = len(codim_cells)
-        cells.extend(map(cell_json, codim_cells))
+        cells.extend(cell_doc(cell, j) for cell in codim_cells)
         if folding is not None:
             codim_orbits = folding.orbits(j)
             orbit_counts[str(j)] = len(codim_orbits)
             orbits.extend(
-                {"codim": j, "representative": cell_json(rep), "size": size}
+                {"codim": j, "representative": cell_doc(rep, j), "size": size}
                 for rep, size in codim_orbits
             )
     doc = {
@@ -519,10 +524,10 @@ def test_render_json_builds_no_coord_and_enumerates_once(registry, monkeypatch):
     expected = render_json_oracle(arr, folding)
 
     def fail(*args):
-        raise AssertionError("the JSON writer decoded a cell through Coord")
+        raise AssertionError("the JSON writer decoded a cell through cell_json or cell_str")
 
-    monkeypatch.setattr(arrangement, "cell_coords", fail)
-    monkeypatch.setattr(wallsets.Coord, "to_json", fail)
+    monkeypatch.setattr(arrangement, "cell_json", fail)
+    monkeypatch.setattr(arrangement, "cell_str", fail)
     cell_calls, orbit_calls, dumped = [], [], []
     record_calls(monkeypatch, arrangement.ProductArrangement, "cells", cell_calls)
     record_calls(monkeypatch, arrangement.SymmetricFolding, "orbits", orbit_calls)
@@ -606,8 +611,8 @@ def test_render_svg_folded_labels(registry):
     chambers = registry["dp3"].walls("c").chambers()
 
     def center(ix, iy):
-        cx = (chambers[ix].lower + chambers[ix].upper) / 2
-        cy = (chambers[iy].lower + chambers[iy].upper) / 2
+        (x0, x1), (y0, y1) = chambers[ix], chambers[iy]
+        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         return (svg_coord(72 + cx * 720), svg_coord(24 + (1 - cy) * 720 + 4))
 
     assert by_pos[center(2, 0)] == by_pos[center(0, 2)]

@@ -172,41 +172,67 @@ def test_product_t_space(capsys):
     assert json.loads(out)["factors"][0]["walls"] == walls
 
 
+# (families, point, text stdout, JSON stdout), byte for byte: a point inside
+# chambers, on two walls, on one wall, with one factor and with three.
+CHAMBER_CASES = [
+    (
+        "dp3,dp4",
+        "1/2,1/5",
+        "point: 1/2, 1/5\ncell: (chamber 3, chamber 1)\ncodim: 0\n",
+        '{\n  "cell": {\n    "codim": 0,\n    "coords": [\n      {\n        "index": 3,\n'
+        '        "kind": "chamber"\n      },\n      {\n        "index": 1,\n'
+        '        "kind": "chamber"\n      }\n    ]\n  },\n  "families": [\n    "dp3",\n'
+        '    "dp4"\n  ],\n  "point": [\n    "1/2",\n    "1/5"\n  ],\n  "space": "c"\n}\n',
+    ),
+    (
+        "dp3,dp4",
+        "2/5,1/4",
+        "point: 2/5, 1/4\ncell: (wall 2, wall 1)\ncodim: 2\n",
+        '{\n  "cell": {\n    "codim": 2,\n    "coords": [\n      {\n        "index": 2,\n'
+        '        "kind": "wall"\n      },\n      {\n        "index": 1,\n'
+        '        "kind": "wall"\n      }\n    ]\n  },\n  "families": [\n    "dp3",\n'
+        '    "dp4"\n  ],\n  "point": [\n    "2/5",\n    "1/4"\n  ],\n  "space": "c"\n}\n',
+    ),
+    (
+        "dp3,dp4",
+        "2/5,9/10",
+        "point: 2/5, 9/10\ncell: (wall 2, chamber 5)\ncodim: 1\n",
+        '{\n  "cell": {\n    "codim": 1,\n    "coords": [\n      {\n        "index": 2,\n'
+        '        "kind": "wall"\n      },\n      {\n        "index": 5,\n'
+        '        "kind": "chamber"\n      }\n    ]\n  },\n  "families": [\n    "dp3",\n'
+        '    "dp4"\n  ],\n  "point": [\n    "2/5",\n    "9/10"\n  ],\n  "space": "c"\n}\n',
+    ),
+    (
+        "dp3",
+        "1/3",
+        "point: 1/3\ncell: (chamber 2)\ncodim: 0\n",
+        '{\n  "cell": {\n    "codim": 0,\n    "coords": [\n      {\n        "index": 2,\n'
+        '        "kind": "chamber"\n      }\n    ]\n  },\n  "families": [\n    "dp3"\n'
+        '  ],\n  "point": [\n    "1/3"\n  ],\n  "space": "c"\n}\n',
+    ),
+    (
+        "dp3,dp4,p1",
+        "2/5,9/10,1/2",
+        "point: 2/5, 9/10, 1/2\ncell: (wall 2, chamber 5, chamber 0)\ncodim: 1\n",
+        '{\n  "cell": {\n    "codim": 1,\n    "coords": [\n      {\n        "index": 2,\n'
+        '        "kind": "wall"\n      },\n      {\n        "index": 5,\n'
+        '        "kind": "chamber"\n      },\n      {\n        "index": 0,\n'
+        '        "kind": "chamber"\n      }\n    ]\n  },\n  "families": [\n    "dp3",\n'
+        '    "dp4",\n    "p1"\n  ],\n  "point": [\n    "2/5",\n    "9/10",\n    "1/2"\n'
+        '  ],\n  "space": "c"\n}\n',
+    ),
+]
+
+
 def test_chamber_text(capsys):
-    code, out, _ = run(
-        capsys, "chamber", "--families", "dp3,dp4", "--point", "1/2,1/5"
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "point: 1/2, 1/5"
-    assert lines[1] == "cell: (chamber 3, chamber 1)"
-    assert lines[2] == "codim: 0"
-    code, out, _ = run(
-        capsys, "chamber", "--families", "dp3,dp4", "--point", "2/5,1/4"
-    )
-    assert "cell: (wall 2, wall 1)" in out and "codim: 2" in out
+    for families, point, text, _ in CHAMBER_CASES:
+        assert run(capsys, "chamber", "--families", families, "--point", point) == (0, text, "")
 
 
 def test_chamber_json(capsys):
-    code, out, _ = run(
-        capsys,
-        "chamber",
-        "--families",
-        "dp3,dp4",
-        "--point",
-        "2/5,9/10",
-        "--format",
-        "json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["cell"] == {
-        "coords": [
-            {"kind": "wall", "index": 2},
-            {"kind": "chamber", "index": 5},
-        ],
-        "codim": 1,
-    }
+    for families, point, _, text in CHAMBER_CASES:
+        got = run(capsys, "chamber", "--families", families, "--point", point, "--format", "json")
+        assert got == (0, text, "")
 
 
 def test_chamber_errors(capsys):

@@ -60,35 +60,43 @@ def test_traced_targets_resolve():
 
 
 def test_every_public_name_is_reached():
-    """Each public module-level function, class and constant is used by code
-    in the package, or named by the benchmark or the README: an API that only
-    its own tests call does not belong in the library.  Uses are AST names and
-    attributes outside the name's own definition; docstrings and the package's
-    re-export list do not count."""
+    """Each public module-level function, class and constant, and each public
+    method and property of a public class, is used by code in the package, or
+    named by the benchmark or the README: an API that only its own tests call
+    does not belong in the library.  Uses are AST names and attributes outside
+    the name's own definition; docstrings and the package's re-export list do
+    not count.  Dunders and the methods of _-prefixed classes are skipped.
+    The check works on names, not on owners: a name used anywhere, say
+    to_json, counts as reached for every class that defines it."""
     root = Path(__file__).resolve().parents[1]
     named = "\n".join(
         p.read_text() for p in [root / "README.md", *sorted((root / "perfbench").glob("*.*"))]
     )
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    uses: dict[str, set] = {}  # name -> the (module, top-level statement) using it
-    for module, tree in trees.items():
-        for index, node in enumerate(tree.body):
-            for sub in ast.walk(node):
-                if isinstance(sub, (ast.Name, ast.Attribute)):
-                    name = sub.id if isinstance(sub, ast.Name) else sub.attr
-                    uses.setdefault(name, set()).add((module, index))
-    unreached = []
+    # (name, scope) of every definition to check, where a scope is (module,
+    # top-level statement) or (module, class statement, class-body statement)
+    defined = []
+    uses: dict[str, set] = {}  # name -> the scopes using it
     for module, tree in trees.items():
         for index, node in enumerate(tree.body):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                defined.append((node.name, (module, index)))
             elif isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") or re.search(rf"\b{name}\b", named):
-                    continue
-                if not uses.get(name, set()) - {(module, index)}:
-                    unreached.append(f"{module}:{name}")
+                defined += [(name, (module, index)) for name in names]
+            scopes = dict.fromkeys(ast.walk(node), (module, index))
+            for member, item in enumerate(node.body if isinstance(node, ast.ClassDef) else ()):
+                scopes.update(dict.fromkeys(ast.walk(item), (module, index, member)))
+                if isinstance(item, ast.FunctionDef) and not node.name.startswith("_"):
+                    defined.append((item.name, (module, index, member)))
+            for sub, scope in scopes.items():
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    name = sub.id if isinstance(sub, ast.Name) else sub.attr
+                    uses.setdefault(name, set()).add(scope)
+    unreached = []
+    for name, scope in defined:
+        if name.startswith("_") or re.search(rf"\b{name}\b", named):
+            continue
+        if not {use for use in uses.get(name, ()) if use[: len(scope)] != scope}:
+            unreached.append(f"{scope[0]}:{name}")
     assert unreached == []

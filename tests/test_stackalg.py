@@ -282,10 +282,12 @@ def test_model_validates_generators():
         FiniteGroupoidModel(("a", "b"), ((0, 1, 2),))
 
 
-def test_group_order_bound_enforced():
-    model = FiniteGroupoidModel(tuple(range(4)), ((1, 2, 3, 0), (1, 0, 2, 3)), 10)
-    with pytest.raises(GroupTooLargeError):
-        model.group_order()  # S4 has order 24 > 10
+def test_group_order_bound_enforced(monkeypatch):
+    model = FiniteGroupoidModel(tuple(range(4)), ((1, 2, 3, 0), (1, 0, 2, 3)))
+    assert model.group_order() == 24
+    monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 10)
+    with pytest.raises(GroupTooLargeError, match="exceeds order bound 10"):
+        model.group_order()  # S4 has order 24 > 10, though its closure is cached
 
 
 def test_product_model_example():
@@ -315,10 +317,11 @@ def test_product_model_unit_law():
     assert [tuple(p[1] for p in o.points) for o in left] == [o.points for o in base]
 
 
-def test_product_model_bound_check_precedes_closure():
+def test_product_model_bound_check_precedes_closure(monkeypatch):
     s3a = FiniteGroupoidModel(tuple(range(3)), S3_GENS)
-    with pytest.raises(GroupTooLargeError):
-        product_model(s3a, s3a, order_bound=10)  # 36 > 10
+    monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 10)
+    with pytest.raises(GroupTooLargeError, match="product group order 36 exceeds bound 10"):
+        product_model(s3a, s3a)
 
 
 def test_product_laws_random_pairs():
@@ -382,8 +385,3 @@ def test_orbit_partition_matches_orbit_space():
         ]
         for o in spaces:
             assert o.size * o.stabilizer_order == model.group_order()
-
-
-def test_model_json():
-    model = FiniteGroupoidModel(("a", "b"), ((1, 0),))
-    assert model.to_json() == {"carrier": ["a", "b"], "generators": [[1, 0]]}

@@ -27,7 +27,7 @@ from wallcross.stackalg import (
     Product,
     SymQuotient,
 )
-from wallcross.wallsets import Chamber, Coord, FamilyRecord, WallSet
+from wallcross.wallsets import FamilyRecord, WallSet
 
 WS = WallSet((F(1, 5), F(1, 3)))
 ARR = ProductArrangement((("a", WS), ("a", WS)))
@@ -35,8 +35,6 @@ ARR = ProductArrangement((("a", WS), ("a", WS)))
 # (constructor call, field names in constructor order)
 CASES = [
     (lambda: MoebiusMap(9, 0, 1, 8), "a b c d"),
-    (lambda: Coord("wall", 2), "kind index"),
-    (lambda: Chamber(1, F(1, 5), F(1, 3)), "index lower upper"),
     (lambda: WS, "walls"),
     (
         lambda: FamilyRecord("x", 1, F(2), "line", (F(1), F(2)), WS, WS, MoebiusMap(1, 0, 0, 1)),
@@ -52,13 +50,13 @@ CASES = [
     (lambda: SymQuotient(Atom("a"), 2), "base power"),
     (lambda: FactorMultiset((("a", 2), ("b", 1)), (frozenset("ab"),)), "entries iso"),
     (lambda: Orbit((0, 1), 2), "points stabilizer_order"),
-    (lambda: FiniteGroupoidModel(("a", "b"), ((1, 0),), 10), "carrier generators order_bound"),
+    (lambda: FiniteGroupoidModel(("a", "b"), ((1, 0),)), "carrier generators"),
 ]
 
 
 def test_every_value_type_is_covered():
     covered = {type(make()) for make, _ in CASES}
-    assert len(covered) == 16
+    assert len(covered) == 14
     assert all(issubclass(cls, Value) for cls in covered)
 
 
@@ -98,7 +96,6 @@ def test_same_fields_different_class_are_unequal():
 
 def test_keyword_defaults():
     assert FactorMultiset((("a", 1),)).iso == ()
-    assert FiniteGroupoidModel((0, 1), ()).order_bound == 100_000
     rec = FamilyRecord(id="x", dimension=1, volume=2, moduli_note="n", hilbert=(1, 2))
     assert (rec.c_walls, rec.t_walls, rec.reparam) == (None, None, None)
     assert rec.volume == F(2) and type(rec.volume) is F
@@ -123,8 +120,6 @@ def test_construction_normalises():
     [
         (lambda: MoebiusMap(1, 2, 2, 4), DegenerateMapError, "vanishing determinant"),
         (lambda: MoebiusMap(1.0, 0, 0, 1), TypeError, "integer coefficients"),
-        (lambda: Coord("edge", 0), ValueError, "bad coord kind"),
-        (lambda: Coord("wall", -1), ValueError, "negative coord index"),
         (lambda: WallSet((F(1, 2), F(1, 3))), ValueError, "not strictly increasing"),
         (lambda: WallSet((F(1),)), ValueError, "outside"),
         (lambda: FamilyRecord("", 1, 2, "n", (1, 2)), ValueError, "empty family id"),

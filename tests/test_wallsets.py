@@ -6,17 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross.arrangement import ProductArrangement, cell_coords
+from wallcross.arrangement import ProductArrangement, cell_json, cell_str
 from wallcross.errors import MissingDataError, OutOfRangeError
 from wallcross.exactq import MoebiusMap
-from wallcross.wallsets import (
-    Chamber,
-    Coord,
-    FamilyRecord,
-    WallSet,
-    c_to_t_walls,
-    load_registry,
-)
+from wallcross.wallsets import FamilyRecord, WallSet, c_to_t_walls, load_registry
 
 F = Fraction
 
@@ -97,22 +90,22 @@ def test_chambers_tile_the_interval(registry):
     ws = registry["dp3"].walls("c")
     chs = ws.chambers()
     assert len(chs) == 6
-    assert chs[0] == Chamber(0, F(0), F(2, 11))
-    assert chs[-1] == Chamber(5, F(2, 3), F(1))
-    for left, right in zip(chs, chs[1:]):
-        assert left.upper == right.lower
+    assert chs[0] == (F(0), F(2, 11))
+    assert chs[-1] == (F(2, 3), F(1))
+    for (_, upper), (lower, _) in zip(chs, chs[1:]):
+        assert upper == lower
     dp4 = registry["dp4"].walls("c").chambers()
-    assert dp4[-1] == Chamber(5, F(5, 8), F(1))
-    assert WallSet(()).chambers() == (Chamber(0, F(0), F(1)),)
+    assert dp4[-1] == (F(5, 8), F(1))
+    assert WallSet(()).chambers() == ((F(0), F(1)),)
 
 
 def test_locate_in_dp3_c_walls(registry):
     ws = registry["dp3"].walls("c")
     # 1/2 lies past walls 2/11, 4/13, 2/5 and before 10/19, so chamber 3
-    assert ws.locate(F(1, 2)) == Coord.chamber(3)
-    assert ws.locate(F(2, 5)) == Coord.wall(2)
-    assert ws.locate(F(1, 100)) == Coord.chamber(0)
-    assert ws.locate(F(99, 100)) == Coord.chamber(5)
+    assert ws.locate(F(1, 2)) == 6  # chamber 3
+    assert ws.locate(F(2, 5)) == 5  # wall 2
+    assert ws.locate(F(1, 100)) == 0
+    assert ws.locate(F(99, 100)) == 10
     for bad in (F(0), F(1), F(-1, 2), F(3, 2)):
         with pytest.raises(OutOfRangeError):
             ws.locate(bad)
@@ -125,10 +118,9 @@ def test_locate_random_consistency():
         values = sorted({F(rng.randint(1, 99), 100) for _ in range(n)})
         ws = WallSet(tuple(values))
         for i, w in enumerate(ws.walls):
-            assert ws.locate(w) == Coord.wall(i)
-        for i, ch in enumerate(ws.chambers()):
-            mid = (ch.lower + ch.upper) / 2
-            assert ws.locate(mid) == Coord.chamber(i)
+            assert ws.locate(w) == 2 * i + 1
+        for i, (lower, upper) in enumerate(ws.chambers()):
+            assert ws.locate((lower + upper) / 2) == 2 * i
 
 
 # points of (0, 1) with denominators dividing 60, so that walls are often hit
@@ -142,17 +134,17 @@ def test_chambers_tile_the_interval_as_locate_says(walls, points):
     ws = WallSet(tuple(walls))
     chambers = ws.chambers()
     # contiguous and covering (0, 1): each chamber ends at the next wall
-    assert [ch.index for ch in chambers] == list(range(len(walls) + 1))
-    assert chambers[0].lower == 0 and chambers[-1].upper == 1
-    for ch, wall, nxt in zip(chambers, walls, chambers[1:]):
-        assert ch.upper == wall == nxt.lower
+    assert len(chambers) == len(walls) + 1
+    assert chambers[0][0] == 0 and chambers[-1][1] == 1
+    for (_, upper), wall, (lower, _) in zip(chambers, walls, chambers[1:]):
+        assert upper == wall == lower
     for x in points:
-        coord = ws.locate(x)
-        if x in walls:
-            assert coord == Coord.wall(walls.index(x))
+        i, on_wall = divmod(ws.locate(x), 2)
+        assert on_wall == (x in walls)
+        if on_wall:
+            assert x == walls[i]
         else:
-            assert not coord.is_wall
-            assert chambers[coord.index].lower < x < chambers[coord.index].upper
+            assert chambers[i][0] < x < chambers[i][1]
 
 
 @settings(max_examples=50)
@@ -161,19 +153,18 @@ def test_product_locate_is_the_per_factor_positions(factors):
     sets = [WallSet(tuple(walls)) for walls, _ in factors]
     arr = ProductArrangement(tuple((f"f{i}", ws) for i, ws in enumerate(sets)))
     point = [x for _, x in factors]
-    assert cell_coords(arr.locate(point)) == tuple(ws.locate(x) for ws, x in zip(sets, point))
+    assert arr.locate(point) == tuple(ws.locate(x) for ws, x in zip(sets, point))
 
 
 def test_coord_ordering_and_forms():
-    assert Coord.chamber(0).position == 0
-    assert Coord.wall(0).position == 1
-    assert Coord.chamber(3).position == 6
-    assert Coord.wall(3).position == 7
-    assert str(Coord.chamber(3)) == "chamber 3"
-    assert str(Coord.wall(2)) == "wall 2"
-    assert Coord.chamber(2).to_json() == {"kind": "chamber", "index": 2}
-    assert Coord.wall(1).to_json() == {"kind": "wall", "index": 1}
-    assert not Coord.chamber(1).is_wall and Coord.wall(1).is_wall
+    ws = WallSet((F(1, 5), F(1, 4), F(1, 3), F(1, 2)))
+    # chamber 0, wall 0, chamber 3, wall 3 rank left to right along (0, 1)
+    assert [ws.locate(x) for x in (F(1, 10), F(1, 5), F(2, 5), F(1, 2))] == [0, 1, 6, 7]
+    assert cell_str((6, 5)) == "(chamber 3, wall 2)"
+    assert cell_json((4, 3)) == {
+        "coords": [{"kind": "chamber", "index": 2}, {"kind": "wall", "index": 1}],
+        "codim": 1,
+    }
 
 
 def test_c_to_t_translation(registry):
