@@ -470,31 +470,13 @@ def _render_ascii(arr: ProductArrangement) -> str:
         ]
         return "\n".join(lines) + "\n"
     (fid_x, ws_x), (fid_y, ws_y) = arr.factors
-    cols = {round(w * ASCII_COLS) for w in ws_x}
-    rows = {round(w * ASCII_ROWS) for w in ws_y}
-    grid = []
-    for row in range(ASCII_ROWS + 1):
-        y_hit = (ASCII_ROWS - row) in rows  # row 0 is the top of the square
-        line = []
-        for col in range(ASCII_COLS + 1):
-            x_hit = col in cols
-            border_x = col in (0, ASCII_COLS)
-            border_y = row in (0, ASCII_ROWS)
-            if border_x and border_y:
-                line.append("+")
-            elif border_y:
-                line.append("+" if x_hit else "-")
-            elif border_x:
-                line.append("+" if y_hit else "|")
-            elif x_hit and y_hit:
-                line.append("+")
-            elif x_hit:
-                line.append("|")
-            elif y_hit:
-                line.append("-")
-            else:
-                line.append(" ")
-        grid.append("".join(line))
+    # border lines are walls too; row 0 is the top of the square
+    cols = {0, ASCII_COLS} | {round(w * ASCII_COLS) for w in ws_x}
+    rows = {0, ASCII_ROWS} | {ASCII_ROWS - round(w * ASCII_ROWS) for w in ws_y}
+    grid = [
+        "".join(" -|+"[2 * (col in cols) + (row in rows)] for col in range(ASCII_COLS + 1))
+        for row in range(ASCII_ROWS + 1)
+    ]
     grid.append(f"x ({fid_x}) walls: {ws_x}")
     grid.append(f"y ({fid_y}) walls: {ws_y}")
     return "\n".join(grid) + "\n"

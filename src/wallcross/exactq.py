@@ -50,12 +50,12 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an integer or a "p/q" string into a Fraction.
 
     The denominator part is optional; "2/11", "-3", 7 are all accepted.
-    Strings in any other shape (floats, whitespace inside, empty) are
-    rejected so malformed registry files fail loudly.
+    Strings in any other shape (floats, whitespace inside, empty) and bools
+    (JSON true/false) are rejected so malformed registry files fail loudly.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value.strip())

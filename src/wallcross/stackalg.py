@@ -1,10 +1,12 @@
 """Symbolic moduli descriptors for products, with finite groupoid models.
 
 A product of registered families has a moduli descriptor assembled from the
-factors: isomorphic factors (the iso-relation is caller-supplied, defaulting
-to id equality) collapse into a symmetric quotient [M^s / S_s], point-moduli
-factors drop out entirely, and the rest multiply.  The class representative
-is the lexicographically least id of its class, a naming convention only.
+factors: isomorphic factors (the iso-relation is caller-supplied; an empty
+one is id equality) collapse into a symmetric quotient [M^s / S_s],
+point-moduli factors drop out entirely, and the rest multiply.  The caller
+passes the point ids of its own registry, so this module loads none.  The
+class representative is the lexicographically least id of its class, a
+naming convention only.
 
 Two-slot products are classified by the map to the product of the factor
 moduli: an isomorphism when the slots are non-isomorphic, and an S2-gerbe
@@ -30,7 +32,6 @@ from math import comb
 
 from .errors import ArityError, ConsistencyError, GroupTooLargeError
 from .exactq import Value
-from .wallsets import load_registry
 
 # Generator closure refuses groups larger than this, and product_model
 # refuses a product of larger order before taking any closure.
@@ -123,83 +124,32 @@ class SymQuotient(Descriptor):
         return f"[{self.base}^{self.power}/S{self.power}]"
 
 
-def product_of(children) -> Descriptor:
-    """Smart constructor: flatten nested products, drop points, sort."""
-    flat: list[Descriptor] = []
-    stack = list(children)
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Product):
-            stack.extend(c.children)
-        elif isinstance(c, Point):
-            continue
-        else:
-            flat.append(c)
-    flat.sort(key=lambda c: c.sort_key())
-    if not flat:
-        return Point()
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
+# -- canonicalization ---------------------------------------------------------
 
 
-# -- factor multisets and canonicalization -----------------------------------
-
-
-class FactorMultiset(Value):
-    """Family ids with multiplicities, plus an iso-relation on the ids.
-
-    The iso-relation is an explicit partition (ids not mentioned form
-    singleton classes); it is the caller's assertion of which families are
-    isomorphic, defaulting to id equality.
-    """
-
-    def __init__(
-        self, entries: tuple[tuple[str, int], ...], iso: tuple[frozenset[str], ...] = ()
-    ) -> None:
-        counts: dict[str, int] = {}
-        for fid, mult in entries:
-            if mult < 1:
-                raise ValueError(f"multiplicity of {fid} must be >= 1, got {mult}")
-            counts[str(fid)] = counts.get(str(fid), 0) + int(mult)
-        classes = [frozenset(cls) for cls in iso if len(cls) >= 2]
-        seen: set[str] = set()
-        for cls in classes:
-            if seen & cls:
+def _grouped(factors, iso, drop=frozenset()) -> list[list]:
+    """[least present id, total multiplicity] per iso class, in
+    representative order.  factors maps id -> multiplicity or lists ids;
+    iso lists the asserted classes (ids in none form singletons); ids in
+    drop count as absent."""
+    counts: dict[str, int] = {}
+    pairs = factors.items() if isinstance(factors, dict) else ((f, 1) for f in factors)
+    for fid, mult in pairs:
+        if mult < 1:
+            raise ValueError(f"multiplicity of {fid} must be >= 1, got {mult}")
+        counts[str(fid)] = counts.get(str(fid), 0) + int(mult)
+    class_of: dict[str, frozenset[str]] = {}
+    for cls in map(frozenset, iso):
+        if len(cls) >= 2:
+            if not class_of.keys().isdisjoint(cls):
                 raise ValueError("iso classes must be disjoint")
-            seen |= cls
-        self.__dict__.update(
-            entries=tuple(sorted(counts.items())), iso=tuple(sorted(classes, key=sorted))
-        )
-
-    @classmethod
-    def of(cls, factors, iso=()) -> "FactorMultiset":
-        """Accept a mapping id -> multiplicity or an iterable of ids/pairs."""
-        if isinstance(factors, dict):
-            entries = tuple(factors.items())
-        else:
-            entries = tuple(f if isinstance(f, tuple) else (f, 1) for f in factors)
-        return cls(entries, tuple(frozenset(c) for c in iso))
-
-    def total(self) -> int:
-        return sum(mult for _, mult in self.entries)
-
-    def class_of(self, fid: str) -> frozenset[str]:
-        for cls in self.iso:
-            if fid in cls:
-                return cls
-        return frozenset((fid,))
-
-    def grouped(self, _drop: frozenset[str] = frozenset()) -> tuple[tuple[str, int], ...]:
-        """(class representative, total multiplicity) per iso class present,
-        in one pass over the id-sorted entries: a class is first met at its
-        least present id, its representative, so the result is sorted.
-        Ids in _drop count as absent."""
-        groups: dict[frozenset[str], list] = {}
-        for fid, mult in self.entries:
-            if fid not in _drop:
-                groups.setdefault(self.class_of(fid), [fid, 0])[1] += mult
-        return tuple((rep, mult) for rep, mult in groups.values())
+            class_of.update(dict.fromkeys(cls, cls))
+    # a class is first met at its least present id, its representative
+    groups: dict = {}
+    for fid in sorted(counts):
+        if fid not in drop:
+            groups.setdefault(class_of.get(fid, fid), [fid, 0])[1] += counts[fid]
+    return list(groups.values())
 
 
 def point_ids(registry) -> frozenset[str]:
@@ -207,25 +157,20 @@ def point_ids(registry) -> frozenset[str]:
     return frozenset(fid for fid, rec in registry.items() if rec.is_point)
 
 
-@lru_cache(maxsize=None)
-def default_point_ids() -> frozenset[str]:
-    """point_ids of the compiled-in registry, loaded once."""
-    return point_ids(load_registry())
-
-
-def canonicalize(factors, iso=(), point_ids: frozenset[str] | None = None) -> Descriptor:
+def canonicalize(factors, iso, point_ids: frozenset[str]) -> Descriptor:
     """Canonical descriptor of a product of factors.
 
-    Point factors are elided; each iso class contributes its representative
+    The caller passes the point ids of its registry (see point_ids); those
+    factors are elided.  Each iso class contributes its representative
     atom, raised to a symmetric quotient when the class multiplicity is 2 or
     more.  Idempotent and invariant under permutation of the input.
     """
-    fm = FactorMultiset.of(factors, iso)
-    if point_ids is None:
-        point_ids = default_point_ids()
-    groups = fm.grouped(_drop=point_ids)
-    nodes = [Atom(r) if m == 1 else SymQuotient(Atom(r), m) for r, m in groups]
-    return product_of(nodes)
+    nodes = [
+        Atom(r) if m == 1 else SymQuotient(Atom(r), m) for r, m in _grouped(factors, iso, point_ids)
+    ]
+    if len(nodes) < 2:
+        return nodes[0] if nodes else Point()
+    return Product(tuple(sorted(nodes, key=lambda c: c.sort_key())))
 
 
 class MapKind(enum.Enum):
@@ -243,13 +188,11 @@ def classify_product_map(factors, iso=()) -> MapKind:
     the symmetric quotient when they are isomorphic; symmetric in the slots
     by construction.
     """
-    fm = FactorMultiset.of(factors, iso)
-    if fm.total() != 2:
-        raise ArityError(f"need exactly 2 factor slots, got {fm.total()}")
-    if len(fm.entries) == 1:
-        return MapKind.S2_GERBE
-    (a, _), (b, _) = fm.entries
-    return MapKind.S2_GERBE if fm.class_of(a) == fm.class_of(b) else MapKind.ISOMORPHISM
+    groups = _grouped(factors, iso)
+    total = sum(m for _, m in groups)
+    if total != 2:
+        raise ArityError(f"need exactly 2 factor slots, got {total}")
+    return MapKind.S2_GERBE if len(groups) == 1 else MapKind.ISOMORPHISM
 
 
 # -- finite groupoid models ---------------------------------------------------
@@ -320,24 +263,19 @@ class FiniteGroupoidModel(Value):
 
     def orbit_partition(self) -> tuple[tuple[int, ...], ...]:
         """Orbits as sorted index tuples, by least element; generators only."""
-        n = len(self.carrier)
-        seen = [False] * n
+        gens = self.generators
+        seen = [False] * len(self.carrier)
         orbits = []
-        for start in range(n):
+        for start in range(len(seen)):
             if seen[start]:
                 continue
-            block = {start}
-            frontier = [start]
             seen[start] = True
-            while frontier:
-                nxt = []
-                for i in frontier:
-                    for g in self.generators:
-                        if not seen[g[i]]:
-                            seen[g[i]] = True
-                            block.add(g[i])
-                            nxt.append(g[i])
-                frontier = nxt
+            block = [start]
+            for i in block:  # the block grows while it is walked
+                for g in gens:
+                    if not seen[g[i]]:
+                        seen[g[i]] = True
+                        block.append(g[i])
             orbits.append(tuple(sorted(block)))
         return tuple(orbits)
 

@@ -212,6 +212,9 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         raise ValueError(
             f"registry record {family_id!r} missing field(s): " + ", ".join(missing)
         )
+    note = data["moduli_note"]
+    if not isinstance(note, str):
+        raise ValueError(f"registry record {family_id!r}: moduli_note {note!r} is not a string")
     for key in ("hilbert", "c_walls", "t_walls", "reparam"):
         value = data.get(key)
         if not isinstance(value, list) and (key == "hilbert" or value is not None):
@@ -235,7 +238,7 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         id=family_id,
         dimension=_strict_int(family_id, "dimension", data["dimension"]),
         volume=parse_rational(data["volume"]),
-        moduli_note=str(data["moduli_note"]),
+        moduli_note=note,
         hilbert=parse_poly(data["hilbert"]),
         c_walls=c_walls,
         t_walls=t_walls,

@@ -6,18 +6,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from wallcross.invariants import Polynomial
 from wallcross.stackalg import (
     Atom,
-    FactorMultiset,
     FiniteGroupoidModel,
+    Point,
+    Product,
     SymQuotient,
     groupoid_cardinality,
     orbit_space,
     product_model,
-    product_of,
 )
 
 FACTOR_ORDER_BOUND = 10_000
@@ -82,31 +83,26 @@ def brute_multiset_count(n: int, k: int) -> int:
     return len({tuple(sorted(t)) for t in itertools.product(range(n), repeat=k)})
 
 
-def brute_grouped(fm) -> tuple[tuple[str, int], ...]:
-    """`FactorMultiset.grouped` by collecting each class, then sorting."""
-    present = {fid for fid, _ in fm.entries}
-    groups: dict[frozenset[str], int] = {}
-    for fid, mult in fm.entries:
-        cls = fm.class_of(fid)
-        groups[cls] = groups.get(cls, 0) + mult
-    return tuple(sorted((min(cls & present), mult) for cls, mult in groups.items()))
+def brute_grouped(factors, iso, drop=frozenset()) -> list[list]:
+    """`stackalg._grouped` by collecting the present ids of each class,
+    found by a scan of the asserted classes, then sorting."""
+    counts = dict(factors) if isinstance(factors, dict) else Counter(factors)
+    members: dict[frozenset[str], list[str]] = {}
+    for fid in counts:
+        if fid not in drop:
+            cls = next((frozenset(c) for c in iso if fid in c), frozenset((fid,)))
+            members.setdefault(cls, []).append(fid)
+    return sorted([min(ids), sum(counts[f] for f in ids)] for ids in members.values())
 
 
 def brute_canonicalize(factors, iso, point_ids):
-    """`canonicalize` by its own grouping of the non-point ids per class."""
-    fm = FactorMultiset.of(factors, iso)
-    groups: dict[frozenset[str], list] = {}
-    for fid, mult in fm.entries:
-        if fid in point_ids:
-            continue
-        entry = groups.setdefault(fm.class_of(fid), [set(), 0])
-        entry[0].add(fid)
-        entry[1] += mult
-    nodes = []
-    for present, mult in groups.values():
-        rep = Atom(min(present))
-        nodes.append(rep if mult == 1 else SymQuotient(rep, mult))
-    return product_of(nodes)
+    """`canonicalize` from the brute grouping: atoms by id, then symmetric
+    quotients by id, wrapped as a point, a single node or a product."""
+    groups = sorted(brute_grouped(factors, iso, point_ids), key=lambda g: (g[1] > 1, g[0]))
+    nodes = [Atom(rep) if mult == 1 else SymQuotient(Atom(rep), mult) for rep, mult in groups]
+    if not nodes:
+        return Point()
+    return nodes[0] if len(nodes) == 1 else Product(tuple(nodes))
 
 
 def assert_product_laws(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> None:

@@ -33,6 +33,7 @@ from wallcross.stackalg import (
     SymQuotient,
     canonicalize,
     classify_product_map,
+    point_ids,
 )
 
 F = Fraction
@@ -209,10 +210,11 @@ def test_criterion_7_volume_hilbert_identity(capsys):
 
 
 def test_criterion_8_descriptor_algebra(capsys):
-    assert canonicalize({"dp3": 1, "dp4": 1}) == Product((Atom("dp3"), Atom("dp4")))
-    assert canonicalize({"dp3": 2}) == SymQuotient(Atom("dp3"), 2)
-    assert canonicalize({"p1": 1, "dp3": 1}) == Atom("dp3")
-    assert canonicalize({"p1": 2}) == Point()
+    points = point_ids(load_registry())
+    assert canonicalize({"dp3": 1, "dp4": 1}, (), points) == Product((Atom("dp3"), Atom("dp4")))
+    assert canonicalize({"dp3": 2}, (), points) == SymQuotient(Atom("dp3"), 2)
+    assert canonicalize({"p1": 1, "dp3": 1}, (), points) == Atom("dp3")
+    assert canonicalize({"p1": 2}, (), points) == Point()
     assert classify_product_map({"dp3": 1, "dp4": 1}) is MapKind.ISOMORPHISM
     assert classify_product_map({"dp3": 2}) is MapKind.S2_GERBE
     with capsys.disabled():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from wallcross import arrangement
 from wallcross.arrangement import (
     MAX_CELLS,
+    ProductArrangement,
     build_product,
     cell_codim,
     cell_json,
@@ -569,6 +570,14 @@ def test_render_ascii(registry):
 
     with pytest.raises(UnsupportedDimensionError):
         render(build_product([registry["dp3"]] * 3), "ascii")
+
+
+def test_render_ascii_walls_rounding_onto_the_border():
+    ws = WallSet((Fraction(1, 200), Fraction(199, 200)))
+    out = render(ProductArrangement((("a", ws), ("b", ws))), "ascii")
+    edge, inner = "+" + "-" * 59 + "+", "|" + " " * 59 + "|"
+    walls = ["x (a) walls: 1/200 199/200", "y (b) walls: 1/200 199/200"]
+    assert out == "\n".join([edge, *[inner] * 29, edge, *walls]) + "\n"
 
 
 def test_render_rejects_unknown_format(registry):

@@ -528,6 +528,9 @@ def test_package_runs_as_module(tmp_path):
         ("reparam", [], "reparam [] needs 4 entries"),
         ("c_walls", 5, "c_walls 5 is not a list"),
         ("hilbert", 3, "hilbert 3 is not a list"),
+        # JSON true loads as a bool, and null as None: neither is a scalar here
+        ("hilbert", ["1", True, "3/2"], "not a rational literal: True"),
+        ("moduli_note", None, "moduli_note None is not a string"),
     ],
 )
 def test_malformed_overlay_shape_is_computation_error(capsys, tmp_path, field, value, message):
@@ -536,6 +539,22 @@ def test_malformed_overlay_shape_is_computation_error(capsys, tmp_path, field, v
     code, out, err = run(capsys, "walls", "--family", "dp3", "--registry", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_overlay_bool_volume_is_computation_error(capsys, tmp_path):
+    # a line-like record, where volume true would load as the consistent 1
+    record = {"dimension": 1, "volume": True, "moduli_note": "line", "hilbert": ["1", "1"],
+              "c_walls": ["1/2"]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"q": record}))
+    code, out, err = run(capsys, "walls", "--family", "q", "--registry", str(path))
+    assert (code, out, err) == (2, "", "error: not a rational literal: True\n")
+
+
+def test_product_ascii_two_factor_grid(capsys, data_dir):
+    code, out, err = run(capsys, "product", "--families", "dp3,dp4", "--format", "ascii")
+    assert (code, err) == (0, "")
+    assert out == (data_dir / "product_dp3_dp4.ascii").read_text()
 
 
 # Imports a cold request adds to a bare interpreter, printed after the request.

@@ -22,6 +22,10 @@ def test_parse_rational_rejects_junk():
     for bad in ("", "1.5", "1/0", "a/b", "1/2/3", "1 /2", "+1", "1//2", "/3"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+    # JSON true/false load as bool, an int subclass; neither is a rational
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"^not a rational literal: {bad}$"):
+            parse_rational(bad)
     # surrounding whitespace is tolerated (hand-edited registry files)
     assert parse_rational(" 1") == Fraction(1)
     assert parse_rational("2/11 ") == Fraction(2, 11)

@@ -34,6 +34,21 @@ def test_no_dataclasses_in_library():
     assert found == []
 
 
+def test_stackalg_imports_only_errors_and_exactq():
+    """Descriptors take the point ids from the caller, so stackalg loads no
+    registry and imports no other module of the package."""
+    (path,) = [p for p in SOURCES if p.name == "stackalg.py"]
+    found = set()  # relative imports by module, absolute ones by full name
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("wallcross"):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("wallcross")}
+    assert found == {"errors", "exactq"}
+
+
 def test_traced_targets_resolve():
     """Every span target of the benchmark tracer names a function or method
     that the package defines itself, so a rename fails here before it breaks

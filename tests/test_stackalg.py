@@ -20,19 +20,17 @@ from wallcross import stackalg
 from wallcross.errors import ArityError, GroupTooLargeError
 from wallcross.stackalg import (
     Atom,
-    FactorMultiset,
     FiniteGroupoidModel,
     MapKind,
     Point,
     Product,
     SymQuotient,
+    _grouped,
     canonicalize,
     classify_product_map,
-    default_point_ids,
     groupoid_cardinality,
     orbit_space,
     product_model,
-    product_of,
     sym_quotient_model,
 )
 
@@ -40,46 +38,49 @@ F = Fraction
 
 S3_GENS = ((1, 2, 0), (1, 0, 2))
 
+# the point ids of the compiled-in registry, as its callers pass them
+POINTS = frozenset({"p1"})
+
 
 def test_canonicalize_two_distinct_factors():
-    desc = canonicalize({"dp3": 1, "dp4": 1})
+    desc = canonicalize({"dp3": 1, "dp4": 1}, (), POINTS)
     assert desc == Product((Atom("dp3"), Atom("dp4")))
     assert str(desc) == "dp3 x dp4"
 
 
 def test_canonicalize_repeated_factor():
-    desc = canonicalize({"dp4": 2, "p1": 1})
+    desc = canonicalize({"dp4": 2, "p1": 1}, (), POINTS)
     assert desc == SymQuotient(Atom("dp4"), 2)
     assert str(desc) == "[dp4^2/S2]"
 
 
 def test_canonicalize_points_only():
-    assert canonicalize({"p1": 3}) == Point()
+    assert canonicalize({"p1": 3}, (), POINTS) == Point()
     assert str(Point()) == "pt"
 
 
 def test_canonicalize_mixed():
-    desc = canonicalize({"dp3": 1, "dp4": 2, "p1": 2})
+    desc = canonicalize({"dp3": 1, "dp4": 2, "p1": 2}, (), POINTS)
     assert desc == Product((Atom("dp3"), SymQuotient(Atom("dp4"), 2)))
     assert str(desc) == "dp3 x [dp4^2/S2]"
 
 
 def test_canonicalize_iso_classes_merge():
-    desc = canonicalize({"dp3": 1, "dp4": 1}, iso=({"dp3", "dp4"},))
+    desc = canonicalize({"dp3": 1, "dp4": 1}, ({"dp3", "dp4"},), POINTS)
     assert desc == SymQuotient(Atom("dp3"), 2)  # least id of the class
 
 
 def test_canonicalize_input_order_invariance():
     rng = random.Random(99)
     items = ["dp3", "dp4", "dp4", "p1", "dp3", "dp3"]
-    reference = canonicalize(items)
+    reference = canonicalize(items, (), POINTS)
     assert reference == Product(
         (SymQuotient(Atom("dp3"), 3), SymQuotient(Atom("dp4"), 2))
     )
     for _ in range(10):
         shuffled = items[:]
         rng.shuffle(shuffled)
-        assert canonicalize(shuffled) == reference
+        assert canonicalize(shuffled, (), POINTS) == reference
 
 
 IDS = "abcdp"
@@ -97,7 +98,7 @@ def _factor_ids(desc) -> list[str]:
 FACTORS = st.lists(st.sampled_from(IDS), max_size=8)
 # labels[i] names the iso class of IDS[i]; classes of one id are dropped
 LABELS = st.lists(st.integers(0, 2), min_size=len(IDS), max_size=len(IDS))
-POINTS = st.frozensets(st.sampled_from(IDS))
+POINT_SETS = st.frozensets(st.sampled_from(IDS))
 
 
 def _iso(labels):
@@ -105,7 +106,7 @@ def _iso(labels):
 
 
 @settings(max_examples=150)
-@given(FACTORS, LABELS, POINTS, st.data())
+@given(FACTORS, LABELS, POINT_SETS, st.data())
 def test_canonicalize_idempotent_and_order_free(factors, labels, points, data):
     iso = _iso(labels)
     desc = canonicalize(factors, iso, points)
@@ -114,7 +115,7 @@ def test_canonicalize_idempotent_and_order_free(factors, labels, points, data):
 
 
 @settings(max_examples=200)
-@given(FACTORS, LABELS, POINTS)
+@given(FACTORS, LABELS, POINT_SETS)
 # iso classes that mix point and non-point ids, the point the least id or not
 @example(["a", "b", "b", "p"], [0, 0, 1, 1, 1], frozenset({"a"}))
 @example(["c", "d", "p", "p"], [1, 1, 0, 0, 0], frozenset({"p", "c"}))
@@ -122,52 +123,37 @@ def test_canonicalize_idempotent_and_order_free(factors, labels, points, data):
 def test_canonicalize_matches_brute_force_grouping(factors, labels, points):
     iso = _iso(labels)
     assert canonicalize(factors, iso, points) == brute_canonicalize(factors, iso, points)
-    fm = FactorMultiset.of(factors, iso)
-    assert fm.grouped() == brute_grouped(fm)
+    assert _grouped(factors, iso) == brute_grouped(factors, iso)
+    counts = {fid: factors.count(fid) for fid in factors}
+    assert _grouped(counts, iso, points) == brute_grouped(counts, iso, points)
 
 
 def test_canonicalize_explicit_point_ids():
-    desc = canonicalize({"a": 1, "z": 1}, point_ids=frozenset({"z"}))
+    desc = canonicalize({"a": 1, "z": 1}, (), frozenset({"z"}))
     assert desc == Atom("a")
-    assert canonicalize({"z": 4}, point_ids=frozenset({"z"})) == Point()
+    assert canonicalize({"z": 4}, (), frozenset({"z"})) == Point()
+    assert canonicalize({"p1": 1, "dp3": 1}, (), frozenset()) == Product(
+        (Atom("dp3"), Atom("p1"))
+    )
 
 
 def test_default_point_ids(registry):
-    assert default_point_ids() == stackalg.point_ids(registry) == frozenset({"p1"})
+    assert stackalg.point_ids(registry) == POINTS
     extended = {**registry, "q": registry["p1"]}
     assert stackalg.point_ids(extended) == frozenset({"p1", "q"})
     assert stackalg.point_ids({}) == frozenset()
 
 
-def test_default_point_ids_loads_the_registry_once(monkeypatch):
-    loads = []
-    real = stackalg.load_registry
-    monkeypatch.setattr(stackalg, "load_registry", lambda: loads.append(1) or real())
-    default_point_ids.cache_clear()
-    try:
-        for _ in range(3):
-            assert canonicalize({"dp3": 1, "p1": 2}) == Atom("dp3")
-    finally:
-        default_point_ids.cache_clear()
-    assert loads == [1]
-
-
 def test_descriptor_sort_order():
     # atoms before symmetric quotients, whatever their ids
-    desc = product_of([SymQuotient(Atom("aa"), 3), SymQuotient(Atom("aa"), 2), Atom("zz")])
-    assert desc == Product(
-        (Atom("zz"), SymQuotient(Atom("aa"), 2), SymQuotient(Atom("aa"), 3))
-    )
+    children = [SymQuotient(Atom("aa"), 3), SymQuotient(Atom("aa"), 2), Atom("zz")]
+    children.sort(key=lambda c: c.sort_key())
+    desc = Product(tuple(children))
+    assert children == [Atom("zz"), SymQuotient(Atom("aa"), 2), SymQuotient(Atom("aa"), 3)]
     assert str(desc) == "zz x [aa^2/S2] x [aa^3/S3]"
-
-
-def test_product_of_flattens_and_elides():
-    inner = Product((Atom("a"), Atom("b")))
-    assert product_of([inner, Point(), Atom("c")]) == Product(
-        (Atom("a"), Atom("b"), Atom("c"))
+    assert canonicalize({"aa": 2, "zz": 1}, (), frozenset()) == Product(
+        (Atom("zz"), SymQuotient(Atom("aa"), 2))
     )
-    assert product_of([Point(), Point()]) == Point()
-    assert product_of([Atom("a"), Point()]) == Atom("a")
 
 
 def test_descriptor_validation():
@@ -186,7 +172,7 @@ def test_descriptor_validation():
 
 
 def test_descriptor_json():
-    desc = canonicalize({"dp3": 1, "dp4": 2})
+    desc = canonicalize({"dp3": 1, "dp4": 2}, (), POINTS)
     assert desc.to_json() == {
         "kind": "product",
         "children": [
@@ -198,27 +184,30 @@ def test_descriptor_json():
 
 
 def test_factor_multiset_normalization():
-    fm = FactorMultiset.of([("a", 1), ("b", 2), ("a", 2)])
-    assert fm.entries == (("a", 3), ("b", 2))
-    assert fm.total() == 5
-    assert FactorMultiset.of(["a", "b", "a"]).entries == (("a", 2), ("b", 1))
-    assert FactorMultiset.of({"a": 1}).entries == (("a", 1),)
-    mixed = FactorMultiset.of({"dp3": 1, "dp4": 2})
-    assert FactorMultiset.of(["dp3", ("dp4", 2)]) == mixed
-    assert FactorMultiset.of([("dp4", 2), "dp3"]) == mixed
-    with pytest.raises(ValueError):
-        FactorMultiset.of({"a": 0})
-    with pytest.raises(ValueError):
-        FactorMultiset((("a", 1),), (frozenset({"a", "b"}), frozenset({"b", "c"})))
+    assert _grouped(["a", "b", "a"], ()) == [["a", 2], ["b", 1]]
+    assert _grouped({"b": 2, "a": 1}, ()) == [["a", 1], ["b", 2]]
+    assert _grouped({"a": 1}, ()) == [["a", 1]]
+    assert _grouped([], ()) == [] and _grouped({}, ()) == []
+    # a class of one id asserts nothing, also when it repeats an id
+    assert _grouped(["b", "a"], [{"a"}, ["a", "a"], {"a", "b"}]) == [["a", 2]]
+    with pytest.raises(ValueError, match="^multiplicity of a must be >= 1, got 0$"):
+        _grouped({"a": 0}, ())
+    # a dropped id is still checked, and before the iso classes
+    with pytest.raises(ValueError, match="^multiplicity of p must be >= 1, got -1$"):
+        _grouped({"p": -1}, ({"a", "b"}, {"b", "c"}), frozenset({"p"}))
+    with pytest.raises(ValueError, match="^iso classes must be disjoint$"):
+        _grouped({"a": 1}, (frozenset({"a", "b"}), frozenset({"b", "c"})))
+    with pytest.raises(ValueError, match="^iso classes must be disjoint$"):
+        _grouped([], ({"a", "b"}, {"a", "b"}))
 
 
 def test_factor_multiset_grouping():
-    fm = FactorMultiset.of({"dp3": 1, "dp4": 1}, iso=({"dp3", "dp4"},))
-    assert fm.grouped() == (("dp3", 2),)
-    assert fm.class_of("dp3") == frozenset({"dp3", "dp4"})
-    assert fm.class_of("p1") == frozenset({"p1"})
-    plain = FactorMultiset.of({"dp3": 2, "p1": 1})
-    assert plain.grouped() == (("dp3", 2), ("p1", 1))
+    assert _grouped({"dp3": 1, "dp4": 1}, ({"dp3", "dp4"},)) == [["dp3", 2]]
+    assert _grouped({"dp3": 2, "p1": 1}, ()) == [["dp3", 2], ["p1", 1]]
+    assert _grouped({"dp3": 2, "p1": 1}, (), POINTS) == [["dp3", 2]]
+    # the representative is the least present id, not the least of the class
+    assert _grouped({"dp5": 2, "dp4": 1}, ({"dp3", "dp4", "dp5"},)) == [["dp4", 3]]
+    assert _grouped(["a", "b", "c"], ({"a", "b", "c"},), frozenset({"a"})) == [["b", 2]]
 
 
 def test_classify_product_map():
@@ -236,6 +225,21 @@ def test_classify_product_map():
         classify_product_map({"dp3": 1})
     with pytest.raises(ArityError):
         classify_product_map({"dp3": 1, "dp4": 1, "p1": 1})
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(IDS), max_size=4), LABELS)
+def test_classify_matches_brute_oracle(factors, labels):
+    iso = _iso(labels)
+    if len(factors) != 2:
+        with pytest.raises(ArityError, match=f"^need exactly 2 factor slots, got {len(factors)}$"):
+            classify_product_map(factors, iso)
+        return
+    a, b = factors
+    same = a == b or any(a in cls and b in cls for cls in iso)
+    expected = MapKind.S2_GERBE if same else MapKind.ISOMORPHISM
+    assert classify_product_map(factors, iso) is expected
+    assert classify_product_map({a: 2} if a == b else {b: 1, a: 1}, iso) is expected
 
 
 def test_classify_is_slot_symmetric():

@@ -4,7 +4,9 @@ Each value type is a plain class on exactq.Value.  Its observable
 behaviour must stay that of the frozen dataclass it replaced: the same
 repr, equality only within one class, the hash of the field tuple, keyword
 and positional construction, no assignment or deletion, and the old
-construction checks and normalisations.  dataclasses is imported only here.
+construction checks and normalisations, with the factor checks that
+descriptors make through stackalg._grouped.  dataclasses is imported only
+here.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from wallcross.exactq import MoebiusMap, Value
 from wallcross.invariants import FanoNumerics
 from wallcross.stackalg import (
     Atom,
-    FactorMultiset,
     FiniteGroupoidModel,
     Orbit,
     Point,
     Product,
     SymQuotient,
+    _grouped,
 )
 from wallcross.wallsets import FamilyRecord, WallSet
 
@@ -48,7 +50,6 @@ CASES = [
     (lambda: Point(), ""),
     (lambda: Product((Atom("a"), Atom("b"))), "children"),
     (lambda: SymQuotient(Atom("a"), 2), "base power"),
-    (lambda: FactorMultiset((("a", 2), ("b", 1)), (frozenset("ab"),)), "entries iso"),
     (lambda: Orbit((0, 1), 2), "points stabilizer_order"),
     (lambda: FiniteGroupoidModel(("a", "b"), ((1, 0),)), "carrier generators"),
 ]
@@ -56,7 +57,7 @@ CASES = [
 
 def test_every_value_type_is_covered():
     covered = {type(make()) for make, _ in CASES}
-    assert len(covered) == 14
+    assert len(covered) == 13
     assert all(issubclass(cls, Value) for cls in covered)
 
 
@@ -95,7 +96,6 @@ def test_same_fields_different_class_are_unequal():
 
 
 def test_keyword_defaults():
-    assert FactorMultiset((("a", 1),)).iso == ()
     rec = FamilyRecord(id="x", dimension=1, volume=2, moduli_note="n", hilbert=(1, 2))
     assert (rec.c_walls, rec.t_walls, rec.reparam) == (None, None, None)
     assert rec.volume == F(2) and type(rec.volume) is F
@@ -107,8 +107,8 @@ def test_construction_normalises():
     assert WallSet(["1/2"]).walls == (F(1, 2),)
     num = FanoNumerics(1, 2, (1, 2, 0, 0))
     assert num.volume == F(2) and num.hilbert == (F(1), F(2))
-    fm = FactorMultiset([("b", 1), ("a", 1), ("b", 2)], [{"c"}, {"b", "a"}])
-    assert fm.entries == (("a", 1), ("b", 3)) and fm.iso == (frozenset("ab"),)
+    # the factor multiset behind a descriptor: counts summed per iso class
+    assert _grouped(["b", "a", "b", "b"], [{"c"}, {"b", "a"}]) == [["a", 4]]
     model = FiniteGroupoidModel(["p", "q"], [[1, 0]])
     assert model.carrier == ("p", "q") and model.generators == ((1, 0),)
     rec = FamilyRecord("x", 1, 2, "n", [1, 2, 0], reparam=MoebiusMap(1, 0, 0, 1))
@@ -136,8 +136,8 @@ def test_construction_normalises():
         (lambda: Product((Atom("b"), Atom("a"))), ValueError, "canonically sorted"),
         (lambda: SymQuotient(Atom("a"), 1), ValueError, "must be >= 2"),
         (lambda: SymQuotient(Point(), 2), ValueError, "point are elided"),
-        (lambda: FactorMultiset((("a", 0),)), ValueError, "must be >= 1"),
-        (lambda: FactorMultiset((), ({"a", "b"}, {"b", "c"})), ValueError, "disjoint"),
+        (lambda: _grouped({"a": 0}, ()), ValueError, "must be >= 1"),
+        (lambda: _grouped((), ({"a", "b"}, {"b", "c"})), ValueError, "disjoint"),
         (lambda: FiniteGroupoidModel((0, 1), ((0, 0),)), ValueError, "not a permutation"),
     ],
 )
