@@ -160,6 +160,7 @@ def _cmd_stack(args) -> int:
 
     registry = wallsets.load_registry(args.registry)
     iso = args.iso or ()
+    _records(registry, [*args.factors, *(fid for cls in iso for fid in cls)])
     descriptor = stackalg.canonicalize(list(args.factors), iso, stackalg.point_ids(registry))
     kind = None
     if len(args.factors) == 2:

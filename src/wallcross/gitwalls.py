@@ -22,18 +22,21 @@ walls {1/5, 1/3, 3/7, 5/9, 9/13} exactly.
 
 The finite probe set R comes from the arrangement of monomial-difference
 hyperplanes <m - m', r> = 0 and consecutive ties r_i = r_{i+1} inside the
-sum-zero space: its flats are walked rank by rank, each cut by each
-hyperplane once, down to the rays, and the primitive descending generator of
-each ray (when one exists) joins R.  Candidate walls are the values
+sum-zero space: the primitive generator of each of its rays inside the
+descending cone C = {r_0 >= ... >= r_n}, a fundamental domain of S_{n+1}.
+The walk down to the rays cuts one hyperplane at a time and keeps only the
+flats F meeting C, each with generators of the cone F & C; a hyperplane
+strictly one-signed on them meets F & C only at 0.  No probe is lost, since
+a ray of C lies in every flat above it.  Candidate walls are the values
 t = -<m, r>/r_j landing in (0, 1).  Every support M+ changes only at such a
 value, so the family of inclusion-maximal pairs (M+, j) is constant on each
 open chamber between consecutive candidates.  One sweep samples every chamber:
-the stability test builds the first chamber's support masks, and each
-candidate then flips only the mask bits whose own threshold it is.  A
-candidate is a wall when the samples on its two sides differ.  Completeness
-of R is not proved here; it is backed empirically by the bounded exhaustive
-refinement check (test suite) and by the acceptance comparison against the
-registered tables.
+the stability test builds the first chamber's support masks and family, and
+each candidate then flips only the mask bits whose own threshold it is,
+updating the family where a pair changes.  A candidate is a wall when the
+samples on its two sides differ.  Completeness of R is not proved here; it
+is backed empirically by the bounded exhaustive refinement check (test
+suite) and by the acceptance comparison against the registered tables.
 
 Open question, recorded: whether thresholds j with r_j = 0 can ever carry a
 wall under this convention.  They contribute t-independent supports only,
@@ -47,6 +50,7 @@ exploratory mode with no acceptance claim.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -60,8 +64,8 @@ Monomial = tuple[int, ...]
 WeightVector = tuple[int, ...]
 
 # candidate_weights refuses configurations with more monomials than this;
-# its flats walk costs, at each rank, the flats of that rank times the
-# direction count, and both grow with the monomial count.
+# its walk costs, at each rank, the flats meeting the descending cone times
+# the direction count, and both grow with the monomial count.
 MAX_MONOMIALS = 56
 
 SUPPORTED = (3, 3)
@@ -80,13 +84,6 @@ def monomials(n: int, d: int) -> tuple[Monomial, ...]:
     for _ in range(n):
         out = [(*m[:-1], f, m[-1] - f) for m in out for f in range(m[-1], -1, -1)]
     return tuple(out)
-
-
-def monomial_weight(m: Monomial, r: WeightVector) -> int:
-    """<m, r> = sum of exponent times weight."""
-    if len(m) != len(r):
-        raise DimensionMismatchError(f"monomial {m} vs weight vector {r}")
-    return sum(e * w for e, w in zip(m, r))
 
 
 def is_weight_vector(r: tuple[int, ...]) -> bool:
@@ -149,12 +146,15 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     """Probe vectors: the descending generators of the rays of the direction
     arrangement inside the sum-zero space.
 
-    The flats are walked rank by rank from the reduced echelon basis
-    e_i - e_n of that space.  Each flat is cut once by each distinct
-    primitive functional the directions restrict to on it, and kept once
-    under its `_cut` key.  After n - 1 steps every flat is a ray whose key
-    starts positive, as every descending sum-zero vector does, so the key is
-    the only orientation that can join R.
+    The flats F meeting the descending cone C are walked rank by rank from
+    the reduced echelon basis e_i - e_n of that space, each with generators
+    of F & C, first C's extreme rays ((n + 1 - k)^k, (-k)^(n + 1 - k)).  F is
+    cut by each distinct primitive functional that a direction not strictly
+    one-signed on them restricts to on it, each cut kept once under its
+    `_cut` key.  A probe ray lies in every flat on a cut chain down to it, so
+    no cut that reaches one is skipped, and F & C does not depend on the chain
+    that reached F.  After n - 1 steps every flat is a ray whose key starts
+    positive, as every descending sum-zero vector does.
     """
     mons = monomials(n, d)
     if len(mons) > MAX_MONOMIALS:
@@ -162,13 +162,31 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
             f"({n}, {d}) has {len(mons)} monomials, above the bound {MAX_MONOMIALS}"
         )
     dirs = _equation_directions(n, d)
-    flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n))}
+    dots: dict[tuple[int, ...], tuple[int, ...]] = {}  # generator p -> a . p for each a
+    extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
+    flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n)): extreme}
     for _ in range(n - 1):
-        cut_flats = set()
-        for basis in flats:
-            restricted = set(zip(*([sum(map(mul, a, b)) for a in dirs] for b in basis)))
-            cuts = {_sign_canonical(_primitive(s)) for s in restricted if any(s)}
-            cut_flats.update(_cut(basis, s) for s in cuts)
+        cut_flats: dict[tuple, tuple] = {}
+        for basis, gens in flats.items():
+            for p in gens:
+                if p not in dots:
+                    dots[p] = tuple(sum(map(mul, a, p)) for a in dirs)
+            cuts = {}
+            for a, vals in zip(dirs, zip(*(dots[p] for p in gens))):
+                if min(vals) <= 0 <= max(vals):
+                    s = tuple(sum(map(mul, a, b)) for b in basis)
+                    if any(s):
+                        cuts.setdefault(_sign_canonical(_primitive(s)), vals)
+            for s, vals in cuts.items():
+                child = _cut(basis, s)
+                if child not in cut_flats:
+                    # F & C & ker a: the generators a vanishes on, and
+                    # (a . p) q - (a . q) p for each pair a . p > 0 > a . q
+                    side = [(v, p) for v, p in zip(vals, gens) if v]
+                    pairs = (_primitive(tuple(vp * x - vq * y for x, y in zip(q, p)))
+                             for vp, p in side if vp > 0 for vq, q in side if vq < 0)
+                    zero = (p for v, p in zip(vals, gens) if not v)
+                    cut_flats[child] = tuple(dict.fromkeys([*zero, *pairs]))
         flats = cut_flats
     found = sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:])))
     if not all(is_weight_vector(r) for r in found):
@@ -197,12 +215,44 @@ def _maximal(pairs) -> frozenset[tuple[int, int]]:
     return frozenset(kept)
 
 
+class _Antichain:
+    """_maximal of a multiset of pairs (mask, j) under single insertions and
+    deletions: a count per pair, and members touched only where a pair first
+    appears or its last copy leaves."""
+
+    def __init__(self, pairs):
+        self.count = Counter(pairs)
+        self.members = set(_maximal(self.count))
+
+    def _undominated(self, mask: int, j: int) -> bool:
+        return not any(mask & ~m == 0 and j <= k for m, k in self.members)
+
+    def add(self, pair: tuple[int, int]) -> None:
+        self.count[pair] += 1
+        mask, j = pair
+        if self.count[pair] == 1 and mask and self._undominated(mask, j):
+            self.members = {(m, k) for m, k in self.members if m & ~mask or k > j} | {pair}
+
+    def remove(self, pair: tuple[int, int]) -> None:
+        self.count[pair] -= 1
+        if not self.count[pair]:
+            del self.count[pair]
+            if pair in self.members:  # offer again the present pairs below it
+                self.members.remove(pair)
+                mask, j = pair
+                below = _maximal(p for p in self.count if p[0] & ~mask == 0 and p[1] <= j)
+                self.members.update(p for p in below if self._undominated(*p))
+
+
 class _Search:
     """Shared exact machinery for one (n, d, extra probe vectors) instance.
 
     Supports are bitmasks over the canonical monomial order; profiles
     (per-monomial weights, r_j, j) are deduplicated up to positive scaling,
     keeping the largest j per scaled profile (larger thresholds dominate).
+    One pass over the profiles' thresholds t = -w_i / r_j in (0, 1), each
+    keyed by p / q in lowest terms, collects the witnesses (r, m, j) of every
+    (r, j) behind a profile and the mask bits each t flips per profile.
     """
 
     def __init__(self, n: int, d: int, extra: tuple[WeightVector, ...] = ()):
@@ -216,29 +266,30 @@ class _Search:
                 raise DimensionMismatchError(f"weight vector {r} not of length {n + 1}")
             weights.add(r)
         self.weights = tuple(sorted(weights))
-        profiles: dict[tuple[tuple[int, ...], int], int] = {}
+        profiles: dict[tuple[tuple[int, ...], int], list[tuple[WeightVector, int]]] = {}
         for r in self.weights:
-            wvec = tuple(monomial_weight(m, r) for m in self.mons)
+            wvec = tuple(sum(map(mul, m, r)) for m in self.mons)
             for j in range(n + 1):
                 g = gcd(*wvec, r[j])
                 key = (tuple(w // g for w in wvec), r[j] // g) if g > 1 else (wvec, r[j])
-                if profiles.get(key, -1) < j:
-                    profiles[key] = j
-        self.profiles = tuple((w, rj, j) for (w, rj), j in sorted(profiles.items()))
+                profiles.setdefault(key, []).append((r, j))
+        groups = sorted(profiles.items())
+        self.profiles = tuple((w, rj, max(j for _, j in rjs)) for (w, rj), rjs in groups)
+        self.witnesses: dict[tuple[int, int], list[tuple]] = {}
+        self.flips: dict[tuple[int, int], dict[int, int]] = {}
+        for k, ((wvec, rj), rjs) in enumerate(groups):
+            sign, q = (-1, rj) if rj > 0 else (1, -rj)
+            for i, w in enumerate(wvec):
+                if 0 < sign * w < q:
+                    g = gcd(w, q)
+                    t = sign * w // g, q // g
+                    self.witnesses.setdefault(t, []).extend((r, self.mons[i], j) for r, j in rjs)
+                    row = self.flips.setdefault(t, {})
+                    row[k] = row.get(k, 0) | 1 << i
 
     def candidates(self) -> dict[Fraction, list[tuple]]:
         """Candidate values, each with its sorted witness triples (r, m, j)."""
-        out: dict[Fraction, list[tuple]] = {}
-        for r in self.weights:
-            wvec = [monomial_weight(m, r) for m in self.mons]
-            for j, rj in enumerate(r):
-                # 0 < -w / rj < 1, with both sides multiplied by rj^2
-                for m, w in zip(self.mons, wvec):
-                    if 0 < -w * rj < rj * rj:
-                        out.setdefault(Fraction(-w, rj), []).append((r, m, j))
-        for witnesses in out.values():
-            witnesses.sort()
-        return out
+        return {Fraction(p, q): sorted(w) for (p, q), w in self.witnesses.items()}
 
     def fingerprint(self, t: Fraction) -> frozenset[tuple[int, int]]:
         """Deduplicated, inclusion-maximalized family {(support mask, j)}."""
@@ -247,20 +298,20 @@ class _Search:
     def _chamber_samples(self, cuts: list[Fraction]) -> list[frozenset[tuple[int, int]]]:
         """fingerprint on each open chamber of (0, 1) cut at `cuts`, the sorted
         candidates, among them every profile threshold -wvec[i] / r_j: _mask
-        builds the first chamber's masks, and each cut XORs in the bits it flips."""
-        flips: dict[Fraction, list[tuple[int, int]]] = {}
-        for k, (wvec, rj, _) in enumerate(self.profiles):
-            for i, w in enumerate(wvec):
-                if 0 < -w * rj < rj * rj:
-                    flips.setdefault(Fraction(-w, rj), []).append((k, 1 << i))
+        builds the first chamber's masks, and each cut XORs in the bits it
+        flips and moves each flipped profile's pair in the _Antichain."""
         start = (cuts[0] if cuts else Fraction(1)) / 2
         masks = [_mask(wvec, rj, start) for wvec, rj, _ in self.profiles]
         js = [j for _, _, j in self.profiles]
-        samples = [_maximal(zip(masks, js))]
+        family = _Antichain(zip(masks, js))
+        samples = [frozenset(family.members)]
         for t in cuts:
-            for k, bit in flips[t]:
-                masks[k] ^= bit
-            samples.append(_maximal(zip(masks, js)))
+            for k, bits in self.flips[t.numerator, t.denominator].items():
+                old = masks[k], js[k]
+                masks[k] ^= bits
+                family.add((masks[k], js[k]))
+                family.remove(old)
+            samples.append(frozenset(family.members))
         return samples
 
     def walls(self) -> tuple[tuple[Fraction, ...], dict[Fraction, list[tuple]]]:

@@ -1,6 +1,7 @@
 """Seeded random permutation models shared by the groupoid test suites,
-brute-force oracles for the closed forms that `stackalg` computes, and the
-plain `Fraction` polynomial product that `invariants.poly_mul` must match."""
+brute-force oracles for the closed forms that `stackalg` computes, the
+plain `Fraction` polynomial product that `invariants.poly_mul` must match,
+and the unpruned probe walk that `gitwalls.candidate_weights` must match."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
+from wallcross import gitwalls
 from wallcross.invariants import Polynomial
 from wallcross.stackalg import (
     Atom,
@@ -147,3 +150,23 @@ def poly_mul_oracle(f, g) -> Polynomial:
         for j, b in enumerate(g):
             out[i + j] += a * b
     return poly_trim_oracle(out)
+
+
+def unpruned_probes(n: int, d: int):
+    """The probe walk without the descending-cone pruning: every flat of the
+    direction arrangement, rank by rank, each cut once by each distinct
+    primitive functional the directions restrict to on it, down to the rays,
+    whose descending keys are the probes.  `gitwalls._cut` is looked up on
+    the module, so a test that wraps it counts these cuts too."""
+    dirs = gitwalls._equation_directions(n, d)
+    flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n))}
+    for _ in range(n - 1):
+        cut_flats = set()
+        for basis in flats:
+            restricted = set(zip(*([sum(map(mul, a, b)) for a in dirs] for b in basis)))
+            cuts = {
+                gitwalls._sign_canonical(gitwalls._primitive(s)) for s in restricted if any(s)
+            }
+            cut_flats.update(gitwalls._cut(basis, s) for s in cuts)
+        flats = cut_flats
+    return tuple(sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:]))))

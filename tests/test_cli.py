@@ -303,6 +303,30 @@ def test_stack_json_without_map(capsys):
     assert doc["descriptor"]["kind"] == "sym" and doc["descriptor"]["power"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["--factors", "nosuch,dp3"], "nosuch"),
+        (["--factors", "dp3,dp4", "--format", "json", "--iso", "nosuch=other"], "nosuch, other"),
+        (["--factors", "zz,dp3", "--iso", "dp3=dp4,dp4=aa"], "aa, zz"),
+    ],
+)
+def test_stack_rejects_unknown_ids(capsys, argv, missing):
+    # the same check, message and exit code as product and chamber
+    assert run(capsys, "stack", *argv) == (2, "", f"error: unknown family id(s): {missing}\n")
+    code, _, err = run(capsys, "product", "--families", "nosuch,dp3")
+    assert (code, err) == (2, "error: unknown family id(s): nosuch\n")
+
+
+def test_stack_accepts_overlay_ids(capsys, tmp_path):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"toy": dict(POINT_DP4["dp4"], moduli_note="toy")}))
+    argv = ["stack", "--factors", "toy,dp3", "--iso", "toy=dp4", "--registry", str(path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "descriptor: dp3 x toy" in out.splitlines()
+    assert run(capsys, *argv[:-2])[0] == 2  # without the overlay toy is unknown
+
+
 def test_git_walls_text(capsys):
     code, out, _ = run(capsys, "git-walls", "--degree", "3")
     assert code == 0

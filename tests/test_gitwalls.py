@@ -2,24 +2,28 @@ import hashlib
 import itertools
 import json
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from _models import unpruned_probes
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wallcross import gitwalls
 from wallcross.errors import DimensionMismatchError, UnsupportedError
 from wallcross.gitwalls import (
+    _Antichain,
     _cut,
     _equation_directions,
     _mask,
+    _maximal,
     _Search,
     candidate_twalls,
     candidate_weights,
     compute_walls,
     is_weight_vector,
-    monomial_weight,
     monomials,
     wall_report,
 )
@@ -61,13 +65,9 @@ def test_monomials_match_filter_oracle(n, d):
     assert monomials(n, d) == monomials_oracle(n, d)
 
 
-def test_monomial_weight():
-    r = (3, 1, -1, -3)
-    assert monomial_weight((2, 1, 0, 0), r) == 7
-    assert monomial_weight((0, 1, 2, 0), r) == -1  # x1 * x2^2
-    assert monomial_weight((0, 0, 0, 3), r) == -9
-    with pytest.raises(DimensionMismatchError):
-        monomial_weight((1, 1, 1), r)
+def monomial_weight(m, r) -> int:
+    """<m, r> = sum of exponent times weight."""
+    return sum(e * w for e, w in zip(m, r, strict=True))
 
 
 def test_is_weight_vector():
@@ -197,6 +197,25 @@ def test_cut_keys_do_not_depend_on_cut_order(nd, data):
     assert all(sum(x * y for x, y in zip(a, b)) == 0 for a in normals for b in flat)
     assert _cut_all(space, data.draw(st.permutations(normals))) == flat
     assert _cut_all(space, [tuple(scale * v for v in a) for a in normals]) == flat
+
+
+@pytest.mark.parametrize(
+    "n, d, fewer",
+    [(2, 3, 2), (2, 4, 2), (2, 5, 2), (2, 6, 2), (3, 2, 4), (3, 3, 5), (3, 4, 5), (4, 2, 5),
+     (3, 5, 5)],
+)
+def test_candidate_weights_match_unpruned_walk(monkeypatch, n, d, fewer):
+    """The same probes, and the pruning at work: the walk inside the
+    descending cone makes fewer than 1/fewer of the unpruned walk's cuts
+    ((3, 3) cuts 208 flats against 1,525, (4, 2) 1,149 against 10,840)."""
+    calls = []
+    cut = gitwalls._cut
+    monkeypatch.setattr(gitwalls, "_cut", lambda basis, s: calls.append(s) or cut(basis, s))
+    candidate_weights.cache_clear()
+    pruned = candidate_weights(n, d)
+    pruned_cuts = len(calls)
+    assert unpruned_probes(n, d) == pruned
+    assert 0 < fewer * pruned_cuts < len(calls) - pruned_cuts
 
 
 def test_candidate_weights_counts_past_the_oracle():
@@ -466,23 +485,83 @@ def test_sweep_samples_match_fingerprint_with_exhaustive_probes():
     assert search._chamber_samples(cuts) == midpoint_samples(search)
 
 
+def test_antichain_counts_copies_and_reoffers_what_it_dominated():
+    family = _Antichain([(0b011, 1), (0b011, 1), (0b001, 2), (0b001, 0), (0, 3)])
+    assert family.members == {(0b011, 1), (0b001, 2)}
+    family.remove((0b011, 1))  # a second profile still holds it
+    assert family.members == {(0b011, 1), (0b001, 2)}
+    family.add((0b111, 2))
+    assert family.members == {(0b111, 2)}
+    family.remove((0b111, 2))  # what it evicted comes back
+    assert family.members == {(0b011, 1), (0b001, 2)}
+    family.remove((0b011, 1))
+    family.remove((0b001, 2))
+    assert family.members == {(0b001, 0)}
+    family.remove((0b001, 0))
+    assert family.members == set() and family.count == {(0, 3): 1}  # mask 0 never joins
+    family.add((0, 2))
+    assert family.members == set()
+
+
+PAIRS = st.tuples(st.integers(0, 7), st.integers(0, 2))  # 3-bit masks, mask 0 included
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(PAIRS, max_size=10),
+    st.lists(st.lists(st.tuples(st.booleans(), PAIRS, st.integers(0, 99)), max_size=6),
+             max_size=8),
+)
+@example([(0b011, 1), (0b011, 1), (0b001, 0)], [[(False, (0, 0), 0)], [(False, (0, 0), 0)]])
+@example([(0b111, 2), (0b011, 1), (0b001, 2), (0, 1)], [[(False, (0, 0), 0)]])
+def test_antichain_matches_maximal_after_every_batch(initial, batches):
+    """Each operation adds `pair` or deletes the `index`-th present pair;
+    the batch then compares the family with _maximal of what is present."""
+    family = _Antichain(initial)
+    present = list(initial)
+    for batch in batches:
+        for insert, pair, index in batch:
+            if insert:
+                family.add(pair)
+                present.append(pair)
+            elif present:
+                family.remove(present.pop(index % len(present)))
+        assert family.members == _maximal(present)
+        assert family.count == Counter(present)
+
+
 def test_sweep_without_candidates_samples_one_chamber():
     search = _Search(1, 1)
     assert search.candidates() == {}
     assert search._chamber_samples([]) == [search.fingerprint(F(1, 2))]
 
 
-def test_wall_report_3_5_matches_golden(data_dir):
-    """The (3, 5) report is 450 KB; the golden keeps its walls and
-    candidates, the witness count per wall, and the SHA-256 of the whole
-    report's json.dumps, so witness content and order count too."""
-    golden = json.loads((data_dir / "git_walls_3_5.json").read_text())
-    report = wall_report(3, 5, exploratory=True)
-    assert len(report["walls"]) == 49 and len(report["candidates"]) == 338
+def assert_digest_golden(report, golden):
+    """The golden keeps a report's walls and candidates, the witness count
+    per wall, and the SHA-256 of the whole report's json.dumps, so witness
+    content and order count too."""
     assert report["walls"] == golden["walls"]
     assert report["candidates"] == golden["candidates"]
     counts = {t: len(w) for t, w in report["witnesses"].items()}
     assert counts == golden["witness_counts"]
-    assert sum(counts.values()) == 8582
     digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
     assert digest == golden["report_sha256"]
+    return counts
+
+
+def test_wall_report_3_5_matches_golden(data_dir):
+    """The (3, 5) report is 450 KB."""
+    golden = json.loads((data_dir / "git_walls_3_5.json").read_text())
+    report = wall_report(3, 5, exploratory=True)
+    assert len(report["walls"]) == 49 and len(report["candidates"]) == 338
+    assert sum(assert_digest_golden(report, golden).values()) == 8582
+
+
+def test_wall_report_4_3_matches_golden(data_dir):
+    """(4, 3) has 1,885 probes; its golden comes from the unpruned probe walk
+    and the rebuild-per-chamber sweep, which took about 12 s for it."""
+    golden = json.loads((data_dir / "git_walls_4_3.json").read_text())
+    report = wall_report(4, 3, exploratory=True)
+    assert len(candidate_weights(4, 3)) == 1885
+    assert len(report["walls"]) == 15 and len(report["candidates"]) == 509
+    assert sum(assert_digest_golden(report, golden).values()) == 17396

@@ -34,11 +34,11 @@ def test_no_dataclasses_in_library():
     assert found == []
 
 
-def test_stackalg_imports_only_errors_and_exactq():
-    """Descriptors take the point ids from the caller, so stackalg loads no
-    registry and imports no other module of the package."""
-    (path,) = [p for p in SOURCES if p.name == "stackalg.py"]
-    found = set()  # relative imports by module, absolute ones by full name
+def package_imports(name: str) -> set[str]:
+    """The package modules that src/wallcross/<name> imports: relative
+    imports by module, absolute ones by full name."""
+    (path,) = [p for p in SOURCES if p.name == name]
+    found = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and node.level:
             found |= {node.module} if node.module else {a.name for a in node.names}
@@ -46,7 +46,20 @@ def test_stackalg_imports_only_errors_and_exactq():
             found.add(node.module)
         elif isinstance(node, ast.Import):
             found |= {a.name for a in node.names if a.name.startswith("wallcross")}
-    assert found == {"errors", "exactq"}
+    return found
+
+
+def test_stackalg_imports_only_errors_and_exactq():
+    """Descriptors take the point ids from the caller, so stackalg loads no
+    registry and imports no other module of the package."""
+    assert package_imports("stackalg.py") == {"errors", "exactq"}
+
+
+def test_gitwalls_imports_only_errors_exactq_wallsets():
+    """Every git-walls request compiles what gitwalls imports from source
+    (the benchmark runs with PYTHONDONTWRITEBYTECODE=1), so that cold cost
+    stays at these three modules."""
+    assert package_imports("gitwalls.py") == {"errors", "exactq", "wallsets"}
 
 
 def test_traced_targets_resolve():
