@@ -53,7 +53,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 from .errors import ConsistencyError, DimensionMismatchError, UnsupportedError
@@ -156,11 +156,9 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     that reached F.  After n - 1 steps every flat is a ray whose key starts
     positive, as every descending sum-zero vector does.
     """
-    mons = monomials(n, d)
-    if len(mons) > MAX_MONOMIALS:
-        raise UnsupportedError(
-            f"({n}, {d}) has {len(mons)} monomials, above the bound {MAX_MONOMIALS}"
-        )
+    # C(n + d, n) counts the monomials before any is built; monomials() refuses n or d < 1
+    if n >= 1 and d >= 1 and (count := comb(n + d, n)) > MAX_MONOMIALS:
+        raise UnsupportedError(f"({n}, {d}) has {count} monomials, above the bound {MAX_MONOMIALS}")
     dirs = _equation_directions(n, d)
     dots: dict[tuple[int, ...], tuple[int, ...]] = {}  # generator p -> a . p for each a
     extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
@@ -257,8 +255,8 @@ class _Search:
 
     def __init__(self, n: int, d: int, extra: tuple[WeightVector, ...] = ()):
         self.n, self.d = n, d
+        weights = set(candidate_weights(n, d))  # checks the monomial bound first
         self.mons = monomials(n, d)
-        weights = set(candidate_weights(n, d))
         for r in extra:
             if not is_weight_vector(r):
                 raise ValueError(f"not a normalized weight vector: {r}")

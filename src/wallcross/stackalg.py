@@ -18,8 +18,9 @@ scale by permutation groupoids [X/G], each count by its closed form: the
 stabilizer order |G|/|orbit|, the groupoid cardinality sum(1/|stab|) over
 orbits, which is |X|/|G|, and C(N + k - 1, k) multisets in the symmetric
 k-fold quotient of N orbits.  Orbits of a product action are pairs of
-orbits, so stabilizers multiply.  Groups are materialized by generator
-closure, which refuses to grow past MAX_GROUP_ORDER elements.
+orbits, so stabilizers multiply.  A model's group is its generator closure,
+built at most once per model object and kept on it outside the value
+fields; the closure refuses to grow past MAX_GROUP_ORDER elements.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
-from .errors import ArityError, ConsistencyError, GroupTooLargeError
+from .errors import ArityError, BoundExceededError, ConsistencyError, GroupTooLargeError
 from .exactq import Value
 
 # Generator closure refuses groups larger than this, and product_model
 # refuses a product of larger order before taking any closure.
 MAX_GROUP_ORDER = 100_000
+# product_model refuses a product carrier of more points than this before
+# building any pair.
+MAX_CARRIER = 100_000
 
 
 # -- descriptors -------------------------------------------------------------
@@ -198,7 +201,6 @@ def classify_product_map(factors, iso=()) -> MapKind:
 # -- finite groupoid models ---------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _closure(
     generators: tuple[tuple[int, ...], ...], n: int, bound: int
 ) -> frozenset[tuple[int, ...]]:
@@ -245,6 +247,8 @@ class FiniteGroupoidModel(Value):
     generator closure, materialized on demand and capped by MAX_GROUP_ORDER.
     """
 
+    __slots__ = ("_group",)  # the memoized closure: a slot, so not a field of the value
+
     def __init__(self, carrier: tuple, generators: tuple[tuple[int, ...], ...]) -> None:
         carrier = tuple(carrier)
         gens = tuple(tuple(g) for g in generators)
@@ -255,8 +259,13 @@ class FiniteGroupoidModel(Value):
         self.__dict__.update(carrier=carrier, generators=gens)
 
     def elements(self) -> frozenset[tuple[int, ...]]:
-        # the bound is part of the cache key, so a changed bound hits no stale entry
-        return _closure(self.generators, len(self.carrier), MAX_GROUP_ORDER)
+        if not hasattr(self, "_group"):
+            group = _closure(self.generators, len(self.carrier), MAX_GROUP_ORDER)
+            object.__setattr__(self, "_group", group)
+        # checked on every call, so a lowered bound refuses a group built before
+        if len(self._group) > MAX_GROUP_ORDER:
+            raise GroupTooLargeError(f"generated group exceeds order bound {MAX_GROUP_ORDER}")
+        return self._group
 
     def group_order(self) -> int:
         return len(self.elements())
@@ -297,12 +306,15 @@ def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroup
     """The direct product acting coordinatewise on pairs.
 
     The generated group is exactly G x H (order the product of the orders),
-    checked against the bound before any closure of the product is taken.
+    checked against the bound before any closure of the product is taken;
+    the carrier size is checked before that, and before any pair is built.
     """
+    na, nb = len(a.carrier), len(b.carrier)
+    if na * nb > MAX_CARRIER:
+        raise BoundExceededError(f"product carrier of {na * nb} points exceeds bound {MAX_CARRIER}")
     order = a.group_order() * b.group_order()
     if order > MAX_GROUP_ORDER:
         raise GroupTooLargeError(f"product group order {order} exceeds bound {MAX_GROUP_ORDER}")
-    na, nb = len(a.carrier), len(b.carrier)
     carrier = tuple(itertools.product(a.carrier, b.carrier))
 
     def lift_a(g):

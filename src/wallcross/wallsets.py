@@ -28,6 +28,12 @@ from .errors import MissingDataError, OutOfRangeError
 from .exactq import MoebiusMap, Value, format_rational, parse_rational
 from .invariants import FanoNumerics, consistency_check, parse_poly, poly_trim
 
+# Overlay records of a larger dimension are refused before any arithmetic:
+# the consistency check computes dimension!, which has 158 digits at 100, and
+# formats it into its message when the volume disagrees.
+MAX_DIMENSION = 100
+
+
 class WallSet(Value):
     """Strictly increasing rationals in the open interval (0, 1)."""
 
@@ -234,9 +240,14 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         reparam = MoebiusMap(*(_strict_int(family_id, "reparam", v) for v in reparam))
     if t_walls is None and c_walls is not None and reparam is not None:
         t_walls = c_walls.map(reparam)
+    dimension = _strict_int(family_id, "dimension", data["dimension"])
+    if dimension > MAX_DIMENSION:
+        raise ValueError(
+            f"registry record {family_id!r}: dimension {dimension} above the bound {MAX_DIMENSION}"
+        )
     return FamilyRecord(
         id=family_id,
-        dimension=_strict_int(family_id, "dimension", data["dimension"]),
+        dimension=dimension,
         volume=parse_rational(data["volume"]),
         moduli_note=note,
         hilbert=parse_poly(data["hilbert"]),

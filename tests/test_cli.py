@@ -488,6 +488,10 @@ def test_broken_overlay_is_computation_error(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert "reparam entry 1.7 is not an integer" in err
+    path.write_text(json.dumps({"dp3": dict(ONE_WALL_DP3["dp3"], dimension=3000)}))
+    code, out, err = run(capsys, "walls", "--family", "dp3", "--registry", str(path))
+    assert code == 2 and out == ""
+    assert "dimension 3000 above the bound 100" in err
 
 
 @pytest.mark.parametrize("fold", [False, True])

@@ -223,9 +223,16 @@ def test_candidate_weights_counts_past_the_oracle():
     assert len(candidate_weights(3, 5)) == 693
 
 
-def test_candidate_weights_bound():
-    with pytest.raises(UnsupportedError):
-        candidate_weights(4, 4)  # 70 monomials, above the 56 bound
+def test_candidate_weights_bound(monkeypatch):
+    """The monomial count is checked before any monomial is built:
+    (10, 10) would build 184,756 of them only to refuse."""
+    calls = []
+    monkeypatch.setattr(gitwalls, "monomials", lambda n, d: calls.append((n, d)))
+    with pytest.raises(UnsupportedError, match=r"^\(4, 4\) has 70 monomials, above the bound 56$"):
+        candidate_weights(4, 4)
+    with pytest.raises(UnsupportedError, match=r"^\(10, 10\) has 184756 monomials, above"):
+        compute_walls(10, 10, exploratory=True)
+    assert calls == []
 
 
 def exhaustive_weights(n: int, bound: int):

@@ -17,7 +17,7 @@ from _models import (
     random_model_pair,
 )
 from wallcross import stackalg
-from wallcross.errors import ArityError, GroupTooLargeError
+from wallcross.errors import ArityError, BoundExceededError, GroupTooLargeError
 from wallcross.stackalg import (
     Atom,
     FiniteGroupoidModel,
@@ -291,7 +291,48 @@ def test_group_order_bound_enforced(monkeypatch):
     assert model.group_order() == 24
     monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 10)
     with pytest.raises(GroupTooLargeError, match="exceeds order bound 10"):
-        model.group_order()  # S4 has order 24 > 10, though its closure is cached
+        model.group_order()  # S4 has order 24 > 10, though its group is memoized
+
+
+def counted_closures(monkeypatch) -> list:
+    """The generator sets stackalg._closure is called with from now on."""
+    calls = []
+    closure = stackalg._closure
+    monkeypatch.setattr(
+        stackalg, "_closure", lambda gens, n, bound: calls.append(gens) or closure(gens, n, bound)
+    )
+    return calls
+
+
+def test_group_is_closed_once_per_model(monkeypatch):
+    calls = counted_closures(monkeypatch)
+    model = FiniteGroupoidModel(tuple(range(4)), ((1, 2, 3, 0), (1, 0, 2, 3)))
+    assert len(model.elements()) == model.group_order() == 24
+    assert [o.stabilizer_order for o in orbit_space(model)] == [6]
+    assert groupoid_cardinality(model) == F(1, 6)
+    assert len(product_model(model, model).carrier) == 16
+    assert calls == [model.generators]
+
+
+def test_memoized_group_leaves_the_value_alone():
+    model = FiniteGroupoidModel(("x", "y", "z"), S3_GENS)
+    twin = FiniteGroupoidModel(("x", "y", "z"), S3_GENS)
+    before = (hash(model), repr(model), vars(model).copy())
+    assert model.group_order() == 6
+    assert (hash(model), repr(model), vars(model)) == before
+    assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_group_order_matches_sympy(n, data):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = data.draw(st.lists(st.permutations(range(n)), max_size=3))
+    model = FiniteGroupoidModel(tuple(range(n)), gens)
+    group = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(range(n)))] + [combinatorics.Permutation(g) for g in gens]
+    )
+    assert model.group_order() == group.order()
 
 
 def test_product_model_example():
@@ -326,6 +367,15 @@ def test_product_model_bound_check_precedes_closure(monkeypatch):
     monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 10)
     with pytest.raises(GroupTooLargeError, match="product group order 36 exceeds bound 10"):
         product_model(s3a, s3a)
+
+
+def test_product_model_carrier_bound_precedes_closure(monkeypatch):
+    calls = counted_closures(monkeypatch)
+    monkeypatch.setattr(stackalg, "MAX_CARRIER", 8)
+    three = FiniteGroupoidModel(tuple(range(3)), ())
+    with pytest.raises(BoundExceededError, match="^product carrier of 9 points exceeds bound 8$"):
+        product_model(three, three)
+    assert calls == []  # refused before either group is closed, so before any pair
 
 
 def test_product_laws_random_pairs():

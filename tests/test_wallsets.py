@@ -319,6 +319,30 @@ def test_overlay_rejects_non_integer_fields(tmp_path, field, value):
         load_registry(path)
 
 
+def test_overlay_dimension_bound_precedes_arithmetic(tmp_path, monkeypatch):
+    """A dimension above MAX_DIMENSION is refused before the consistency
+    check computes its factorial; at the bound, every problem is still
+    reported."""
+    from wallcross import invariants, wallsets
+
+    calls = []
+    factorial = invariants.factorial
+    monkeypatch.setattr(invariants, "factorial", lambda n: calls.append(n) or factorial(n))
+    record = {"dimension": 3000, "volume": 2, "moduli_note": "x", "hilbert": ["2", "2"]}
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"big": record}))
+    with pytest.raises(ValueError, match="^registry record 'big': dimension 3000 above the bound"):
+        load_registry(path)
+    assert calls and 3000 not in calls  # only the compiled-in records were checked
+    path.write_text(json.dumps({"big": dict(record, dimension=wallsets.MAX_DIMENSION)}))
+    with pytest.raises(ValueError) as info:
+        load_registry(path)
+    assert str(info.value).startswith(
+        "family big: hilbert(0) = 2, expected 1; hilbert degree 1, expected 100; 100! * lead = "
+    )
+    assert calls[-1] == 100
+
+
 def test_registry_internal_consistency(registry):
     from wallcross.invariants import consistency_check
     from math import factorial
