@@ -23,7 +23,9 @@ representatives follow the lexicographically-least-cell convention, a
 labeling choice, not canon: each part's positions sorted into its slots.
 Orbit counts are exposed two independent ways, neither building the cells:
 direct enumeration of those representatives, one sorted position multiset
-per part, and the Burnside average of fixed-cell counts.
+per part, and the Burnside average of fixed-cell counts, summed over each
+part's symmetric group by a recursion on the cycle through its last
+position, so no group element is enumerated either.
 
 Renderers: "svg" and "ascii" for k <= 2 (exact-fraction ticks, SVG positions
 rounded half up to 6 decimals), "json" for any k in the layout of json.dumps(
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .errors import (
     BadCodimError,
@@ -47,10 +49,6 @@ from .errors import (
 )
 from .exactq import Value, format_rational
 from .wallsets import FamilyRecord, WallSet
-
-# Burnside iterates the whole position group; folding refuses groups
-# larger than this.
-MAX_FOLD_GROUP = 100_000
 
 # cells(codim) refuses more cells than this before building any; dp3^6 peaks at 540,000.
 MAX_CELLS = 2_000_000
@@ -176,7 +174,7 @@ def crossing_graph(arr: ProductArrangement) -> CrossingGraph:
     one edge, so the graph is the box product of per-factor paths.
     """
     edges = []
-    for p in arr.cells(1):
+    for p in arr.cells(1) if arr.k else ():
         i = next(i for i, x in enumerate(p) if x & 1)
         below, above = (p[:i] + (p[i] + s,) + p[i + 1 :] for s in (-1, 1))
         edges.append((below, above, p))
@@ -221,16 +219,18 @@ class SymmetricFolding(Value):
         count = prod(comb(2 * w + len(p), len(p)) for w, p in zip(walls, self.grouping))
         if count > MAX_CELLS:
             raise BoundExceededError(f"{count} orbit representatives, above {MAX_CELLS}")
-        by_codim = []  # per part, its sorted position multisets by codimension
-        for w, part in zip(walls, self.grouping):
-            by_codim.append([[] for _ in range(len(part) + 1)])
-            for ms in itertools.combinations_with_replacement(range(2 * w + 1), len(part)):
-                by_codim[-1][cell_codim(ms)].append(ms)
         slots = [sorted(part) for part in self.grouping]
+        cwr = itertools.combinations_with_replacement
         out = []
         for split in itertools.product(*(range(len(part) + 1) for part in self.grouping)):
             if sum(split) == codim:
-                for choice in itertools.product(*(g[c] for g, c in zip(by_codim, split))):
+                # a part's codim-c multisets: c walls merged with len - c chambers
+                multisets = [
+                    [tuple(sorted(ws + cs)) for ws in cwr(range(1, 2 * w, 2), c)
+                     for cs in cwr(range(0, 2 * w + 1, 2), len(part) - c)]
+                    for w, part, c in zip(walls, slots, split)
+                ]
+                for choice in itertools.product(*multisets):
                     positions = [0] * arr.k
                     for part_slots, ms in zip(slots, choice):
                         for slot, p in zip(part_slots, ms):
@@ -247,50 +247,38 @@ class SymmetricFolding(Value):
         return prod(factorial(len(part)) for part in self.grouping)
 
     def burnside_orbit_count(self, codim: int) -> int:
-        """Burnside average of per-element fixed-cell counts.
+        """Burnside average of fixed-cell counts, enumerating no group element
+        and no cell.
 
-        A cell is fixed by a position permutation iff its coords are
-        constant on cycles; fixed cells are counted by a small product
-        DP over cycles, no cell enumeration involved.
+        A cell is fixed by a position permutation iff it is constant on the
+        permutation's cycles, so a cycle of length l in a part with w walls
+        offers w + 1 chambers at codim +0 and w walls at codim +l.  Over S_n
+        the cycle through the part's last position takes its l - 1 other
+        positions in perm(n - 1, l - 1) orders, so the fixed-cell sums by
+        codimension obey sums[n] = sum over l of perm(n - 1, l - 1)
+        ((w + 1) + w x^l) sums[n - l] (the exponential formula); parts
+        multiply as polynomials in the codimension x.
         """
-        order = self.group_order()
-        if order > MAX_FOLD_GROUP:
-            raise BoundExceededError(f"folding group of order {order}")
         k = self.arrangement.k
-        wall_counts = self.arrangement.wall_counts
-        total = 0
-        for parts_perm in itertools.product(
-            *(itertools.permutations(part) for part in self.grouping)
-        ):
-            sigma = list(range(k))
-            for part, image in zip(self.grouping, parts_perm):
-                for pos, target in zip(part, image):
-                    sigma[pos] = target
-            # cycle decomposition; each cycle stays inside one group part
-            seen = [False] * k
-            counts = [1] + [0] * k  # counts[j] = fixed cells of codim j so far
-            for start in range(k):
-                if seen[start]:
-                    continue
-                length = 0
-                pos = start
-                while not seen[pos]:
-                    seen[pos] = True
-                    pos = sigma[pos]
-                    length += 1
-                w = wall_counts[start]
-                nxt = [0] * (k + 1)
-                for j, val in enumerate(counts):
-                    if not val:
-                        continue
-                    nxt[j] += val * (w + 1)  # a shared chamber coordinate
-                    if j + length <= k and w:
-                        nxt[j + length] += val * w  # a shared wall coordinate
-                counts = nxt
-            total += counts[codim]
-        if total % order:
-            raise ConsistencyError(f"Burnside sum {total} not divisible by {order}")
-        return total // order
+        if not 0 <= codim <= k:
+            raise BadCodimError(f"codim {codim} outside 0..{k}")
+        total = [1]  # fixed-cell sums by codimension over the parts so far
+        for part in self.grouping:
+            w = self.arrangement.wall_counts[part[0]]
+            sums = [total]  # the recursion is linear, so it starts from the product
+            for n in range(1, len(part) + 1):
+                nxt = [0] * (len(total) + n)
+                for l in range(1, n + 1):
+                    ways = perm(n - 1, l - 1)
+                    for j, val in enumerate(sums[n - l]):
+                        nxt[j] += ways * (w + 1) * val
+                        nxt[j + l] += ways * w * val
+                sums.append(nxt)
+            total = sums[-1]
+        order = self.group_order()
+        if total[codim] % order:
+            raise ConsistencyError(f"Burnside sum {total[codim]} not divisible by {order}")
+        return total[codim] // order
 
 
 def fold_symmetric(arr: ProductArrangement, grouping) -> SymmetricFolding:
@@ -441,14 +429,13 @@ def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> st
             f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{top}" '
             'stroke="black" stroke-width="0.75" stroke-dasharray="6 4"/>'
         )
-        chambers_x = arr.factors[0][1].chambers()
-        chambers_y = arr.factors[1][1].chambers()
+        # one coordinate string per chamber centre of each axis
+        xs = [_svg_x(sum(c) / 2) for c in arr.factors[0][1].chambers()]
+        ys = [_fmt6(MARGIN_TOP + (1 - sum(c) / 2) * BOX + 4) for c in arr.factors[1][1].chambers()]
         label = {rep: i for i, (rep, _) in enumerate(folding.orbits(0))}
         for cell in arr.cells(0):
-            cx = sum(chambers_x[cell[0] >> 1]) / 2
-            cy = sum(chambers_y[cell[1] >> 1]) / 2
             parts.append(
-                f'<text x="{_svg_x(cx)}" y="{_fmt6(MARGIN_TOP + (1 - cy) * BOX + 4)}" '
+                f'<text x="{xs[cell[0] >> 1]}" y="{ys[cell[1] >> 1]}" '
                 'font-family="monospace" font-size="12" text-anchor="middle">'
                 f"{label[folding.canonical(cell)]}</text>"
             )

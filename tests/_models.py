@@ -1,7 +1,9 @@
 """Seeded random permutation models shared by the groupoid test suites,
 brute-force oracles for the closed forms that `stackalg` computes, the
 plain `Fraction` polynomial product that `invariants.poly_mul` must match,
-and the unpruned probe walk that `gitwalls.candidate_weights` must match."""
+the unpruned probe walk that `gitwalls.candidate_weights` must match, and
+the per-element Burnside sum that `SymmetricFolding.burnside_orbit_count`
+must match."""
 
 from __future__ import annotations
 
@@ -170,3 +172,44 @@ def unpruned_probes(n: int, d: int):
             cut_flats.update(gitwalls._cut(basis, s) for s in cuts)
         flats = cut_flats
     return tuple(sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:]))))
+
+
+def brute_burnside_orbit_count(folding, codim: int) -> int:
+    """Burnside average over every element of the folding group: each
+    element's cycles found by a walk, its fixed cells counted by a product
+    DP over those cycles."""
+    k = folding.arrangement.k
+    wall_counts = folding.arrangement.wall_counts
+    total = 0
+    for parts_perm in itertools.product(
+        *(itertools.permutations(part) for part in folding.grouping)
+    ):
+        sigma = list(range(k))
+        for part, image in zip(folding.grouping, parts_perm):
+            for pos, target in zip(part, image):
+                sigma[pos] = target
+        # cycle decomposition; each cycle stays inside one group part
+        seen = [False] * k
+        counts = [1] + [0] * k  # counts[j] = fixed cells of codim j so far
+        for start in range(k):
+            if seen[start]:
+                continue
+            length = 0
+            pos = start
+            while not seen[pos]:
+                seen[pos] = True
+                pos = sigma[pos]
+                length += 1
+            w = wall_counts[start]
+            nxt = [0] * (k + 1)
+            for j, val in enumerate(counts):
+                if not val:
+                    continue
+                nxt[j] += val * (w + 1)  # a shared chamber coordinate
+                if j + length <= k and w:
+                    nxt[j + length] += val * w  # a shared wall coordinate
+            counts = nxt
+        total += counts[codim]
+    order = folding.group_order()
+    assert total % order == 0, f"Burnside sum {total} not divisible by {order}"
+    return total // order

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -5,8 +6,10 @@ import re
 from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal, getcontext
 from fractions import Fraction
+from math import comb
 
 import pytest
+from _models import brute_burnside_orbit_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,11 +173,12 @@ def test_cell_counts_closed_form_matches_enumeration_random():
         assert counts == tuple(codim_count_oracle(arr.wall_counts, j) for j in range(k + 1))
 
 
-def test_cells_bounded_before_enumeration(registry, monkeypatch):
-    class NoEnumeration:
-        def __getattr__(self, name):
-            raise AssertionError(f"itertools.{name} called past the bound")
+class NoEnumeration:
+    def __getattr__(self, name):
+        raise AssertionError(f"itertools.{name} called past the bound")
 
+
+def test_cells_bounded_before_enumeration(registry, monkeypatch):
     dp3 = registry["dp3"]
     arr = build_product([dp3] * 9)
     counts = arr.cell_counts
@@ -214,6 +218,12 @@ def test_crossing_graph_two_factors(registry):
         for i in range(arr.k):
             if i != pos:
                 assert a[i] == b[i] == label[i]
+
+
+def test_crossing_graph_no_factors():
+    graph = crossing_graph(build_product([]))
+    assert graph.nodes == ((),) and graph.edges == ()
+    assert graph.is_connected()
 
 
 def test_crossing_graph_single_factor_is_path(registry):
@@ -272,6 +282,25 @@ def test_fold_two_equal_factors(registry):
     assert sizes[b] == 2  # the orbit {a, b}
     diagonal = (8, 8)
     assert sizes[diagonal] == 1
+
+
+def test_burnside_rejects_bad_codim(registry):
+    folding = fold_symmetric(build_product([registry["dp3"]] * 2), [(0, 1)])
+    for codim in (-1, 3):
+        for count in (folding.burnside_orbit_count, folding.orbits):
+            with pytest.raises(BadCodimError, match=rf"^codim {codim} outside 0\.\.2$"):
+                count(codim)
+
+
+def test_burnside_enumerates_no_group_element(registry, monkeypatch):
+    # dp3^12 in one part: S_12 has 479,001,600 elements
+    arr = build_product([registry["dp3"]] * 12)
+    folding = fold_symmetric(arr, grouping_by_id(arr))
+    monkeypatch.setattr(arrangement, "itertools", NoEnumeration())
+    w = 5
+    for j in range(13):
+        # multisets of j walls from w, times multisets of 12 - j chambers from w + 1
+        assert folding.burnside_orbit_count(j) == comb(w + j - 1, j) * comb(w + 12 - j, 12 - j)
 
 
 def test_fold_singleton_groups_do_nothing(registry):
@@ -376,10 +405,10 @@ def assert_orbits_partition(folding, j):
 
 
 @st.composite
-def folded_products(draw):
+def folded_products(draw, max_walls=3):
     """An arrangement of up to 4 factors and a set partition of its
     positions, parts listed out of order, with interleaving slots and one
-    random wall count (0-3) per part."""
+    random wall count (0 to max_walls) per part."""
     k = draw(st.integers(0, 4))
     blocks: dict[int, list[int]] = {}
     for pos in range(k):
@@ -387,7 +416,7 @@ def folded_products(draw):
     grouping = draw(st.permutations([draw(st.permutations(p)) for p in blocks.values()]))
     walls = [None] * k
     for part in grouping:
-        w = draw(st.integers(0, 3))
+        w = draw(st.integers(0, max_walls))
         for pos in part:
             walls[pos] = WallSet(tuple(F(i + 1, w + 1) for i in range(w)))
     return build_product([(f"f{pos}", ws) for pos, ws in enumerate(walls)]), grouping
@@ -403,6 +432,16 @@ def test_representative_orbits_match_bucketing_and_burnside(case):
         assert orbits == orbits_oracle(folding, j)
         assert len(orbits) == folding.burnside_orbit_count(j)
         assert sum(size for _, size in orbits) == arr.cell_counts[j]
+
+
+@settings(max_examples=100)
+@given(folded_products(max_walls=4))
+def test_burnside_matches_group_walk_and_enumeration(case):
+    arr, grouping = case
+    folding = fold_symmetric(arr, grouping)
+    for j in range(arr.k + 1):
+        count = folding.burnside_orbit_count(j)
+        assert count == brute_burnside_orbit_count(folding, j) == folding.orbit_count(j)
 
 
 def test_fold_unsorted_part_keeps_lex_least_representatives(registry):
@@ -628,6 +667,15 @@ def test_render_svg_folded_labels(registry):
     assert by_pos[center(1, 4)] == by_pos[center(4, 1)]
     assert by_pos[center(3, 3)] != by_pos[center(3, 2)]
     assert "stroke-dasharray" in svg  # the fold diagonal is drawn
+
+
+def test_render_svg_folded_200_walls_digest():
+    ws = WallSet(tuple(F(i, 201) for i in range(1, 201)))
+    arr = build_product([("a", ws), ("a", ws)])
+    svg = render(arr, "svg", fold_symmetric(arr, [(0, 1)]))
+    assert svg.count('font-size="12"') == 201**2
+    digest = "169e7205c65712bc7fe742fefcccfb34ace441347f7f5709b69ed7d2d3b2b9da"
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_codim_sum_identity(registry):

@@ -145,11 +145,28 @@ def test_product_json_dp3_4_fold_matches_digest_golden(capsys, data_dir):
     assert hashlib.sha256(data).hexdigest() == golden["sha256"]
 
 
-@pytest.mark.parametrize("family", ["dp3", "p1"])
-def test_product_fold_bound_error_leaves_stdout_empty(capsys, family):
-    code, out, err = run(capsys, "product", "--families", ",".join([family] * 9), "--fold")
+def test_product_fold_bound_error_leaves_stdout_empty(capsys):
+    # C(25, 15) sorted multisets of dp3's 11 positions
+    code, out, err = run(capsys, "product", "--families", ",".join(["dp3"] * 15), "--fold")
     assert code == 2 and out == ""
-    assert err == "error: folding group of order 362880\n"
+    assert err == "error: 3268760 orbit representatives, above 2000000\n"
+
+
+def test_product_fold_p1_9_report(capsys):
+    # S_9 has 362,880 elements; Burnside never lists them
+    code, out, err = run(capsys, "product", "--families", ",".join(["p1"] * 9), "--fold")
+    assert code == 0 and err == ""
+    assert out == "\n".join([
+        "families: " + ", ".join(["p1"] * 9),
+        *(f"factor {i} (p1): 1 chamber, 0 walls" for i in range(9)),
+        "codim-0 cells: 1",
+        *(f"codim-{j} cells: 0" for j in range(1, 10)),
+        "total cells: 1",
+        "crossing graph: 1 node, 0 edges, connected",
+        "folding by family id: p1 -> positions 0,1,2,3,4,5,6,7,8",
+        "codim-0 orbits: 1 (enumeration) = 1 (burnside)",
+        *(f"codim-{j} orbits: 0 (enumeration) = 0 (burnside)" for j in range(1, 10)),
+    ]) + "\n"
 
 
 def test_product_ascii(capsys):
