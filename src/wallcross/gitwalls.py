@@ -27,16 +27,18 @@ descending cone C = {r_0 >= ... >= r_n}, a fundamental domain of S_{n+1}.
 The walk down to the rays cuts one hyperplane at a time and keeps only the
 flats F meeting C, each with generators of the cone F & C; a hyperplane
 strictly one-signed on them meets F & C only at 0.  No probe is lost, since
-a ray of C lies in every flat above it.  Candidate walls are the values
-t = -<m, r>/r_j landing in (0, 1).  Every support M+ changes only at such a
-value, so the family of inclusion-maximal pairs (M+, j) is constant on each
-open chamber between consecutive candidates.  One sweep samples every chamber:
-the stability test builds the first chamber's support masks and family, and
+a ray of C lies in every flat above it.  The walk refuses a rank of more
+than MAX_FLATS flats.  Candidate walls are the values t = -<m, r>/r_j
+landing in (0, 1).  Every support M+ changes only at such a value, so the
+family of inclusion-maximal pairs (M+, j) is constant on each open chamber
+between consecutive candidates.  One sweep samples every chamber: the
+stability test builds the first chamber's support masks and family, and
 each candidate then flips only the mask bits whose own threshold it is,
 updating the family where a pair changes.  A candidate is a wall when the
-samples on its two sides differ.  Completeness of R is not proved here; it
-is backed empirically by the bounded exhaustive refinement check (test
-suite) and by the acceptance comparison against the registered tables.
+samples on its two sides differ; its witnesses are read back from the bits
+it flips.  Completeness of R is not proved here; it is backed empirically
+by the bounded exhaustive refinement check (test suite) and by the
+acceptance comparison against the registered tables.
 
 Open question, recorded: whether thresholds j with r_j = 0 can ever carry a
 wall under this convention.  They contribute t-independent supports only,
@@ -56,17 +58,20 @@ from functools import lru_cache
 from math import comb, gcd
 from operator import mul
 
-from .errors import ConsistencyError, DimensionMismatchError, UnsupportedError
+from .errors import BoundExceededError, ConsistencyError, UnsupportedError
 from .exactq import format_rational
 from .wallsets import WallSet
 
 Monomial = tuple[int, ...]
 WeightVector = tuple[int, ...]
 
-# candidate_weights refuses configurations with more monomials than this;
-# its walk costs, at each rank, the flats meeting the descending cone times
-# the direction count, and both grow with the monomial count.
+# candidate_weights refuses configurations with more monomials than this,
+# before it builds any.  Its walk costs, at each rank, the flats meeting the
+# descending cone times the direction count; it refuses to cut a rank of
+# more than MAX_FLATS flats.  (5, 2) peaks at 7,078; (6, 2) reaches 11,108
+# on its way to 412,366.
 MAX_MONOMIALS = 56
+MAX_FLATS = 10_000
 
 SUPPORTED = (3, 3)
 
@@ -153,8 +158,8 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     one-signed on them restricts to on it, each cut kept once under its
     `_cut` key.  A probe ray lies in every flat on a cut chain down to it, so
     no cut that reaches one is skipped, and F & C does not depend on the chain
-    that reached F.  After n - 1 steps every flat is a ray whose key starts
-    positive, as every descending sum-zero vector does.
+    that reached F.  After n - 1 steps every flat is a ray meeting C, so its
+    key, positive first like every descending sum-zero vector, is the probe.
     """
     # C(n + d, n) counts the monomials before any is built; monomials() refuses n or d < 1
     if n >= 1 and d >= 1 and (count := comb(n + d, n)) > MAX_MONOMIALS:
@@ -164,6 +169,8 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
     flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n)): extreme}
     for _ in range(n - 1):
+        if (count := len(flats)) > MAX_FLATS:
+            raise BoundExceededError(f"({n}, {d}) has {count} flats at a rank, above {MAX_FLATS}")
         cut_flats: dict[tuple, tuple] = {}
         for basis, gens in flats.items():
             for p in gens:
@@ -186,7 +193,7 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
                     zero = (p for v, p in zip(vals, gens) if not v)
                     cut_flats[child] = tuple(dict.fromkeys([*zero, *pairs]))
         flats = cut_flats
-    found = sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:])))
+    found = sorted(v for (v,) in flats)
     if not all(is_weight_vector(r) for r in found):
         raise ConsistencyError("a normalized probe is not a weight vector")
     return tuple(found)
@@ -243,29 +250,22 @@ class _Antichain:
 
 
 class _Search:
-    """Shared exact machinery for one (n, d, extra probe vectors) instance.
+    """Shared exact machinery for one (n, d) instance.
 
     Supports are bitmasks over the canonical monomial order; profiles
     (per-monomial weights, r_j, j) are deduplicated up to positive scaling,
-    keeping the largest j per scaled profile (larger thresholds dominate).
-    One pass over the profiles' thresholds t = -w_i / r_j in (0, 1), each
-    keyed by p / q in lowest terms, collects the witnesses (r, m, j) of every
-    (r, j) behind a profile and the mask bits each t flips per profile.
+    keeping the largest j per scaled profile (larger thresholds dominate)
+    and every (r, j) behind it.  One pass over the profiles' thresholds
+    t = -w_i / r_j in (0, 1), each keyed by p / q in lowest terms, builds the
+    one threshold table: the mask bits each t flips per profile.
     """
 
-    def __init__(self, n: int, d: int, extra: tuple[WeightVector, ...] = ()):
+    def __init__(self, n: int, d: int):
         self.n, self.d = n, d
-        weights = set(candidate_weights(n, d))  # checks the monomial bound first
+        weights = candidate_weights(n, d)  # checks the monomial bound first
         self.mons = monomials(n, d)
-        for r in extra:
-            if not is_weight_vector(r):
-                raise ValueError(f"not a normalized weight vector: {r}")
-            if len(r) != n + 1:
-                raise DimensionMismatchError(f"weight vector {r} not of length {n + 1}")
-            weights.add(r)
-        self.weights = tuple(sorted(weights))
         profiles: dict[tuple[tuple[int, ...], int], list[tuple[WeightVector, int]]] = {}
-        for r in self.weights:
+        for r in weights:
             wvec = tuple(sum(map(mul, m, r)) for m in self.mons)
             for j in range(n + 1):
                 g = gcd(*wvec, r[j])
@@ -273,21 +273,26 @@ class _Search:
                 profiles.setdefault(key, []).append((r, j))
         groups = sorted(profiles.items())
         self.profiles = tuple((w, rj, max(j for _, j in rjs)) for (w, rj), rjs in groups)
-        self.witnesses: dict[tuple[int, int], list[tuple]] = {}
+        self.sources = tuple(rjs for _, rjs in groups)
         self.flips: dict[tuple[int, int], dict[int, int]] = {}
-        for k, ((wvec, rj), rjs) in enumerate(groups):
+        for k, (wvec, rj, _) in enumerate(self.profiles):
             sign, q = (-1, rj) if rj > 0 else (1, -rj)
             for i, w in enumerate(wvec):
                 if 0 < sign * w < q:
                     g = gcd(w, q)
-                    t = sign * w // g, q // g
-                    self.witnesses.setdefault(t, []).extend((r, self.mons[i], j) for r, j in rjs)
-                    row = self.flips.setdefault(t, {})
+                    row = self.flips.setdefault((sign * w // g, q // g), {})
                     row[k] = row.get(k, 0) | 1 << i
 
-    def candidates(self) -> dict[Fraction, list[tuple]]:
-        """Candidate values, each with its sorted witness triples (r, m, j)."""
-        return {Fraction(p, q): sorted(w) for (p, q), w in self.witnesses.items()}
+    def candidates(self) -> list[Fraction]:
+        """The sorted candidate values."""
+        return sorted(Fraction(p, q) for p, q in self.flips)
+
+    def witnesses(self, t: Fraction) -> list[tuple]:
+        """The sorted triples (r, m, j) behind candidate t: every (r, j)
+        behind a profile that t flips, with each monomial whose bit it flips."""
+        flips = self.flips[t.numerator, t.denominator].items()
+        return sorted((r, m, j) for k, bits in flips for i, m in enumerate(self.mons)
+                      if bits >> i & 1 for r, j in self.sources[k])
 
     def fingerprint(self, t: Fraction) -> frozenset[tuple[int, int]]:
         """Deduplicated, inclusion-maximalized family {(support mask, j)}."""
@@ -312,26 +317,25 @@ class _Search:
             samples.append(frozenset(family.members))
         return samples
 
-    def walls(self) -> tuple[tuple[Fraction, ...], dict[Fraction, list[tuple]]]:
+    def walls(self) -> tuple[Fraction, ...]:
         """Candidates whose neighbouring chamber samples differ, the samples
         taken by one incremental sweep over the sorted candidates."""
-        cands = self.candidates()
-        cuts = sorted(cands)
+        cuts = self.candidates()
         samples = self._chamber_samples(cuts)
-        return tuple(t for t, lo, hi in zip(cuts, samples, samples[1:]) if lo != hi), cands
+        return tuple(t for t, lo, hi in zip(cuts, samples, samples[1:]) if lo != hi)
 
 
-def _sweep(n: int, d: int, exploratory: bool):
-    """The wall sweep behind compute_walls and wall_report, with the
+def _search(n: int, d: int, exploratory: bool) -> _Search:
+    """The search behind compute_walls and wall_report, with the
     supported-target guard they share."""
     if (n, d) != SUPPORTED and not exploratory:
         raise UnsupportedError(f"({n}, {d}) is not a supported target; (3, 3) is")
-    return _Search(n, d).walls()
+    return _Search(n, d)
 
 
 def candidate_twalls(n: int, d: int) -> tuple[Fraction, ...]:
     """Sorted candidate slope values -<m, r>/r_j inside (0, 1)."""
-    return tuple(sorted(_Search(n, d).candidates()))
+    return tuple(_Search(n, d).candidates())
 
 
 def compute_walls(n: int = 3, d: int = 3, *, exploratory: bool = False) -> WallSet:
@@ -343,18 +347,20 @@ def compute_walls(n: int = 3, d: int = 3, *, exploratory: bool = False) -> WallS
     Only (3, 3) is supported; pass exploratory=True to run other small
     configurations with no acceptance claim.
     """
-    walls, _ = _sweep(n, d, exploratory)
-    return WallSet(walls)
+    return WallSet(_search(n, d, exploratory).walls())
 
 
 def wall_report(n: int = 3, d: int = 3, *, exploratory: bool = False) -> dict:
     """JSON-ready report: walls, candidates, and per-wall witness triples."""
-    walls, cands = _sweep(n, d, exploratory)
+    search = _search(n, d, exploratory)
+    walls = search.walls()
     return {
         "walls": [format_rational(t) for t in walls],
-        "candidates": [format_rational(t) for t in sorted(cands)],
+        "candidates": [format_rational(t) for t in search.candidates()],
         "witnesses": {
-            format_rational(t): [{"r": list(r), "m": list(m), "j": j} for r, m, j in cands[t]]
+            format_rational(t): [
+                {"r": list(r), "m": list(m), "j": j} for r, m, j in search.witnesses(t)
+            ]
             for t in walls
         },
     }

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallcross import gitwalls
-from wallcross.errors import DimensionMismatchError, UnsupportedError
+from wallcross.errors import BoundExceededError, UnsupportedError
 from wallcross.gitwalls import (
     _Antichain,
     _cut,
@@ -223,6 +223,22 @@ def test_candidate_weights_counts_past_the_oracle():
     assert len(candidate_weights(3, 5)) == 693
 
 
+def test_probes_closed_under_reversal():
+    """sigma(r) = -(r_n, ..., r_0) keeps the descending cone and maps the
+    direction arrangement to itself (<m, sigma(r)> = -<m reversed, r>), so
+    it permutes the probes; a walk over half the cone, r_0 + r_n >= 0, and
+    its mirror image would find them all."""
+    configs = [(n, d) for n in (1, 2, 3) for d in range(1, 6)] + [(4, 2)]
+    broken = []
+    for n, d in configs:
+        probes = set(candidate_weights(n, d))
+        if {tuple(-v for v in reversed(r)) for r in probes} != probes:
+            broken.append((n, d))
+    assert broken == []
+    ends = Counter((r[0] + r[-1] > 0) - (r[0] + r[-1] < 0) for r in candidate_weights(3, 5))
+    assert ends == {1: 341, 0: 11, -1: 341}
+
+
 def test_candidate_weights_bound(monkeypatch):
     """The monomial count is checked before any monomial is built:
     (10, 10) would build 184,756 of them only to refuse."""
@@ -232,7 +248,33 @@ def test_candidate_weights_bound(monkeypatch):
         candidate_weights(4, 4)
     with pytest.raises(UnsupportedError, match=r"^\(10, 10\) has 184756 monomials, above"):
         compute_walls(10, 10, exploratory=True)
+    # the bound is read on each call: (3, 3) has 20 monomials
+    monkeypatch.setattr(gitwalls, "MAX_MONOMIALS", 19)
+    candidate_weights.cache_clear()
+    with pytest.raises(UnsupportedError, match=r"^\(3, 3\) has 20 monomials, above the bound 19$"):
+        candidate_weights(3, 3)
     assert calls == []
+
+
+def test_candidate_weights_flat_bound(monkeypatch):
+    """Each rank's flats are counted before any of them is cut: (4, 2) holds
+    45 and then 250 flats, so MAX_FLATS = 100 refuses it after the cuts of
+    the first ranks only.  (6, 2) would reach 412,366 flats over minutes."""
+    with pytest.raises(BoundExceededError, match=r"^\(6, 2\) has 11108 flats at a rank, above"):
+        candidate_weights(6, 2)
+    calls = []
+    cut = gitwalls._cut
+    monkeypatch.setattr(gitwalls, "_cut", lambda basis, s: calls.append(s) or cut(basis, s))
+    monkeypatch.setattr(gitwalls, "MAX_FLATS", 250)  # the bound itself passes
+    candidate_weights.cache_clear()
+    assert len(candidate_weights(4, 2)) == 42
+    full = len(calls)
+    calls.clear()
+    monkeypatch.setattr(gitwalls, "MAX_FLATS", 100)
+    candidate_weights.cache_clear()
+    with pytest.raises(BoundExceededError, match=r"^\(4, 2\) has 250 flats at a rank, above 100$"):
+        candidate_weights(4, 2)
+    assert 0 < len(calls) < full
 
 
 def exhaustive_weights(n: int, bound: int):
@@ -411,12 +453,18 @@ def test_family_at_small_t_matches_limit_construction():
     assert _Search(3, 3).fingerprint(t0) == expected
 
 
-def test_walls_stable_under_exhaustive_refinement():
+def refine_probes(monkeypatch, n, d, extra):
+    """Make the search read candidate_weights(n, d) together with `extra`."""
+    probes = tuple(sorted({*candidate_weights(n, d), *extra}))
+    monkeypatch.setattr(gitwalls, "candidate_weights", lambda *nd: probes)
+
+
+def test_walls_stable_under_exhaustive_refinement(monkeypatch):
     extra = exhaustive_weights(3, 9)
     assert all(is_weight_vector(r) and len(r) == 4 for r in extra)
     assert set(extra) - set(candidate_weights(3, 3))  # genuinely new probes
-    refined, _ = _Search(3, 3, extra).walls()
-    assert refined == DEGREE3_WALLS
+    refine_probes(monkeypatch, 3, 3, extra)
+    assert compute_walls(3, 3).walls == DEGREE3_WALLS
 
 
 def test_compute_walls_rejects_unsupported_targets():
@@ -433,13 +481,6 @@ def test_exploratory_mode_runs_small_cases():
     assert line.walls == ()  # no candidate slope lands inside (0, 1)
     conic = compute_walls(2, 2, exploratory=True)
     assert all(0 < w < 1 for w in conic.walls)
-
-
-def test_search_rejects_bad_extra_weights():
-    with pytest.raises(ValueError):
-        _Search(3, 3, ((2, 0, 0, -2),))
-    with pytest.raises(DimensionMismatchError):
-        _Search(3, 3, ((1, -1),))
 
 
 def test_wall_report_shape():
@@ -459,6 +500,23 @@ def test_wall_report_shape():
             assert F(-monomial_weight(m, r), r[j]) == t
     assert json.dumps(report)  # JSON-serializable
     assert wall_report(3, 3) == wall_report(3, 3)  # deterministic
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (4, 2), (2, 6)])
+def test_wall_witnesses_are_complete(n, d):
+    """Each wall's witnesses are, in order, every triple (r, m, j) of a probe
+    r, a monomial m and r_j != 0 with -<m, r>/r_j equal to the wall."""
+    brute: dict[Fraction, list] = {}
+    for r in candidate_weights(n, d):
+        for m in monomials(n, d):
+            for j, rj in enumerate(r):
+                if rj:
+                    brute.setdefault(F(-monomial_weight(m, r), rj), []).append((r, m, j))
+    report = wall_report(n, d, exploratory=True)
+    assert report["walls"]
+    for t in report["walls"]:
+        want = [{"r": list(r), "m": list(m), "j": j} for r, m, j in sorted(brute[F(t)])]
+        assert report["witnesses"][t] == want
 
 
 ATLAS = ["2,3", "2,4", "2,5", "2,6", "3,2", "3,4", "4,2"]
@@ -486,8 +544,9 @@ def test_sweep_samples_match_fingerprint(config):
     assert search._chamber_samples(cuts) == midpoint_samples(search)
 
 
-def test_sweep_samples_match_fingerprint_with_exhaustive_probes():
-    search = _Search(3, 3, exhaustive_weights(3, 9))
+def test_sweep_samples_match_fingerprint_with_exhaustive_probes(monkeypatch):
+    refine_probes(monkeypatch, 3, 3, exhaustive_weights(3, 9))
+    search = _Search(3, 3)
     cuts = sorted(search.candidates())
     assert search._chamber_samples(cuts) == midpoint_samples(search)
 
@@ -539,7 +598,7 @@ def test_antichain_matches_maximal_after_every_batch(initial, batches):
 
 def test_sweep_without_candidates_samples_one_chamber():
     search = _Search(1, 1)
-    assert search.candidates() == {}
+    assert search.candidates() == []
     assert search._chamber_samples([]) == [search.fingerprint(F(1, 2))]
 
 

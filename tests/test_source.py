@@ -62,6 +62,23 @@ def test_gitwalls_imports_only_errors_exactq_wallsets():
     assert package_imports("gitwalls.py") == {"errors", "exactq", "wallsets"}
 
 
+def test_every_bound_is_named_by_a_test():
+    """Each module-level MAX_* bound of the package is named by a test, so
+    that no refusal goes untested."""
+    tests = Path(__file__).resolve().parent
+    text = "\n".join(p.read_text() for p in tests.glob("test_*.py") if p.name != "test_source.py")
+    bounds = [
+        target.id
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    assert {"MAX_CELLS", "MAX_FLATS", "MAX_MONOMIALS"} <= set(bounds)
+    assert [name for name in bounds if not re.search(rf"\b{name}\b", text)] == []
+
+
 def test_traced_targets_resolve():
     """Every span target of the benchmark tracer names a function or method
     that the package defines itself, so a rename fails here before it breaks
