@@ -102,8 +102,10 @@ class ProductArrangement(Value):
             raise BoundExceededError(f"{count} codim-{codim} cells, above the bound {MAX_CELLS}")
         chambers = [range(0, 2 * w + 1, 2) for w in self.wall_counts]
         walls = [range(1, 2 * w, 2) for w in self.wall_counts]
+        # a wall-free factor offers no wall, so slots come only from the others
+        walled = [i for i, w in enumerate(self.wall_counts) if w]
         out = []
-        for slots in itertools.combinations(range(self.k), codim):
+        for slots in itertools.combinations(walled, codim):
             out.extend(
                 itertools.product(
                     *(walls[i] if i in slots else chambers[i] for i in range(self.k))
@@ -222,7 +224,8 @@ class SymmetricFolding(Value):
         slots = [sorted(part) for part in self.grouping]
         cwr = itertools.combinations_with_replacement
         out = []
-        for split in itertools.product(*(range(len(part) + 1) for part in self.grouping)):
+        splits = (range(len(part) + 1 if w else 1) for w, part in zip(walls, self.grouping))
+        for split in itertools.product(*splits):
             if sum(split) == codim:
                 # a part's codim-c multisets: c walls merged with len - c chambers
                 multisets = [

@@ -294,15 +294,12 @@ class _Search:
         return sorted((r, m, j) for k, bits in flips for i, m in enumerate(self.mons)
                       if bits >> i & 1 for r, j in self.sources[k])
 
-    def fingerprint(self, t: Fraction) -> frozenset[tuple[int, int]]:
-        """Deduplicated, inclusion-maximalized family {(support mask, j)}."""
-        return _maximal((_mask(wvec, rj, t), j) for wvec, rj, j in self.profiles)
-
     def _chamber_samples(self, cuts: list[Fraction]) -> list[frozenset[tuple[int, int]]]:
-        """fingerprint on each open chamber of (0, 1) cut at `cuts`, the sorted
-        candidates, among them every profile threshold -wvec[i] / r_j: _mask
-        builds the first chamber's masks, and each cut XORs in the bits it
-        flips and moves each flipped profile's pair in the _Antichain."""
+        """The deduplicated, inclusion-maximalized family {(support mask, j)}
+        on each open chamber of (0, 1) cut at `cuts`, the sorted candidates,
+        among them every profile threshold -wvec[i] / r_j: _mask builds the
+        first chamber's masks, and each cut XORs in the bits it flips and
+        moves each flipped profile's pair in the _Antichain."""
         start = (cuts[0] if cuts else Fraction(1)) / 2
         masks = [_mask(wvec, rj, start) for wvec, rj, _ in self.profiles]
         js = [j for _, _, j in self.profiles]

@@ -1,11 +1,12 @@
 """Symbolic moduli descriptors for products, with finite groupoid models.
 
-A product of registered families has a moduli descriptor assembled from the
-factors: isomorphic factors (the iso-relation is caller-supplied; an empty
-one is id equality) collapse into a symmetric quotient [M^s / S_s],
-point-moduli factors drop out entirely, and the rest multiply.  The caller
-passes the point ids of its own registry, so this module loads none.  The
-class representative is the lexicographically least id of its class, a
+A product of registered families has a moduli descriptor fixed by one
+(representative id, power) group per iso class of its factors (the
+iso-relation is caller-supplied; an empty one is id equality): a class met
+s times contributes the symmetric quotient [M^s / S_s], a bare atom when
+s = 1, point-moduli factors drop out entirely, and the groups multiply.  The
+caller passes the point ids of its own registry, so this module loads none.
+The class representative is the lexicographically least id of its class, a
 naming convention only.
 
 Two-slot products are classified by the map to the product of the factor
@@ -45,86 +46,27 @@ MAX_CARRIER = 100_000
 
 
 class Descriptor(Value):
-    """Base class; concrete kinds are Atom, Point, Product and SymQuotient."""
+    """The moduli of a product as (representative id, power) groups: atoms
+    (power 1) first, then symmetric quotients [M^s/S_s], each kind by id.
+    No groups is a point, one group is a bare node, and more are a product."""
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def sort_key(self) -> tuple:
-        """Total order: atoms, then symmetric quotients, then products, then
-        points; ties by payload, recursively."""
-        raise NotImplementedError
-
-
-class Atom(Descriptor):
-    """The moduli of one registered family, named by its id."""
-
-    def __init__(self, id: str) -> None:
-        self.__dict__.update(id=id)
-
-    def to_json(self) -> dict:
-        return {"kind": "atom", "id": self.id}
-
-    def sort_key(self) -> tuple:
-        return (0, self.id)
+    def __init__(self, groups: tuple[tuple[str, int], ...]) -> None:
+        self.__dict__.update(groups=groups)
 
     def __str__(self) -> str:
-        return self.id
-
-
-class Point(Descriptor):
-    """A single reduced point."""
+        if not self.groups:
+            return "pt"
+        return " x ".join(r if s == 1 else f"[{r}^{s}/S{s}]" for r, s in self.groups)
 
     def to_json(self) -> dict:
-        return {"kind": "point"}
-
-    def sort_key(self) -> tuple:
-        return (9,)
-
-    def __str__(self) -> str:
-        return "pt"
-
-
-class Product(Descriptor):
-    """At least two factors, canonically sorted, never Point, never nested."""
-
-    def __init__(self, children: tuple[Descriptor, ...]) -> None:
-        if len(children) < 2:
-            raise ValueError("Product needs at least 2 children")
-        if any(isinstance(c, (Point, Product)) for c in children):
-            raise ValueError("Product children must be elided/flattened first")
-        if list(children) != sorted(children, key=lambda c: c.sort_key()):
-            raise ValueError("Product children must be canonically sorted")
-        self.__dict__.update(children=children)
-
-    def to_json(self) -> dict:
-        return {"kind": "product", "children": [c.to_json() for c in self.children]}
-
-    def sort_key(self) -> tuple:
-        return (3, tuple(c.sort_key() for c in self.children))
-
-    def __str__(self) -> str:
-        return " x ".join(str(c) for c in self.children)
-
-
-class SymQuotient(Descriptor):
-    """The symmetric quotient [base^power / S_power], power >= 2."""
-
-    def __init__(self, base: Descriptor, power: int) -> None:
-        if power < 2:
-            raise ValueError(f"symmetric power must be >= 2, got {power}")
-        if isinstance(base, Point):
-            raise ValueError("symmetric quotients of a point are elided")
-        self.__dict__.update(base=base, power=power)
-
-    def to_json(self) -> dict:
-        return {"kind": "sym", "base": self.base.to_json(), "power": self.power}
-
-    def sort_key(self) -> tuple:
-        return (2, self.base.sort_key(), self.power)
-
-    def __str__(self) -> str:
-        return f"[{self.base}^{self.power}/S{self.power}]"
+        nodes = [
+            {"kind": "atom", "id": r} if s == 1
+            else {"kind": "sym", "base": {"kind": "atom", "id": r}, "power": s}
+            for r, s in self.groups
+        ]
+        if len(nodes) == 1:
+            return nodes[0]
+        return {"kind": "product", "children": nodes} if nodes else {"kind": "point"}
 
 
 # -- canonicalization ---------------------------------------------------------
@@ -164,16 +106,12 @@ def canonicalize(factors, iso, point_ids: frozenset[str]) -> Descriptor:
     """Canonical descriptor of a product of factors.
 
     The caller passes the point ids of its registry (see point_ids); those
-    factors are elided.  Each iso class contributes its representative
-    atom, raised to a symmetric quotient when the class multiplicity is 2 or
-    more.  Idempotent and invariant under permutation of the input.
+    factors are elided.  Each iso class contributes its representative with
+    the class multiplicity as its power.  Idempotent and invariant under
+    permutation of the input.
     """
-    nodes = [
-        Atom(r) if m == 1 else SymQuotient(Atom(r), m) for r, m in _grouped(factors, iso, point_ids)
-    ]
-    if len(nodes) < 2:
-        return nodes[0] if nodes else Point()
-    return Product(tuple(sorted(nodes, key=lambda c: c.sort_key())))
+    keyed = sorted((s > 1, r, s) for r, s in _grouped(factors, iso, point_ids))
+    return Descriptor(tuple((r, s) for _, r, s in keyed))
 
 
 class MapKind(enum.Enum):

@@ -1,7 +1,8 @@
 """Seeded random permutation models shared by the groupoid test suites,
 brute-force oracles for the closed forms that `stackalg` computes, the
 plain `Fraction` polynomial product that `invariants.poly_mul` must match,
-the unpruned probe walk that `gitwalls.candidate_weights` must match, and
+the unpruned probe walk that `gitwalls.candidate_weights` must match, the
+per-point fingerprint that the wall sweep's chamber samples must match, and
 the per-element Burnside sum that `SymmetricFolding.burnside_orbit_count`
 must match."""
 
@@ -16,11 +17,7 @@ from operator import mul
 from wallcross import gitwalls
 from wallcross.invariants import Polynomial
 from wallcross.stackalg import (
-    Atom,
     FiniteGroupoidModel,
-    Point,
-    Product,
-    SymQuotient,
     groupoid_cardinality,
     orbit_space,
     product_model,
@@ -101,13 +98,21 @@ def brute_grouped(factors, iso, drop=frozenset()) -> list[list]:
 
 
 def brute_canonicalize(factors, iso, point_ids):
-    """`canonicalize` from the brute grouping: atoms by id, then symmetric
-    quotients by id, wrapped as a point, a single node or a product."""
+    """(text, JSON) of `canonicalize` from the brute grouping, with no
+    descriptor class: atoms by id, then symmetric quotients by id, shown as
+    a point, a single node or a product."""
     groups = sorted(brute_grouped(factors, iso, point_ids), key=lambda g: (g[1] > 1, g[0]))
-    nodes = [Atom(rep) if mult == 1 else SymQuotient(Atom(rep), mult) for rep, mult in groups]
+    nodes = [
+        (rep, {"kind": "atom", "id": rep}) if mult == 1
+        else (f"[{rep}^{mult}/S{mult}]",
+              {"kind": "sym", "base": {"kind": "atom", "id": rep}, "power": mult})
+        for rep, mult in groups
+    ]
     if not nodes:
-        return Point()
-    return nodes[0] if len(nodes) == 1 else Product(tuple(nodes))
+        return "pt", {"kind": "point"}
+    if len(nodes) == 1:
+        return nodes[0]
+    return " x ".join(t for t, _ in nodes), {"kind": "product", "children": [j for _, j in nodes]}
 
 
 def assert_product_laws(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> None:
@@ -172,6 +177,12 @@ def unpruned_probes(n: int, d: int):
             cut_flats.update(gitwalls._cut(basis, s) for s in cuts)
         flats = cut_flats
     return tuple(sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:]))))
+
+
+def fingerprint(search, t):
+    """Deduplicated, inclusion-maximalized family {(support mask, j)} of a
+    `gitwalls._Search` at t, computed anew from every profile."""
+    return gitwalls._maximal((gitwalls._mask(wvec, rj, t), j) for wvec, rj, j in search.profiles)
 
 
 def brute_burnside_orbit_count(folding, codim: int) -> int:

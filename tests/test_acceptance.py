@@ -26,11 +26,8 @@ from wallcross.invariants import (
     product_numerics,
 )
 from wallcross.stackalg import (
-    Atom,
+    Descriptor,
     MapKind,
-    Point,
-    Product,
-    SymQuotient,
     canonicalize,
     classify_product_map,
     point_ids,
@@ -211,10 +208,11 @@ def test_criterion_7_volume_hilbert_identity(capsys):
 
 def test_criterion_8_descriptor_algebra(capsys):
     points = point_ids(load_registry())
-    assert canonicalize({"dp3": 1, "dp4": 1}, (), points) == Product((Atom("dp3"), Atom("dp4")))
-    assert canonicalize({"dp3": 2}, (), points) == SymQuotient(Atom("dp3"), 2)
-    assert canonicalize({"p1": 1, "dp3": 1}, (), points) == Atom("dp3")
-    assert canonicalize({"p1": 2}, (), points) == Point()
+    desc = canonicalize({"dp3": 1, "dp4": 1}, (), points)
+    assert desc == Descriptor((("dp3", 1), ("dp4", 1))) and str(desc) == "dp3 x dp4"
+    assert str(canonicalize({"dp3": 2}, (), points)) == "[dp3^2/S2]"
+    assert canonicalize({"p1": 1, "dp3": 1}, (), points).to_json() == {"kind": "atom", "id": "dp3"}
+    assert canonicalize({"p1": 2}, (), points).to_json() == {"kind": "point"}
     assert classify_product_map({"dp3": 1, "dp4": 1}) is MapKind.ISOMORPHISM
     assert classify_product_map({"dp3": 2}) is MapKind.S2_GERBE
     with capsys.disabled():

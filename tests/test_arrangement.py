@@ -547,6 +547,42 @@ def test_render_json_fixed_cases(registry, k, fold):
         assert text.index('"10": 0') < text.index('"2": 0')
 
 
+class BoundedDraws:
+    """itertools with every tuple drawn from combinations and product
+    counted, failing past a small limit: a walk over every wall slot or
+    codimension split of k factors would draw 2^k of them."""
+
+    def __init__(self, limit):
+        self.drawn, self.limit = 0, limit
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def _count(self, tuples):
+        for t in tuples:
+            self.drawn += 1
+            if self.drawn > self.limit:
+                raise AssertionError(f"more than {self.limit} tuples drawn")
+            yield t
+
+    def combinations(self, *args):
+        return self._count(itertools.combinations(*args))
+
+    def product(self, *args):
+        return self._count(itertools.product(*args))
+
+
+def test_wall_free_factors_offer_no_wall_slot(registry, monkeypatch):
+    p1s = build_product([registry["p1"]] * 40)
+    distinct = build_product([(f"f{i:02d}", WallSet(())) for i in range(40)])
+    folding = fold_symmetric(distinct, grouping_by_id(distinct))
+    monkeypatch.setattr(arrangement, "itertools", BoundedDraws(1000))
+    assert [len(p1s.cells(j)) for j in range(41)] == [1] + [0] * 40
+    assert_same_text(render(p1s, "json"), render_json_oracle(p1s))
+    assert [folding.orbit_count(j) for j in range(41)] == [1] + [0] * 40
+    assert_same_text(render(distinct, "json", folding), render_json_oracle(distinct, folding))
+
+
 def record_calls(monkeypatch, owner, name, calls):
     """Wrap owner.name(self, codim) so that each call appends its codim to calls."""
     original = getattr(owner, name)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from _models import unpruned_probes
+from _models import fingerprint, unpruned_probes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -377,7 +377,7 @@ def test_walls_are_candidates_where_family_jumps():
     for i, t in enumerate(cands):
         below = (bounds[i] + t) / 2
         above = (t + bounds[i + 2]) / 2
-        jumped = search.fingerprint(below) != search.fingerprint(above)
+        jumped = fingerprint(search, below) != fingerprint(search, above)
         assert jumped == (t in walls)
 
 
@@ -388,21 +388,21 @@ def test_family_jumps_across_first_wall():
     assert cands[i] == F(1, 5)
     prev = F(0) if i == 0 else cands[i - 1]
     nxt = cands[i + 1]
-    below = search.fingerprint((prev + F(1, 5)) / 2)
-    above = search.fingerprint((F(1, 5) + nxt) / 2)
+    below = fingerprint(search, (prev + F(1, 5)) / 2)
+    above = fingerprint(search, (F(1, 5) + nxt) / 2)
     assert below != above
 
 
 def test_family_differs_across_one_fifth():
     search = _Search(3, 3)
-    assert search.fingerprint(F(1, 4)) != search.fingerprint(F(1, 5) - F(1, 100))
+    assert fingerprint(search, F(1, 4)) != fingerprint(search, F(1, 5) - F(1, 100))
 
 
 def test_family_locally_constant_between_candidates():
     search = _Search(3, 3)
     bounds = [F(0), *candidate_twalls(3, 3), F(1)]
     for a, b in zip(bounds, bounds[1:]):
-        families = {search.fingerprint(a + (b - a) * k / 4) for k in (1, 2, 3)}
+        families = {fingerprint(search, a + (b - a) * k / 4) for k in (1, 2, 3)}
         assert len(families) == 1
 
 
@@ -413,13 +413,13 @@ def test_family_constant_inside_chamber():
     cands = set(candidate_twalls(3, 3))
     samples = [F(5, 14), F(8, 21), F(17, 42)]
     assert all(F(1, 3) < s < F(3, 7) and s not in cands for s in samples)
-    assert len({search.fingerprint(s) for s in samples}) == 1
+    assert len({fingerprint(search, s) for s in samples}) == 1
 
 
 def test_family_members_are_a_maximal_antichain():
     # a member (mask, j) is a support bitmask and the largest variable index
     # allowed in the hyperplane
-    family = _Search(3, 3).fingerprint(F(1, 2))
+    family = fingerprint(_Search(3, 3), F(1, 2))
     assert family
     for mask, j in family:
         assert 0 < mask < 1 << 20
@@ -450,7 +450,7 @@ def test_family_at_small_t_matches_limit_construction():
         if not any(s != s2 and s & ~s2 == 0 and j <= j2 for s2, j2 in best.items())
     }
     t0 = min(candidate_twalls(3, 3)) / 2
-    assert _Search(3, 3).fingerprint(t0) == expected
+    assert fingerprint(_Search(3, 3), t0) == expected
 
 
 def refine_probes(monkeypatch, n, d, extra):
@@ -533,7 +533,7 @@ def test_exploratory_atlas_matches_golden(data_dir, config):
 def midpoint_samples(search):
     """The oracle: fingerprint recomputed anew in every chamber."""
     bounds = [F(0), *sorted(search.candidates()), F(1)]
-    return [search.fingerprint((a + b) / 2) for a, b in zip(bounds, bounds[1:])]
+    return [fingerprint(search, (a + b) / 2) for a, b in zip(bounds, bounds[1:])]
 
 
 @pytest.mark.parametrize("config", ATLAS)
@@ -599,7 +599,7 @@ def test_antichain_matches_maximal_after_every_batch(initial, batches):
 def test_sweep_without_candidates_samples_one_chamber():
     search = _Search(1, 1)
     assert search.candidates() == []
-    assert search._chamber_samples([]) == [search.fingerprint(F(1, 2))]
+    assert search._chamber_samples([]) == [fingerprint(search, F(1, 2))]
 
 
 def assert_digest_golden(report, golden):

@@ -19,12 +19,9 @@ from _models import (
 from wallcross import stackalg
 from wallcross.errors import ArityError, BoundExceededError, GroupTooLargeError
 from wallcross.stackalg import (
-    Atom,
+    Descriptor,
     FiniteGroupoidModel,
     MapKind,
-    Point,
-    Product,
-    SymQuotient,
     _grouped,
     canonicalize,
     classify_product_map,
@@ -44,39 +41,38 @@ POINTS = frozenset({"p1"})
 
 def test_canonicalize_two_distinct_factors():
     desc = canonicalize({"dp3": 1, "dp4": 1}, (), POINTS)
-    assert desc == Product((Atom("dp3"), Atom("dp4")))
+    assert desc == Descriptor((("dp3", 1), ("dp4", 1)))
     assert str(desc) == "dp3 x dp4"
 
 
 def test_canonicalize_repeated_factor():
     desc = canonicalize({"dp4": 2, "p1": 1}, (), POINTS)
-    assert desc == SymQuotient(Atom("dp4"), 2)
+    assert desc == Descriptor((("dp4", 2),))
     assert str(desc) == "[dp4^2/S2]"
 
 
 def test_canonicalize_points_only():
-    assert canonicalize({"p1": 3}, (), POINTS) == Point()
-    assert str(Point()) == "pt"
+    assert canonicalize({"p1": 3}, (), POINTS) == Descriptor(())
+    assert str(Descriptor(())) == "pt"
 
 
 def test_canonicalize_mixed():
     desc = canonicalize({"dp3": 1, "dp4": 2, "p1": 2}, (), POINTS)
-    assert desc == Product((Atom("dp3"), SymQuotient(Atom("dp4"), 2)))
+    assert desc == Descriptor((("dp3", 1), ("dp4", 2)))
     assert str(desc) == "dp3 x [dp4^2/S2]"
 
 
 def test_canonicalize_iso_classes_merge():
     desc = canonicalize({"dp3": 1, "dp4": 1}, ({"dp3", "dp4"},), POINTS)
-    assert desc == SymQuotient(Atom("dp3"), 2)  # least id of the class
+    assert desc == Descriptor((("dp3", 2),))  # least id of the class
+    assert str(desc) == "[dp3^2/S2]"
 
 
 def test_canonicalize_input_order_invariance():
     rng = random.Random(99)
     items = ["dp3", "dp4", "dp4", "p1", "dp3", "dp3"]
     reference = canonicalize(items, (), POINTS)
-    assert reference == Product(
-        (SymQuotient(Atom("dp3"), 3), SymQuotient(Atom("dp4"), 2))
-    )
+    assert str(reference) == "[dp3^3/S3] x [dp4^2/S2]"
     for _ in range(10):
         shuffled = items[:]
         rng.shuffle(shuffled)
@@ -88,11 +84,11 @@ IDS = "abcdp"
 
 def _factor_ids(desc) -> list[str]:
     """The factor list a descriptor stands for, one id per slot."""
-    if isinstance(desc, Product):
-        return [fid for child in desc.children for fid in _factor_ids(child)]
-    if isinstance(desc, SymQuotient):
-        return _factor_ids(desc.base) * desc.power
-    return [] if isinstance(desc, Point) else [desc.id]
+    return [rep for rep, power in desc.groups for _ in range(power)]
+
+
+def _rendered(desc):
+    return str(desc), desc.to_json()
 
 
 FACTORS = st.lists(st.sampled_from(IDS), max_size=8)
@@ -110,8 +106,9 @@ def _iso(labels):
 def test_canonicalize_idempotent_and_order_free(factors, labels, points, data):
     iso = _iso(labels)
     desc = canonicalize(factors, iso, points)
-    assert canonicalize(_factor_ids(desc), iso, points) == desc
-    assert canonicalize(data.draw(st.permutations(factors)), iso, points) == desc
+    assert _rendered(desc) == brute_canonicalize(factors, iso, points)
+    assert _rendered(canonicalize(_factor_ids(desc), iso, points)) == _rendered(desc)
+    assert _rendered(canonicalize(data.draw(st.permutations(factors)), iso, points)) == _rendered(desc)
 
 
 @settings(max_examples=200)
@@ -122,7 +119,7 @@ def test_canonicalize_idempotent_and_order_free(factors, labels, points, data):
 @example(["a", "p", "p"], [0, 1, 1, 1, 0], frozenset({"p"}))
 def test_canonicalize_matches_brute_force_grouping(factors, labels, points):
     iso = _iso(labels)
-    assert canonicalize(factors, iso, points) == brute_canonicalize(factors, iso, points)
+    assert _rendered(canonicalize(factors, iso, points)) == brute_canonicalize(factors, iso, points)
     assert _grouped(factors, iso) == brute_grouped(factors, iso)
     counts = {fid: factors.count(fid) for fid in factors}
     assert _grouped(counts, iso, points) == brute_grouped(counts, iso, points)
@@ -130,11 +127,9 @@ def test_canonicalize_matches_brute_force_grouping(factors, labels, points):
 
 def test_canonicalize_explicit_point_ids():
     desc = canonicalize({"a": 1, "z": 1}, (), frozenset({"z"}))
-    assert desc == Atom("a")
-    assert canonicalize({"z": 4}, (), frozenset({"z"})) == Point()
-    assert canonicalize({"p1": 1, "dp3": 1}, (), frozenset()) == Product(
-        (Atom("dp3"), Atom("p1"))
-    )
+    assert _rendered(desc) == ("a", {"kind": "atom", "id": "a"})
+    assert _rendered(canonicalize({"z": 4}, (), frozenset({"z"}))) == ("pt", {"kind": "point"})
+    assert str(canonicalize({"p1": 1, "dp3": 1}, (), frozenset())) == "dp3 x p1"
 
 
 def test_default_point_ids(registry):
@@ -146,29 +141,11 @@ def test_default_point_ids(registry):
 
 def test_descriptor_sort_order():
     # atoms before symmetric quotients, whatever their ids
-    children = [SymQuotient(Atom("aa"), 3), SymQuotient(Atom("aa"), 2), Atom("zz")]
-    children.sort(key=lambda c: c.sort_key())
-    desc = Product(tuple(children))
-    assert children == [Atom("zz"), SymQuotient(Atom("aa"), 2), SymQuotient(Atom("aa"), 3)]
-    assert str(desc) == "zz x [aa^2/S2] x [aa^3/S3]"
-    assert canonicalize({"aa": 2, "zz": 1}, (), frozenset()) == Product(
-        (Atom("zz"), SymQuotient(Atom("aa"), 2))
-    )
-
-
-def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        Product((Atom("b"), Atom("a")))  # not sorted
-    with pytest.raises(ValueError):
-        Product((Atom("a"),))  # too few
-    with pytest.raises(ValueError):
-        Product((Atom("a"), Point()))  # point not elided
-    with pytest.raises(ValueError):
-        Product((Atom("a"), Product((Atom("b"), Atom("c")))))  # nested
-    with pytest.raises(ValueError):
-        SymQuotient(Atom("a"), 1)
-    with pytest.raises(ValueError):
-        SymQuotient(Point(), 2)
+    desc = canonicalize({"aa": 2, "bb": 3, "zz": 1, "yy": 1}, (), frozenset())
+    assert desc.groups == (("yy", 1), ("zz", 1), ("aa", 2), ("bb", 3))
+    assert str(desc) == "yy x zz x [aa^2/S2] x [bb^3/S3]"
+    desc = canonicalize({"aa": 3, "zz": 1}, (), frozenset())
+    assert str(desc) == "zz x [aa^3/S3]"
 
 
 def test_descriptor_json():
@@ -180,7 +157,7 @@ def test_descriptor_json():
             {"kind": "sym", "base": {"kind": "atom", "id": "dp4"}, "power": 2},
         ],
     }
-    assert Point().to_json() == {"kind": "point"}
+    assert Descriptor(()).to_json() == {"kind": "point"}
 
 
 def test_factor_multiset_normalization():

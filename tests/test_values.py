@@ -20,15 +20,7 @@ from wallcross.arrangement import ProductArrangement, SymmetricFolding, crossing
 from wallcross.errors import DegenerateMapError
 from wallcross.exactq import MoebiusMap, Value
 from wallcross.invariants import FanoNumerics
-from wallcross.stackalg import (
-    Atom,
-    FiniteGroupoidModel,
-    Orbit,
-    Point,
-    Product,
-    SymQuotient,
-    _grouped,
-)
+from wallcross.stackalg import Descriptor, FiniteGroupoidModel, Orbit, _grouped
 from wallcross.wallsets import FamilyRecord, WallSet
 
 WS = WallSet((F(1, 5), F(1, 3)))
@@ -46,10 +38,7 @@ CASES = [
     (lambda: ARR, "factors"),
     (lambda: crossing_graph(ARR), "nodes edges"),
     (lambda: SymmetricFolding(ARR, ((0, 1),)), "arrangement grouping"),
-    (lambda: Atom("x"), "id"),
-    (lambda: Point(), ""),
-    (lambda: Product((Atom("a"), Atom("b"))), "children"),
-    (lambda: SymQuotient(Atom("a"), 2), "base power"),
+    (lambda: Descriptor((("a", 1), ("b", 2))), "groups"),
     (lambda: Orbit((0, 1), 2), "points stabilizer_order"),
     (lambda: FiniteGroupoidModel(("a", "b"), ((1, 0),)), "carrier generators"),
 ]
@@ -57,7 +46,7 @@ CASES = [
 
 def test_every_value_type_is_covered():
     covered = {type(make()) for make, _ in CASES}
-    assert len(covered) == 13
+    assert len(covered) == 10
     assert all(issubclass(cls, Value) for cls in covered)
 
 
@@ -131,11 +120,6 @@ def test_construction_normalises():
         ),
         (lambda: FanoNumerics(-1, 1, (1,)), ValueError, "negative dimension"),
         (lambda: FanoNumerics(1, 0, (1,)), ValueError, "volume must be positive"),
-        (lambda: Product((Atom("a"),)), ValueError, "at least 2 children"),
-        (lambda: Product((Atom("a"), Point())), ValueError, "elided/flattened"),
-        (lambda: Product((Atom("b"), Atom("a"))), ValueError, "canonically sorted"),
-        (lambda: SymQuotient(Atom("a"), 1), ValueError, "must be >= 2"),
-        (lambda: SymQuotient(Point(), 2), ValueError, "point are elided"),
         (lambda: _grouped({"a": 0}, ()), ValueError, "must be >= 1"),
         (lambda: _grouped((), ({"a", "b"}, {"b", "c"})), ValueError, "disjoint"),
         (lambda: FiniteGroupoidModel((0, 1), ((0, 0),)), ValueError, "not a permutation"),
