@@ -53,18 +53,17 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     Strings in any other shape (floats, whitespace inside, empty) and bools
     (JSON true/false) are rejected so malformed registry files fail loudly.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value.strip())
         if m:
-            p = int(m.group(1))
-            q = int(m.group(2)) if m.group(2) is not None else 1
+            p, q = int(m[1]), int(m[2] or 1)
             if q == 0:
                 raise ValueError(f"zero denominator in rational literal {value!r}")
             return Fraction(p, q)
+    elif isinstance(value, Fraction):
+        return value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise ValueError(f"not a rational literal: {value!r}")
 
 
@@ -84,9 +83,9 @@ class MoebiusMap(Value):
     """
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        if not all(map(isinstance, (a, b, c, d), (int,) * 4)):
+        if not (type(a) is type(b) is type(c) is type(d) is int):  # bools too are refused
             raise TypeError(f"integer coefficients required, got {(a, b, c, d)!r}")
-        if a * d - b * c == 0:
+        if a * d == b * c:
             raise DegenerateMapError(f"vanishing determinant: {(a, b, c, d)!r}")
         # a or b is the leading coefficient, as a = b = 0 would make det 0
         g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)
@@ -105,7 +104,7 @@ class MoebiusMap(Value):
         """f(p/q) = (a*p + b*q)/(c*p + d*q) for x = p/q in lowest terms: one
         Fraction normalisation, and x is a pole exactly when c*p + d*q = 0."""
         x = x if isinstance(x, Fraction) else Fraction(x)
-        p, q = x.numerator, x.denominator
+        p, q = x.as_integer_ratio()
         den = self.c * p + self.d * q
         if den == 0:
             raise PoleError(f"{self} has a pole at {format_rational(x)}")
@@ -117,8 +116,8 @@ class MoebiusMap(Value):
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        a, b, c, d = self.coefficients()
-        e, f, g, h = other.coefficients()
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
         return MoebiusMap(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __str__(self) -> str:

@@ -15,9 +15,9 @@ anticanonical powers.  Both rules are cross-checked against each other here:
 lead(chi1 * chi2) = (V1/n1!) * (V2/n2!) forces the binomial in the volume.
 
 Polynomials are tuples of Fractions, constant term first, no trailing zeros.
-FanoNumerics trims its polynomial once, at construction, and the checks read
-it as stored.  poly_mul convolves integer numerators over each factor's
-common denominator and builds one Fraction per output coefficient.
+FanoNumerics trims its polynomial once, at construction, and the checks and
+the product read it as stored.  poly_mul trims, then convolves integer
+numerators over common denominators into one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ def poly_trim(coeffs) -> Polynomial:
 
 
 def poly_mul(f, g) -> Polynomial:
-    f, g = poly_trim(f), poly_trim(g)
+    return _convolve(poly_trim(f), poly_trim(g))
+
+
+def _convolve(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g for trimmed f and g, over integer numerators."""
     fd, gd = lcm(*[c.denominator for c in f]), lcm(*[c.denominator for c in g])
     fn = [c.numerator * (fd // c.denominator) for c in f]
     gn = [c.numerator * (gd // c.denominator) for c in g]
@@ -47,8 +51,8 @@ def poly_mul(f, g) -> Polynomial:
     for i, a in enumerate(fn):
         for j, b in enumerate(gn, i):
             out[j] += a * b
-    den = fd * gd
-    return poly_trim([Fraction(v, den) for v in out])  # trims only a zero factor
+    den = fd * gd  # trimmed leads multiply to zero only for a zero factor
+    return tuple([Fraction(v, den) for v in out]) if out[-1] else (Fraction(0),)
 
 
 def parse_poly(values) -> Polynomial:
@@ -68,7 +72,7 @@ class FanoNumerics(Value):
         if dimension < 0:
             raise ValueError(f"negative dimension {dimension}")
         volume = volume if isinstance(volume, Fraction) else Fraction(volume)
-        if volume <= 0:
+        if volume.numerator <= 0:  # over a positive denominator
             raise ValueError(f"volume must be positive, got {volume}")
         self.__dict__.update(dimension=dimension, volume=volume, hilbert=poly_trim(hilbert))
 
@@ -81,10 +85,10 @@ def consistency_check(x: FanoNumerics) -> list[str]:
         problems.append(f"hilbert(0) = {format_rational(h[0])}, expected 1")
     if len(h) - 1 != x.dimension:
         problems.append(f"hilbert degree {len(h) - 1}, expected {x.dimension}")
-    top = factorial(x.dimension) * h[-1]
-    if top != x.volume:
+    (p, q), (v, w) = h[-1].as_integer_ratio(), x.volume.as_integer_ratio()
+    if factorial(x.dimension) * p * w != v * q:  # n! * lead = volume, in integers
         problems.append(
-            f"{x.dimension}! * lead = {format_rational(top)}, "
+            f"{x.dimension}! * lead = {format_rational(Fraction(factorial(x.dimension) * p, q))}, "
             f"expected volume {format_rational(x.volume)}"
         )
     return problems
@@ -95,5 +99,8 @@ def product_numerics(a: FanoNumerics, b: FanoNumerics) -> FanoNumerics:
     whenever the inputs do (leading coefficients multiply, so n! * lead
     reproduces exactly the binomial-weighted volume)."""
     n = a.dimension + b.dimension
-    volume = comb(n, a.dimension) * a.volume * b.volume
-    return FanoNumerics(n, volume, poly_mul(a.hilbert, b.hilbert))
+    (p1, q1), (p2, q2) = a.volume.as_integer_ratio(), b.volume.as_integer_ratio()
+    volume = Fraction(comb(n, a.dimension) * p1 * p2, q1 * q2)
+    prod = object.__new__(FanoNumerics)  # valid inputs make a valid product
+    prod.__dict__.update(dimension=n, volume=volume, hilbert=_convolve(a.hilbert, b.hilbert))
+    return prod

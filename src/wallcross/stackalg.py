@@ -19,9 +19,9 @@ scale by permutation groupoids [X/G], each count by its closed form: the
 stabilizer order |G|/|orbit|, the groupoid cardinality sum(1/|stab|) over
 orbits, which is |X|/|G|, and C(N + k - 1, k) multisets in the symmetric
 k-fold quotient of N orbits.  Orbits of a product action are pairs of
-orbits, so stabilizers multiply.  A model's group is its generator closure,
-built at most once per model object and kept on it outside the value
-fields; the closure refuses to grow past MAX_GROUP_ORDER elements.
+orbits, so stabilizers multiply.  A model memoizes its group (the generator
+closure, refused past MAX_GROUP_ORDER elements), orbit partition and orbit
+space on itself, outside the value fields: each is built once per object.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import enum
 import itertools
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .errors import ArityError, BoundExceededError, ConsistencyError, GroupTooLargeError
 from .exactq import Value
@@ -78,11 +79,12 @@ def _grouped(factors, iso, drop=frozenset()) -> list[list]:
     iso lists the asserted classes (ids in none form singletons); ids in
     drop count as absent."""
     counts: dict[str, int] = {}
-    pairs = factors.items() if isinstance(factors, dict) else ((f, 1) for f in factors)
+    pairs = factors.items() if isinstance(factors, dict) else zip(factors, itertools.repeat(1))
     for fid, mult in pairs:
-        if mult < 1:
-            raise ValueError(f"multiplicity of {fid} must be >= 1, got {mult}")
-        counts[str(fid)] = counts.get(str(fid), 0) + int(mult)
+        if type(mult) is not int or mult < 1:  # bools and 1.5 are not multiplicities
+            need = ">= 1" if type(mult) is int else "an int"
+            raise ValueError(f"multiplicity of {fid} must be {need}, got {mult!r}")
+        counts[str(fid)] = counts.get(str(fid), 0) + mult
     class_of: dict[str, frozenset[str]] = {}
     for cls in map(frozenset, iso):
         if len(cls) >= 2:
@@ -110,8 +112,8 @@ def canonicalize(factors, iso, point_ids: frozenset[str]) -> Descriptor:
     the class multiplicity as its power.  Idempotent and invariant under
     permutation of the input.
     """
-    keyed = sorted((s > 1, r, s) for r, s in _grouped(factors, iso, point_ids))
-    return Descriptor(tuple((r, s) for _, r, s in keyed))
+    groups = map(tuple, _grouped(factors, iso, point_ids))  # (id, power) in id order
+    return Descriptor(tuple(sorted(groups, key=lambda g: g[1] > 1)))  # atoms first, stably
 
 
 class MapKind(enum.Enum):
@@ -181,18 +183,19 @@ class Orbit(Value):
 class FiniteGroupoidModel(Value):
     """A finite carrier with a permutation action given by generators.
 
-    Generators are one-line arrays over carrier indices.  The group is the
+    Generators are one-line arrays of int carrier indices.  The group is the
     generator closure, materialized on demand and capped by MAX_GROUP_ORDER.
     """
 
-    __slots__ = ("_group",)  # the memoized closure: a slot, so not a field of the value
+    __slots__ = ("_group", "_orbits", "_space")  # memos: slots, so not fields of the value
 
     def __init__(self, carrier: tuple, generators: tuple[tuple[int, ...], ...]) -> None:
         carrier = tuple(carrier)
-        gens = tuple(tuple(g) for g in generators)
+        gens = tuple(map(tuple, generators))
         n = len(carrier)
+        identity = list(range(n))
         for g in gens:
-            if sorted(g) != list(range(n)):
+            if not set(map(type, g)) <= {int} or sorted(g) != identity:  # 1.0 and True sort as 1
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
         self.__dict__.update(carrier=carrier, generators=gens)
 
@@ -210,34 +213,38 @@ class FiniteGroupoidModel(Value):
 
     def orbit_partition(self) -> tuple[tuple[int, ...], ...]:
         """Orbits as sorted index tuples, by least element; generators only."""
-        gens = self.generators
-        seen = [False] * len(self.carrier)
-        orbits = []
-        for start in range(len(seen)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            block = [start]
-            for i in block:  # the block grows while it is walked
-                for g in gens:
-                    if not seen[g[i]]:
-                        seen[g[i]] = True
-                        block.append(g[i])
-            orbits.append(tuple(sorted(block)))
-        return tuple(orbits)
+        if not hasattr(self, "_orbits"):
+            gens = self.generators
+            seen = [False] * len(self.carrier)
+            orbits = []
+            for start in range(len(seen)):
+                if seen[start]:
+                    continue
+                seen[start] = True
+                block = [start]
+                for i in block:  # the block grows while it is walked
+                    for g in gens:
+                        if not seen[g[i]]:
+                            seen[g[i]] = True
+                            block.append(g[i])
+                orbits.append(tuple(sorted(block)))
+            object.__setattr__(self, "_orbits", tuple(orbits))
+        return self._orbits
 
 
 def orbit_space(model: FiniteGroupoidModel) -> tuple[Orbit, ...]:
     """Orbits with stabilizer orders |G| / |orbit| by the orbit-stabilizer
     identity; an orbit size that does not divide |G| is a ConsistencyError."""
-    order = model.group_order()
-    out = []
-    for block in model.orbit_partition():
-        stab, rem = divmod(order, len(block))
-        if rem:
-            raise ConsistencyError(f"orbit of size {len(block)} does not divide |G| = {order}")
-        out.append(Orbit(tuple(model.carrier[i] for i in block), stab))
-    return tuple(out)
+    order = model.group_order()  # before the memo, so the bound is checked on every call
+    if not hasattr(model, "_space"):
+        out = []
+        for block in model.orbit_partition():
+            stab, rem = divmod(order, len(block))
+            if rem:
+                raise ConsistencyError(f"orbit of size {len(block)} does not divide |G| = {order}")
+            out.append(Orbit(tuple(model.carrier[i] for i in block), stab))
+        object.__setattr__(model, "_space", tuple(out))
+    return model._space
 
 
 def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroupoidModel:
@@ -254,15 +261,14 @@ def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroup
     if order > MAX_GROUP_ORDER:
         raise GroupTooLargeError(f"product group order {order} exceeds bound {MAX_GROUP_ORDER}")
     carrier = tuple(itertools.product(a.carrier, b.carrier))
-
-    def lift_a(g):
-        return tuple(gi * nb + j for gi in g for j in range(nb))
-
-    def lift_b(h):
-        return tuple(i + hj for i in range(0, na * nb, nb) for hj in h)
-
-    gens = tuple(lift_a(g) for g in a.generators) + tuple(lift_b(h) for h in b.generators)
-    return FiniteGroupoidModel(carrier, gens)
+    chain, starts = itertools.chain.from_iterable, [i * nb for i in range(na)]
+    rows = [range(s, s + nb) for s in starts]  # pair (i, j) is index i * nb + j
+    shift = list(chain(map(itertools.repeat, starts, itertools.repeat(nb))))  # i * nb at (i, j)
+    gens = [tuple(chain(map(rows.__getitem__, g))) for g in a.generators]
+    gens += [tuple(map(add, h * na, shift)) for h in b.generators]
+    prod = object.__new__(FiniteGroupoidModel)  # lifts of permutations need no check
+    prod.__dict__.update(carrier=carrier, generators=tuple(gens))
+    return prod
 
 
 def sym_quotient_model(model: FiniteGroupoidModel, k: int) -> int:

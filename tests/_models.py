@@ -1,5 +1,6 @@
 """Seeded random permutation models shared by the groupoid test suites,
 brute-force oracles for the closed forms that `stackalg` computes, the
+per-entry lifts that `product_model`'s generators must match, the
 plain `Fraction` polynomial product that `invariants.poly_mul` must match,
 the unpruned probe walk that `gitwalls.candidate_weights` must match, the
 per-point fingerprint that the wall sweep's chamber samples must match, and
@@ -62,6 +63,21 @@ def random_model_pair(rng: random.Random):
         b = random_model(rng)
         if a.group_order() * b.group_order() <= PAIR_ORDER_BOUND:
             return a, b
+
+
+def product_generators_oracle(a: FiniteGroupoidModel, b: FiniteGroupoidModel):
+    """The generators of the product of a and b, each entry of each lift
+    computed on its own: pair (i, j) is index i * nb + j, g in G sends it
+    to (g[i], j) and h in H to (i, h[j])."""
+    na, nb = len(a.carrier), len(b.carrier)
+
+    def lift_a(g):
+        return tuple(gi * nb + j for gi in g for j in range(nb))
+
+    def lift_b(h):
+        return tuple(i + hj for i in range(0, na * nb, nb) for hj in h)
+
+    return tuple(lift_a(g) for g in a.generators) + tuple(lift_b(h) for h in b.generators)
 
 
 def brute_stabilizer_orders(model: FiniteGroupoidModel) -> list[int]:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,14 @@ def test_moebius_canonical_form_scales_out_common_factor():
     assert MoebiusMap(0, -2, -4, 0) == MoebiusMap(0, 1, 2, 0)
     m = MoebiusMap(6, -4, 2, 8)
     assert m.coefficients() == (3, -2, 1, 4)
+
+
+@pytest.mark.parametrize("coeffs", [(True, False, False, True), (1, 0, 0, True)])
+def test_moebius_requires_int_coefficients(coeffs):
+    """JSON true/false load as bools, which parse_rational refuses too."""
+    want = f"^integer coefficients required, got {re.escape(repr(coeffs))}$"
+    with pytest.raises(TypeError, match=want):
+        MoebiusMap(*coeffs)
 
 
 def test_moebius_rejects_zero_determinant():

@@ -207,6 +207,10 @@ def test_random_products_keep_identities():
         assert consistency_check(a) == [] and consistency_check(b) == []
         combined = product_numerics(a, b)
         assert consistency_check(combined) == []
+        assert combined.hilbert == poly_mul_oracle(a.hilbert, b.hilbert)
+        # built without the constructor, as the constructor would build it
+        rebuilt = FanoNumerics(combined.dimension, combined.volume, combined.hilbert)
+        assert (rebuilt, repr(rebuilt), hash(rebuilt)) == (combined, repr(combined), hash(combined))
         assert combined.hilbert[0] == 1
         assert factorial(combined.dimension) * combined.hilbert[-1] == combined.volume
         assert mixed_volume_oracle(a.dimension, a.volume, b.dimension, b.volume) == (

@@ -49,6 +49,20 @@ def package_imports(name: str) -> set[str]:
     return found
 
 
+def test_no_function_caches_in_the_algebra_modules():
+    """The groupoid model's slots hold its memos; stackalg, invariants and
+    exactq keep no second cache behind functools."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("stackalg.py", "invariants.py", "exactq.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and {"lru_cache", "cache"} & {getattr(node, a, None) for a in ("id", "attr", "name")}
+    ]
+    assert found == []
+
+
 def test_stackalg_imports_only_errors_and_exactq():
     """Descriptors take the point ids from the caller, so stackalg loads no
     registry and imports no other module of the package."""

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +14,7 @@ from _models import (
     brute_grouped,
     brute_multiset_count,
     brute_stabilizer_orders,
+    product_generators_oracle,
     random_model,
     random_model_pair,
 )
@@ -178,6 +180,19 @@ def test_factor_multiset_normalization():
         _grouped([], ({"a", "b"}, {"a", "b"}))
 
 
+@pytest.mark.parametrize("mult", [1.5, 2.9, 2.0, True, "2", None])
+def test_multiplicity_must_be_an_int(mult):
+    """A multiplicity that is not an int is refused, not truncated: 1.5 was
+    read as 1, 2.9 as 2 and True as 1.  A dropped id is checked too."""
+    want = f"^multiplicity of dp3 must be an int, got {re.escape(repr(mult))}$"
+    with pytest.raises(ValueError, match=want):
+        canonicalize({"dp3": mult, "dp4": 1}, [], frozenset())
+    with pytest.raises(ValueError, match=want):
+        classify_product_map({"dp3": mult})
+    with pytest.raises(ValueError, match=want):
+        _grouped({"dp3": mult}, (), frozenset({"dp3"}))
+
+
 def test_factor_multiset_grouping():
     assert _grouped({"dp3": 1, "dp4": 1}, ({"dp3", "dp4"},)) == [["dp3", 2]]
     assert _grouped({"dp3": 2, "p1": 1}, ()) == [["dp3", 2], ["p1", 1]]
@@ -261,14 +276,21 @@ def test_model_validates_generators():
         FiniteGroupoidModel(("a", "b"), ((0, 0),))
     with pytest.raises(ValueError):
         FiniteGroupoidModel(("a", "b"), ((0, 1, 2),))
+    # entries equal to ints but of another type: 1.0 and True sort as 1
+    for gen in [(1.0, 0), (True, 0), (1, False), (F(1), 0), ("b", "a")]:
+        with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.1: "):
+            FiniteGroupoidModel((0, 1), [gen])
 
 
 def test_group_order_bound_enforced(monkeypatch):
     model = FiniteGroupoidModel(tuple(range(4)), ((1, 2, 3, 0), (1, 0, 2, 3)))
     assert model.group_order() == 24
+    assert [o.stabilizer_order for o in orbit_space(model)] == [6]
     monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 10)
     with pytest.raises(GroupTooLargeError, match="exceeds order bound 10"):
         model.group_order()  # S4 has order 24 > 10, though its group is memoized
+    with pytest.raises(GroupTooLargeError, match="exceeds order bound 10"):
+        orbit_space(model)  # and so is its orbit space
 
 
 def counted_closures(monkeypatch) -> list:
@@ -296,6 +318,7 @@ def test_memoized_group_leaves_the_value_alone():
     twin = FiniteGroupoidModel(("x", "y", "z"), S3_GENS)
     before = (hash(model), repr(model), vars(model).copy())
     assert model.group_order() == 6
+    assert orbit_space(model)[0].stabilizer_order == 2 and sym_quotient_model(model, 2) == 1
     assert (hash(model), repr(model), vars(model)) == before
     assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
 
@@ -310,6 +333,18 @@ def test_group_order_matches_sympy(n, data):
         [combinatorics.Permutation(list(range(n)))] + [combinatorics.Permutation(g) for g in gens]
     )
     assert model.group_order() == group.order()
+
+
+@settings(max_examples=50, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_product_generators_match_per_entry_oracle(seed):
+    """The table-built lifts equal the per-entry lifts, and the product,
+    built without the constructor's check, passes it."""
+    a, b = random_model_pair(random.Random(seed))
+    prod = product_model(a, b)
+    assert prod.generators == product_generators_oracle(a, b)
+    rebuilt = FiniteGroupoidModel(prod.carrier, prod.generators)
+    assert (rebuilt, repr(rebuilt), hash(rebuilt)) == (prod, repr(prod), hash(prod))
 
 
 def test_product_model_example():
@@ -337,6 +372,15 @@ def test_product_model_unit_law():
         (o.size, o.stabilizer_order) for o in base
     ]
     assert [tuple(p[1] for p in o.points) for o in left] == [o.points for o in base]
+
+
+def test_product_with_an_empty_carrier():
+    empty = FiniteGroupoidModel((), ())
+    s3 = FiniteGroupoidModel(("x", "y", "z"), S3_GENS)
+    for a, b in ((s3, empty), (empty, s3)):
+        prod = product_model(a, b)
+        assert prod.carrier == () and prod.generators == product_generators_oracle(a, b)
+        assert orbit_space(prod) == () and groupoid_cardinality(prod) == 0
 
 
 def test_product_model_bound_check_precedes_closure(monkeypatch):
@@ -400,6 +444,21 @@ def test_cardinality_equals_carrier_over_group():
         counted = brute_cardinality(model)
         assert groupoid_cardinality(model) == counted
         assert counted == F(len(model.carrier), model.group_order())
+
+
+def test_memoized_orbit_data_match_a_fresh_model():
+    """The second call returns the memo, and it equals what a fresh model
+    with the same fields computes and the stabilizers counted over G."""
+    rng = random.Random(919)
+    for _ in range(25):
+        model = random_model(rng)
+        if rng.random() < 0.5:
+            model = product_model(model, random_model(rng, max_points=3))
+        parts, orbits = model.orbit_partition(), orbit_space(model)
+        assert model.orbit_partition() is parts and orbit_space(model) is orbits
+        fresh = FiniteGroupoidModel(model.carrier, model.generators)
+        assert orbit_space(fresh) == orbits and fresh.orbit_partition() == parts
+        assert [o.stabilizer_order for o in orbits] == brute_stabilizer_orders(fresh)
 
 
 def test_orbit_partition_matches_orbit_space():
