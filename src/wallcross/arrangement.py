@@ -320,10 +320,9 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72, 24, 24, 48
 ASCII_COLS, ASCII_ROWS = 60, 30
 
 
-def _fmt6(value: Fraction) -> str:
-    """Nonnegative rational to a fixed 6-decimal string, rounding half up."""
-    q = Fraction(value)
-    scaled = q * 10**6
+def _fmt6(value: int | Fraction) -> str:
+    """Nonnegative int or Fraction to a fixed 6-decimal string, rounding half up."""
+    scaled = value * 10**6
     n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
     return f"{n // 10**6}.{n % 10**6:06d}"
 
@@ -380,12 +379,12 @@ def _render_json(arr: ProductArrangement, folding: SymmetricFolding | None) -> s
 
 
 def _svg_x(value: Fraction) -> str:
-    return _fmt6(MARGIN_LEFT + Fraction(value) * BOX)
+    return _fmt6(MARGIN_LEFT + value * BOX)
 
 
 def _svg_y(value: Fraction) -> str:
     # unit interval runs bottom to top
-    return _fmt6(MARGIN_TOP + (1 - Fraction(value)) * BOX)
+    return _fmt6(MARGIN_TOP + (1 - value) * BOX)
 
 
 def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:
@@ -419,7 +418,7 @@ def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> st
             f'<text x="{_svg_x(w)}" y="{label_y}" font-family="monospace" '
             f'font-size="13" text-anchor="middle">{format_rational(w)}</text>'
         )
-    label_x = _fmt6(Fraction(MARGIN_LEFT - 8))
+    label_x = _fmt6(MARGIN_LEFT - 8)
     if arr.k >= 2:
         for w in (Fraction(0), *y_walls, Fraction(1)):
             parts.append(

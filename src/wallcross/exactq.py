@@ -3,7 +3,9 @@
 Rational values throughout the package are stdlib ``fractions.Fraction``
 objects: always reduced, denominator always positive, with exact comparison
 and arithmetic.  This module adds the "p/q" string codec used on every JSON
-surface and implements fractional-linear (Moebius) maps
+surface; its decoder parse_rational is the one gate for the exact values that
+enter the package, and refuses floats, Decimals and bools rather than
+converting them.  The module also implements fractional-linear (Moebius) maps
 x -> (a*x + b)/(c*x + d) with a canonical integer-coefficient form, which the
 wall registries use to translate between coefficient scales.  Value, the base
 of the package's immutable value types, lives here too.
@@ -47,12 +49,14 @@ class Value:
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
-    """Parse an integer or a "p/q" string into a Fraction.
+    """Parse an integer or a "p/q" string into a Fraction; a Fraction passes.
 
     The denominator part is optional; "2/11", "-3", 7 are all accepted.
-    Strings in any other shape (floats, whitespace inside, empty) and bools
-    (JSON true/false) are rejected so malformed registry files fail loudly.
+    Strings in any other shape (floats, whitespace inside, empty), floats,
+    Decimals and bools (JSON true/false) are rejected so bad inputs fail loudly.
     """
+    if type(value) is Fraction:  # first, so hot callers pay no ABC check
+        return value
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value.strip())
         if m:
@@ -68,8 +72,8 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", omitting the denominator when it is 1."""
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    """Render a rational as "p/q", omitting the denominator when it is 1."""
+    return str(parse_rational(value))
 
 
 class MoebiusMap(Value):
@@ -93,17 +97,13 @@ class MoebiusMap(Value):
             a, b, c, d = a // g, b // g, c // g, d // g
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1, 0, 0, 1)
-
     def coefficients(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """f(p/q) = (a*p + b*q)/(c*p + d*q) for x = p/q in lowest terms: one
         Fraction normalisation, and x is a pole exactly when c*p + d*q = 0."""
-        x = x if isinstance(x, Fraction) else Fraction(x)
+        x = parse_rational(x)
         p, q = x.as_integer_ratio()
         den = self.c * p + self.d * q
         if den == 0:

@@ -31,8 +31,8 @@ Polynomial = tuple[Fraction, ...]
 
 
 def poly_trim(coeffs) -> Polynomial:
-    """Normalize to a tuple of Fractions with no trailing zero coefficients."""
-    out = [v if isinstance(v, Fraction) else Fraction(v) for v in coeffs]
+    """Parse each coefficient (exactq.parse_rational); drop trailing zeros."""
+    out = list(map(parse_rational, coeffs))
     while out and out[-1] == 0:
         out.pop()
     return tuple(out) if out else (Fraction(0),)
@@ -55,23 +55,20 @@ def _convolve(f: Polynomial, g: Polynomial) -> Polynomial:
     return tuple([Fraction(v, den) for v in out]) if out[-1] else (Fraction(0),)
 
 
-def parse_poly(values) -> Polynomial:
-    """Parse a constant-first list of "p/q" strings or ints."""
-    return poly_trim([parse_rational(v) for v in values])
-
-
 class FanoNumerics(Value):
     """Dimension, anticanonical volume, and Hilbert polynomial of one factor.
 
-    Construction checks only shape (dimension >= 0, volume > 0); whether the
-    polynomial actually matches the pair (n, V) is the job of
+    Construction checks only shape (an int dimension >= 0, volume > 0);
+    whether the polynomial actually matches the pair (n, V) is the job of
     consistency_check, so deliberately broken inputs can be examined.
     """
 
     def __init__(self, dimension: int, volume: Fraction, hilbert: Polynomial) -> None:
+        if type(dimension) is not int:  # bools and 2.0 are not dimensions
+            raise ValueError(f"dimension must be an int, got {dimension!r}")
         if dimension < 0:
             raise ValueError(f"negative dimension {dimension}")
-        volume = volume if isinstance(volume, Fraction) else Fraction(volume)
+        volume = parse_rational(volume)
         if volume.numerator <= 0:  # over a positive denominator
             raise ValueError(f"volume must be positive, got {volume}")
         self.__dict__.update(dimension=dimension, volume=volume, hilbert=poly_trim(hilbert))

@@ -75,16 +75,18 @@ class Descriptor(Value):
 
 def _grouped(factors, iso, drop=frozenset()) -> list[list]:
     """[least present id, total multiplicity] per iso class, in
-    representative order.  factors maps id -> multiplicity or lists ids;
+    representative order.  factors maps str id -> multiplicity or lists ids;
     iso lists the asserted classes (ids in none form singletons); ids in
     drop count as absent."""
     counts: dict[str, int] = {}
     pairs = factors.items() if isinstance(factors, dict) else zip(factors, itertools.repeat(1))
     for fid, mult in pairs:
+        if not isinstance(fid, str):  # 1 and "1" would sort and print as one id
+            raise ValueError(f"factor id {fid!r} is not a str")
         if type(mult) is not int or mult < 1:  # bools and 1.5 are not multiplicities
             need = ">= 1" if type(mult) is int else "an int"
             raise ValueError(f"multiplicity of {fid} must be {need}, got {mult!r}")
-        counts[str(fid)] = counts.get(str(fid), 0) + mult
+        counts[fid] = counts.get(fid, 0) + mult
     class_of: dict[str, frozenset[str]] = {}
     for cls in map(frozenset, iso):
         if len(cls) >= 2:
@@ -181,7 +183,7 @@ class Orbit(Value):
 
 
 class FiniteGroupoidModel(Value):
-    """A finite carrier with a permutation action given by generators.
+    """A carrier of distinct points with a permutation action by generators.
 
     Generators are one-line arrays of int carrier indices.  The group is the
     generator closure, materialized on demand and capped by MAX_GROUP_ORDER.
@@ -193,6 +195,8 @@ class FiniteGroupoidModel(Value):
         carrier = tuple(carrier)
         gens = tuple(map(tuple, generators))
         n = len(carrier)
+        if (distinct := len(set(carrier))) < n:  # the carrier is a set of points
+            raise ValueError(f"carrier of {n} points has only {distinct} distinct")
         identity = list(range(n))
         for g in gens:
             if not set(map(type, g)) <= {int} or sorted(g) != identity:  # 1.0 and True sort as 1

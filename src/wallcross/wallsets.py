@@ -9,7 +9,10 @@ anticanonical volume, Hilbert polynomial) used by the product calculus.
 Walls are always stored strictly increasing and strictly inside (0, 1); the
 interval endpoints are never walls.  Families without an established wall
 table store None there, and operations that need walls raise
-MissingDataError rather than guessing.
+MissingDataError rather than guessing.  Walls, located points and volumes
+pass through exactq.parse_rational, so a float or a bool is refused.  The
+five built-in families are data in the JSON overlay format of load_registry,
+decoded by the same _record_from_json as a user's overlay file.
 
 A point of (0, 1) sits relative to a wall set at one int position, counting
 left to right along the interval: chamber i, the open interval between wall
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from .errors import MissingDataError, OutOfRangeError
 from .exactq import MoebiusMap, Value, format_rational, parse_rational
-from .invariants import FanoNumerics, consistency_check, parse_poly, poly_trim
+from .invariants import FanoNumerics, consistency_check, poly_trim
 
 # Overlay records of a larger dimension are refused before any arithmetic:
 # the consistency check computes dimension!, which has 158 digits at 100, and
@@ -38,7 +41,7 @@ class WallSet(Value):
     """Strictly increasing rationals in the open interval (0, 1)."""
 
     def __init__(self, walls: tuple[Fraction, ...]) -> None:
-        walls = tuple(Fraction(w) for w in walls)
+        walls = tuple(map(parse_rational, walls))
         for w in walls:
             if not 0 < w < 1:
                 raise ValueError(f"wall {format_rational(w)} outside (0, 1)")
@@ -59,7 +62,7 @@ class WallSet(Value):
 
     def locate(self, x) -> int:
         """Position of x, which must lie strictly inside (0, 1)."""
-        x = Fraction(x)
+        x = parse_rational(x)
         if not 0 < x < 1:
             raise OutOfRangeError(f"{format_rational(x)} outside the open interval (0, 1)")
         i = bisect_left(self.walls, x)
@@ -96,12 +99,12 @@ class FamilyRecord(Value):
         t_walls: WallSet | None = None,
         reparam: MoebiusMap | None = None,
     ) -> None:
-        if not id:
-            raise ValueError("empty family id")
         self.__dict__.update(
-            id=id, dimension=dimension, volume=Fraction(volume), moduli_note=moduli_note,
+            id=id, dimension=dimension, volume=parse_rational(volume), moduli_note=moduli_note,
             hilbert=poly_trim(hilbert), c_walls=c_walls, t_walls=t_walls, reparam=reparam,
         )
+        if not id:
+            raise ValueError("empty family id")
         problems = consistency_check(self.numerics())
         if problems:
             raise ValueError(f"family {self.id}: " + "; ".join(problems))
@@ -140,73 +143,44 @@ def c_to_t_walls(rec: FamilyRecord) -> WallSet:
     return rec.c_walls.map(rec.reparam)
 
 
-def _ws(*values: str) -> WallSet:
-    return WallSet(tuple(parse_rational(v) for v in values))
-
-
-def _compiled_registry() -> dict[str, FamilyRecord]:
-    # Hilbert polynomials: chi(m) = 1 + d*m(m+1)/2 for a degree-d del Pezzo
-    # surface, chi(m) = 2m + 1 for the line; constant-first coefficients.
-    return {
-        rec.id: rec
-        for rec in (
-            FamilyRecord(
-                id="dp1",
-                dimension=2,
-                volume=Fraction(1),
-                moduli_note="degree-1 del Pezzo pairs; no explicit global description registered",
-                hilbert=parse_poly(["1", "1/2", "1/2"]),
-            ),
-            FamilyRecord(
-                id="dp2",
-                dimension=2,
-                volume=Fraction(2),
-                moduli_note=(
-                    "Kirwan blow-up of the plane-quartic GIT quotient "
-                    "at the double-conic point"
-                ),
-                hilbert=parse_poly(["1", "1", "1"]),
-            ),
-            FamilyRecord(
-                id="dp3",
-                dimension=2,
-                volume=Fraction(3),
-                moduli_note="weighted projective space P(1,2,3,4,5) (cubic-surface GIT)",
-                hilbert=parse_poly(["1", "3/2", "3/2"]),
-                c_walls=_ws("2/11", "4/13", "2/5", "10/19", "2/3"),
-                t_walls=_ws("1/5", "1/3", "3/7", "5/9", "9/13"),
-                reparam=MoebiusMap(9, 0, 1, 8),
-            ),
-            FamilyRecord(
-                id="dp4",
-                dimension=2,
-                volume=Fraction(4),
-                moduli_note="weighted projective space P(1,2,3) (quartic del Pezzo GIT)",
-                hilbert=parse_poly(["1", "2", "2"]),
-                c_walls=_ws("1/7", "1/4", "1/3", "1/2", "5/8"),
-                t_walls=_ws("1/6", "2/7", "3/8", "6/11", "2/3"),
-                reparam=MoebiusMap(6, 0, 1, 5),
-            ),
-            FamilyRecord(
-                id="p1",
-                dimension=1,
-                volume=Fraction(2),
-                moduli_note="point",
-                hilbert=parse_poly(["1", "2"]),
-                c_walls=WallSet(()),
-                t_walls=WallSet(()),
-                reparam=MoebiusMap.identity(),
-            ),
-        )
-    }
+# The built-in families, in the overlay format that load_registry decodes.
+# Hilbert polynomials: chi(m) = 1 + d*m(m+1)/2 for a degree-d del Pezzo
+# surface, chi(m) = 2m + 1 for the line; constant-first coefficients.
+_BUILTIN = {
+    "dp1": {
+        "dimension": 2, "volume": 1, "hilbert": ["1", "1/2", "1/2"],
+        "moduli_note": "degree-1 del Pezzo pairs; no explicit global description registered",
+    },
+    "dp2": {
+        "dimension": 2, "volume": 2, "hilbert": ["1", "1", "1"],
+        "moduli_note": "Kirwan blow-up of the plane-quartic GIT quotient "
+                       "at the double-conic point",
+    },
+    "dp3": {
+        "dimension": 2, "volume": 3, "hilbert": ["1", "3/2", "3/2"],
+        "moduli_note": "weighted projective space P(1,2,3,4,5) (cubic-surface GIT)",
+        "c_walls": ["2/11", "4/13", "2/5", "10/19", "2/3"],
+        "t_walls": ["1/5", "1/3", "3/7", "5/9", "9/13"],
+        "reparam": [9, 0, 1, 8],
+    },
+    "dp4": {
+        "dimension": 2, "volume": 4, "hilbert": ["1", "2", "2"],
+        "moduli_note": "weighted projective space P(1,2,3) (quartic del Pezzo GIT)",
+        "c_walls": ["1/7", "1/4", "1/3", "1/2", "5/8"],
+        "t_walls": ["1/6", "2/7", "3/8", "6/11", "2/3"],
+        "reparam": [6, 0, 1, 5],
+    },
+    "p1": {
+        "dimension": 1, "volume": 2, "hilbert": ["1", "2"], "moduli_note": "point",
+        "c_walls": [], "t_walls": [], "reparam": [1, 0, 0, 1],
+    },
+}
 
 
 def _strict_int(family_id: str, key: str, value) -> int:
     # JSON true/false load as bool, an int subclass; neither they nor floats count
     if type(value) is not int:
-        raise ValueError(
-            f"registry record {family_id!r}: {key} entry {value!r} is not an integer"
-        )
+        raise ValueError(f"registry record {family_id!r}: {key} entry {value!r} is not an integer")
     return value
 
 
@@ -215,9 +189,7 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         raise ValueError(f"registry record {family_id!r} must be a JSON object")
     missing = [k for k in ("dimension", "volume", "moduli_note", "hilbert") if k not in data]
     if missing:
-        raise ValueError(
-            f"registry record {family_id!r} missing field(s): " + ", ".join(missing)
-        )
+        raise ValueError(f"registry record {family_id!r} missing field(s): " + ", ".join(missing))
     note = data["moduli_note"]
     if not isinstance(note, str):
         raise ValueError(f"registry record {family_id!r}: moduli_note {note!r} is not a string")
@@ -225,14 +197,8 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         value = data.get(key)
         if not isinstance(value, list) and (key == "hilbert" or value is not None):
             raise ValueError(f"registry record {family_id!r}: {key} {value!r} is not a list")
-
-    def maybe_walls(key: str) -> WallSet | None:
-        if data.get(key) is None:
-            return None
-        return WallSet(tuple(parse_rational(v) for v in data[key]))
-
-    c_walls = maybe_walls("c_walls")
-    t_walls = maybe_walls("t_walls")
+    walls = [data.get(key) for key in ("c_walls", "t_walls")]
+    c_walls, t_walls = (None if w is None else WallSet(w) for w in walls)
     reparam = data.get("reparam")
     if reparam is not None:
         if len(reparam) != 4:
@@ -246,28 +212,23 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
             f"registry record {family_id!r}: dimension {dimension} above the bound {MAX_DIMENSION}"
         )
     return FamilyRecord(
-        id=family_id,
-        dimension=dimension,
-        volume=parse_rational(data["volume"]),
-        moduli_note=note,
-        hilbert=parse_poly(data["hilbert"]),
-        c_walls=c_walls,
-        t_walls=t_walls,
-        reparam=reparam,
+        family_id, dimension, data["volume"], note, data["hilbert"], c_walls, t_walls, reparam
     )
 
 
 def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, FamilyRecord]:
-    """Compiled-in families, optionally extended or overridden by a JSON file.
+    """Built-in families, optionally extended or overridden by a JSON file.
 
     The overlay maps family ids to objects with fields {dimension, volume,
     c_walls, t_walls, reparam, hilbert, moduli_note}; rationals are "p/q"
-    strings, reparam is the integer coefficient list [a, b, c, d], hilbert is
-    constant-first.  An overlay record replaces a compiled record of the
-    same id wholesale.  A missing t_walls is derived from c_walls and
-    reparam when both are present.
+    strings or ints, reparam is the integer coefficient list [a, b, c, d],
+    hilbert is constant-first.  The built-in families are such records too,
+    decoded by the same _record_from_json.  An overlay record replaces a
+    built-in record of the same id wholesale, in its place; new ids follow in
+    sorted order.  A missing t_walls is derived from c_walls and reparam when
+    both are present.
     """
-    registry = _compiled_registry()
+    registry = {fid: _record_from_json(fid, data) for fid, data in _BUILTIN.items()}
     if overlay_path is not None:
         with open(overlay_path) as f:
             raw = json.load(f)

@@ -3,9 +3,10 @@ brute-force oracles for the closed forms that `stackalg` computes, the
 per-entry lifts that `product_model`'s generators must match, the
 plain `Fraction` polynomial product that `invariants.poly_mul` must match,
 the unpruned probe walk that `gitwalls.candidate_weights` must match, the
-per-point fingerprint that the wall sweep's chamber samples must match, and
-the per-element Burnside sum that `SymmetricFolding.burnside_orbit_count`
-must match."""
+per-point fingerprint that the wall sweep's chamber samples must match, the
+per-element Burnside sum that `SymmetricFolding.burnside_orbit_count` must
+match, and the hand-built registry that `wallsets.load_registry` must match
+when it decodes the built-in families from overlay data."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from wallcross import gitwalls
+from wallcross.exactq import MoebiusMap
 from wallcross.invariants import Polynomial
 from wallcross.stackalg import (
     FiniteGroupoidModel,
@@ -23,6 +25,7 @@ from wallcross.stackalg import (
     orbit_space,
     product_model,
 )
+from wallcross.wallsets import FamilyRecord, WallSet
 
 FACTOR_ORDER_BOUND = 10_000
 PAIR_ORDER_BOUND = 10_000
@@ -240,3 +243,61 @@ def brute_burnside_orbit_count(folding, codim: int) -> int:
     order = folding.group_order()
     assert total % order == 0, f"Burnside sum {total} not divisible by {order}"
     return total // order
+
+
+def hand_built_registry() -> dict[str, FamilyRecord]:
+    """The five built-in families, each record constructed field by field
+    from Fractions, in the registry's key order."""
+    F = Fraction
+    return {
+        rec.id: rec
+        for rec in (
+            FamilyRecord(
+                id="dp1",
+                dimension=2,
+                volume=F(1),
+                moduli_note="degree-1 del Pezzo pairs; no explicit global description registered",
+                hilbert=(F(1), F(1, 2), F(1, 2)),
+            ),
+            FamilyRecord(
+                id="dp2",
+                dimension=2,
+                volume=F(2),
+                moduli_note=(
+                    "Kirwan blow-up of the plane-quartic GIT quotient "
+                    "at the double-conic point"
+                ),
+                hilbert=(F(1), F(1), F(1)),
+            ),
+            FamilyRecord(
+                id="dp3",
+                dimension=2,
+                volume=F(3),
+                moduli_note="weighted projective space P(1,2,3,4,5) (cubic-surface GIT)",
+                hilbert=(F(1), F(3, 2), F(3, 2)),
+                c_walls=WallSet((F(2, 11), F(4, 13), F(2, 5), F(10, 19), F(2, 3))),
+                t_walls=WallSet((F(1, 5), F(1, 3), F(3, 7), F(5, 9), F(9, 13))),
+                reparam=MoebiusMap(9, 0, 1, 8),
+            ),
+            FamilyRecord(
+                id="dp4",
+                dimension=2,
+                volume=F(4),
+                moduli_note="weighted projective space P(1,2,3) (quartic del Pezzo GIT)",
+                hilbert=(F(1), F(2), F(2)),
+                c_walls=WallSet((F(1, 7), F(1, 4), F(1, 3), F(1, 2), F(5, 8))),
+                t_walls=WallSet((F(1, 6), F(2, 7), F(3, 8), F(6, 11), F(2, 3))),
+                reparam=MoebiusMap(6, 0, 1, 5),
+            ),
+            FamilyRecord(
+                id="p1",
+                dimension=1,
+                volume=F(2),
+                moduli_note="point",
+                hilbert=(F(1), F(2)),
+                c_walls=WallSet(()),
+                t_walls=WallSet(()),
+                reparam=MoebiusMap(1, 0, 0, 1),
+            ),
+        )
+    }

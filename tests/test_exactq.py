@@ -1,13 +1,17 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wallcross.errors import DegenerateMapError, PoleError
+from wallcross.arrangement import ProductArrangement
+from wallcross.errors import DegenerateMapError, PoleError, WallcrossError
 from wallcross.exactq import MoebiusMap, format_rational, parse_rational
+from wallcross.invariants import FanoNumerics, poly_mul, poly_trim
+from wallcross.wallsets import FamilyRecord, WallSet
 
 
 def test_parse_rational_accepts_integer_and_fraction_literals():
@@ -30,6 +34,45 @@ def test_parse_rational_rejects_junk():
     # surrounding whitespace is tolerated (hand-edited registry files)
     assert parse_rational(" 1") == Fraction(1)
     assert parse_rational("2/11 ") == Fraction(2, 11)
+
+
+HALF = WallSet((Fraction(1, 2),))
+SQUARE = ProductArrangement((("a", HALF), ("b", HALF)))
+
+# every place where an exact value enters the package, as a call of one value
+GATE_ENTRIES = {
+    "format_rational": format_rational,
+    "MoebiusMap.__call__": MoebiusMap(2, 1, 1, 3),
+    "WallSet.__init__": lambda x: WallSet((x,)),
+    "WallSet.locate": HALF.locate,
+    # the lead Fraction(x) keeps the record consistent for what Fraction converts
+    "FamilyRecord.volume": lambda x: FamilyRecord("x", 1, x, "n", (1, Fraction(x))),
+    "poly_trim": lambda x: poly_trim((1, x)),
+    "FanoNumerics.volume": lambda x: FanoNumerics(1, x, (1,)),
+    "ProductArrangement.locate": lambda x: SQUARE.locate((Fraction(1, 3), x)),
+    "poly_mul": lambda x: poly_mul((x,), (1, 1)),
+}
+
+
+def _outcome(call, x):
+    try:
+        return call(x)
+    except (ValueError, WallcrossError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("entry", GATE_ENTRIES)
+def test_exact_values_enter_through_parse_rational(entry):
+    """Each entry point refuses what parse_rational refuses, a float, a bool,
+    a Decimal or a decimal string, where it used to convert it through
+    Fraction(x); an int, a Fraction or a "p/q" string gives what the parsed
+    value gives."""
+    call = GATE_ENTRIES[entry]
+    for bad in (0.1, True, Decimal("0.5"), "0.5"):
+        with pytest.raises(ValueError, match=f"^not a rational literal: {re.escape(repr(bad))}$"):
+            call(bad)
+    for good in (3, Fraction(2, 3), "4/6"):
+        assert _outcome(call, good) == _outcome(call, parse_rational(good))
 
 
 def test_format_rational_omits_unit_denominator():
@@ -128,8 +171,8 @@ def test_inverse_of_inverse_is_identity():
         seen += 1
         m = MoebiusMap(a, b, c, d)
         assert m.inverse().inverse() == m
-        assert m.compose(m.inverse()) == MoebiusMap.identity()
-        assert m.inverse().compose(m) == MoebiusMap.identity()
+        assert m.compose(m.inverse()) == MoebiusMap(1, 0, 0, 1)
+        assert m.inverse().compose(m) == MoebiusMap(1, 0, 0, 1)
 
 
 def test_roundtrip_through_registered_reparams():
@@ -190,21 +233,21 @@ def test_registered_reparams_fix_endpoints_and_increase():
 
 def test_str_forms():
     assert str(MoebiusMap(9, 0, 1, 8)) == "(9x)/(x + 8)"
-    assert str(MoebiusMap.identity()) == "(x)/(1)"
+    assert str(MoebiusMap(1, 0, 0, 1)) == "(x)/(1)"
     assert str(MoebiusMap(2, 1, 0, 1)) == "(2x + 1)/(1)"
     assert str(MoebiusMap(1, -1, 1, 8)) == "(x - 1)/(x + 8)"
 
 
 def test_determinant_and_identity():
-    assert MoebiusMap.identity()(Fraction(5, 7)) == Fraction(5, 7)
+    assert MoebiusMap(1, 0, 0, 1)(Fraction(5, 7)) == Fraction(5, 7)
     # f after its adjugate is det * identity, and the canonical form divides
     # the determinant 72 out
     f = MoebiusMap(9, 0, 1, 8)
     assert f.inverse().coefficients() == (8, 0, -1, 9)
-    assert f.compose(f.inverse()) == MoebiusMap.identity() == MoebiusMap(72, 0, 0, 72)
+    assert f.compose(f.inverse()) == MoebiusMap(1, 0, 0, 1) == MoebiusMap(72, 0, 0, 72)
     m = MoebiusMap(3, -2, 1, 4)
-    assert m.compose(MoebiusMap.identity()) == m
-    assert MoebiusMap.identity().compose(m) == m
+    assert m.compose(MoebiusMap(1, 0, 0, 1)) == m
+    assert MoebiusMap(1, 0, 0, 1).compose(m) == m
 
 
 # nondegenerate integer Moebius maps with small coefficients
@@ -217,7 +260,7 @@ moebius_maps = st.tuples(*[st.integers(-6, 6)] * 4).filter(
 @given(moebius_maps, moebius_maps, moebius_maps, st.integers(-9, 9).filter(bool))
 def test_moebius_laws(f, g, h, k):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
-    assert f.compose(f.inverse()) == f.inverse().compose(f) == MoebiusMap.identity()
+    assert f.compose(f.inverse()) == f.inverse().compose(f) == MoebiusMap(1, 0, 0, 1)
     scaled = MoebiusMap(*(k * v for v in f.coefficients()))
     assert scaled == f and hash(scaled) == hash(f)
 

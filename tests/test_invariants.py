@@ -11,7 +11,6 @@ from _models import poly_mul_oracle
 from wallcross.invariants import (
     FanoNumerics,
     consistency_check,
-    parse_poly,
     poly_mul,
     poly_trim,
     product_numerics,
@@ -43,8 +42,15 @@ def test_poly_helpers():
     assert poly_trim([0, 0]) == (F(0),)
     assert poly_trim((F(1), F(0), F(2), 0))[-1] == 2  # the lead
     assert poly_mul((F(1), F(1)), (F(1), F(1))) == (F(1), F(2), F(1))
-    assert parse_poly(["1", "3/2", "3/2"]) == (F(1), F(3, 2), F(3, 2))
-    assert parse_poly([1, "7/2", "0"]) == (F(1), F(7, 2))
+    assert poly_trim(["1", "3/2", "3/2"]) == (F(1), F(3, 2), F(3, 2))
+    assert poly_trim([1, "7/2", "0"]) == (F(1), F(7, 2))
+
+
+@pytest.mark.parametrize("dimension", [True, 2.0])
+def test_dimension_must_be_an_int(dimension):
+    """True and 2.0 used to be stored as the dimension as given."""
+    with pytest.raises(ValueError, match=f"^dimension must be an int, got {dimension!r}$"):
+        FanoNumerics(dimension, 2, (1, 1, 1))
 
 
 def test_poly_mul_matches_pointwise_products():

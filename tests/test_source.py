@@ -63,6 +63,43 @@ def test_no_function_caches_in_the_algebra_modules():
     assert found == []
 
 
+def calls_of(name: str):
+    """(module, enclosing top-level definition, call node) of each call of
+    name, bare or as an attribute, in the package."""
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    yield path.name, getattr(top, "name", None), node
+
+
+def test_fractions_are_built_from_integer_parts_outside_exactq():
+    """Outside exactq, a Fraction is built from a numerator and a
+    denominator, or from one int literal; any other value becomes a
+    Fraction through exactq.parse_rational, the one place that decides what
+    a rational is."""
+    def integer_parts(args) -> bool:
+        return len(args) == 2 or (
+            len(args) == 1 and isinstance(args[0], ast.Constant) and type(args[0].value) is int
+        )
+
+    found = [
+        f"{module}:{node.lineno}"
+        for module, _, node in calls_of("Fraction")
+        if module != "exactq.py" and (node.keywords or not integer_parts(node.args))
+    ]
+    assert found == []
+
+
+def test_family_records_are_built_only_by_the_decoder():
+    """The built-in families and an overlay's records take one path:
+    wallsets._record_from_json is the only caller of FamilyRecord."""
+    callers = {(module, top) for module, top, _ in calls_of("FamilyRecord")}
+    assert callers == {("wallsets.py", "_record_from_json")}
+
+
 def test_stackalg_imports_only_errors_and_exactq():
     """Descriptors take the point ids from the caller, so stackalg loads no
     registry and imports no other module of the package."""

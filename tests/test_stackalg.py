@@ -202,6 +202,20 @@ def test_factor_multiset_grouping():
     assert _grouped(["a", "b", "c"], ({"a", "b", "c"},), frozenset({"a"})) == [["b", 2]]
 
 
+@pytest.mark.parametrize("factors", [{1: 1, "1": 1}, [1, "1"], {("a",): 2}, [None, "a"]])
+def test_factor_ids_must_be_str(factors):
+    """A factor id that is not a str is refused, not mapped through str:
+    {1: 1, "1": 1} used to give [1^2/S2].  A dropped id is checked too."""
+    bad = next(fid for fid in factors if not isinstance(fid, str))
+    want = f"^factor id {re.escape(repr(bad))} is not a str$"
+    with pytest.raises(ValueError, match=want):
+        canonicalize(factors, [], frozenset())
+    with pytest.raises(ValueError, match=want):
+        classify_product_map(factors)
+    with pytest.raises(ValueError, match=want):
+        _grouped(factors, (), frozenset({bad}))
+
+
 def test_classify_product_map():
     assert classify_product_map({"dp3": 1, "dp4": 1}) is MapKind.ISOMORPHISM
     assert classify_product_map({"dp3": 2}) is MapKind.S2_GERBE
@@ -280,6 +294,18 @@ def test_model_validates_generators():
     for gen in [(1.0, 0), (True, 0), (1, False), (F(1), 0), ("b", "a")]:
         with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.1: "):
             FiniteGroupoidModel((0, 1), [gen])
+
+
+def test_carrier_points_must_be_distinct():
+    """A carrier with a repeated point used to build, and counted one point
+    as two: ("a", "a") had groupoid cardinality 1."""
+    with pytest.raises(ValueError, match="^carrier of 2 points has only 1 distinct$"):
+        FiniteGroupoidModel(("a", "a"), ((1, 0),))
+    with pytest.raises(ValueError, match="^carrier of 3 points has only 2 distinct$"):
+        FiniteGroupoidModel([0, 1, 0], ())
+    # product_model skips the check: pairs of distinct points are distinct
+    prod = product_model(FiniteGroupoidModel("ab", ((1, 0),)), FiniteGroupoidModel((0, 1, 2), ()))
+    assert len(set(prod.carrier)) == len(prod.carrier) == 6
 
 
 def test_group_order_bound_enforced(monkeypatch):

@@ -92,7 +92,7 @@ def test_keyword_defaults():
 
 def test_construction_normalises():
     assert MoebiusMap(2, 0, 4, 6).coefficients() == (1, 0, 2, 3)
-    assert MoebiusMap(-1, 0, 0, -1) == MoebiusMap.identity()
+    assert MoebiusMap(-1, 0, 0, -1) == MoebiusMap(1, 0, 0, 1)
     assert WallSet(["1/2"]).walls == (F(1, 2),)
     num = FanoNumerics(1, 2, (1, 2, 0, 0))
     assert num.volume == F(2) and num.hilbert == (F(1), F(2))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _models import hand_built_registry
 from wallcross.arrangement import ProductArrangement, cell_json, cell_str
 from wallcross.errors import MissingDataError, OutOfRangeError
 from wallcross.exactq import MoebiusMap
@@ -54,7 +55,7 @@ def test_registry_p1_record(registry):
     assert rec.is_point
     assert rec.walls("c").walls == ()
     assert rec.walls("t").walls == ()
-    assert rec.reparam == MoebiusMap.identity()
+    assert rec.reparam == MoebiusMap(1, 0, 0, 1)
 
 
 def test_registry_families_without_wall_tables(registry):
@@ -179,7 +180,7 @@ def test_c_to_t_translation(registry):
 
 def test_wallset_map_requires_monotone_image():
     ws = WallSet((F(1, 3), F(1, 2)))
-    assert ws.map(MoebiusMap.identity()) == ws
+    assert ws.map(MoebiusMap(1, 0, 0, 1)) == ws
     mapped = ws.map(MoebiusMap(9, 0, 1, 8))
     assert mapped.walls == (F(9, 25), F(9, 17))
     # a map sending some wall outside (0, 1) is rejected by WallSet validation
@@ -213,7 +214,7 @@ def test_family_record_checks_internal_consistency():
             hilbert=(F(1), F(2)),
             c_walls=WallSet((F(1, 3),)),
             t_walls=WallSet((F(1, 2),)),  # disagrees with identity reparam
-            reparam=MoebiusMap.identity(),
+            reparam=MoebiusMap(1, 0, 0, 1),
         )
 
 
@@ -264,6 +265,27 @@ def test_overlay_replaces_family(tmp_path):
     reg = load_registry(path)
     assert reg["dp3"].moduli_note == "replaced"
     assert reg["dp3"].walls("t").walls == (MoebiusMap(9, 0, 1, 8)(F(1, 2)),)
+
+
+def test_registry_decodes_to_the_hand_built_records(tmp_path):
+    """The built-in families, decoded from overlay data, equal the records
+    built field by field, in value and key order; an overlay record keeps a
+    replaced id's place, and a new id follows the built-ins."""
+    want = hand_built_registry()
+    assert list(load_registry().items()) == list(want.items())
+    overlay = {
+        "dp3": {"dimension": 1, "volume": "1/2", "moduli_note": "replaced",
+                "hilbert": [1, "1/2"], "c_walls": ["1/4"], "reparam": [1, 0, 0, 1]},
+        "a0": {"dimension": 1, "volume": 2, "moduli_note": "new", "hilbert": ["1", "2"]},
+    }
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(overlay))
+    ws = WallSet((F(1, 4),))
+    want["dp3"] = FamilyRecord("dp3", 1, F(1, 2), "replaced", (F(1), F(1, 2)), ws, ws,
+                               MoebiusMap(1, 0, 0, 1))
+    want["a0"] = FamilyRecord("a0", 1, F(2), "new", (F(1), F(2)))
+    assert list(load_registry(path).items()) == list(want.items())
+    assert list(want) == ["dp1", "dp2", "dp3", "dp4", "p1", "a0"]
 
 
 def test_overlay_rejects_malformed_files(tmp_path):
