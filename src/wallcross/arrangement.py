@@ -14,7 +14,7 @@ choices elsewhere.
 The crossing graph has the top cells as nodes and one edge per codim-1 cell,
 joining the two chambers adjacent across that wall; it is the box product of
 per-factor path graphs, so it is connected with cell_counts[0] nodes and
-cell_counts[1] edges, which is what the text report prints.
+cell_counts[1] edges, which is what the "text" report prints.
 
 Folding quotients the arrangement by permutations of factor positions whose
 wall sets agree exactly (wall-set equality is the computable proxy for
@@ -27,9 +27,12 @@ per part, and the Burnside average of fixed-cell counts, summed over each
 part's symmetric group by a recursion on the cycle through its last
 position, so no group element is enumerated either.
 
-Renderers: "svg" and "ascii" for k <= 2 (exact-fraction ticks, SVG positions
-rounded half up to 6 decimals), "json" for any k in the layout of json.dumps(
-indent=2, sort_keys=True), written as text cached per position, no dict per cell.
+Renderers, one per product format, each returning the whole document:
+"text" for any k, the counts by the closed form and, when folded, the orbit
+counts both ways (ConsistencyError if they disagree); "svg" and "ascii" for
+k <= 2 (exact-fraction ticks, SVG positions rounded half up to 6 decimals);
+"json" for any k in the layout of json.dumps(indent=2, sort_keys=True),
+written as text cached per position, no dict per cell.
 """
 
 from __future__ import annotations
@@ -48,12 +51,17 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .exactq import Value, format_rational
-from .wallsets import FamilyRecord, WallSet
+from .wallsets import WallSet
 
 # cells(codim) refuses more cells than this before building any; dp3^6 peaks at 540,000.
 MAX_CELLS = 2_000_000
+# A product refuses more factors than this before any count: cell_counts costs
+# O(k^2) big-int steps, and at 100 factors the total prod(2w + 1) that the text
+# report prints stays under Python's 4,300-digit str(int) limit for any wall
+# table that fits in memory (each factor would need 10^42 walls to pass it).
+MAX_FACTORS = 100
 
-RENDER_FORMATS = ("svg", "ascii", "json")
+RENDER_FORMATS = ("text", "json", "ascii", "svg")
 
 KINDS = ("chamber", "wall")
 
@@ -75,6 +83,8 @@ class ProductArrangement(Value):
     """Factors as (family id, wall set) pairs, in fixed order."""
 
     def __init__(self, factors: tuple[tuple[str, WallSet], ...]) -> None:
+        if len(factors) > MAX_FACTORS:
+            raise BoundExceededError(f"{len(factors)} factors, above the bound {MAX_FACTORS}")
         self.__dict__.update(factors=factors)
 
     @property
@@ -127,18 +137,10 @@ class ProductArrangement(Value):
         return tuple(ws.locate(x) for (_, ws), x in zip(self.factors, point))
 
 
-def build_product(families, space: str = "c") -> ProductArrangement:
-    """Arrangement whose factors are the families' wall sets in the given
-    scale.  Accepts FamilyRecord objects or raw (id, WallSet) pairs; records
-    without the requested walls raise MissingDataError."""
-    factors = []
-    for fam in families:
-        if isinstance(fam, FamilyRecord):
-            factors.append((fam.id, fam.walls(space)))
-        else:
-            fid, ws = fam
-            factors.append((str(fid), ws))
-    return ProductArrangement(tuple(factors))
+def build_product(records, space: str = "c") -> ProductArrangement:
+    """Arrangement whose factors are the FamilyRecords' wall sets in the given
+    scale; records without the requested walls raise MissingDataError."""
+    return ProductArrangement(tuple((rec.id, rec.walls(space)) for rec in records))
 
 
 class CrossingGraph(Value):
@@ -327,10 +329,16 @@ def _fmt6(value: int | Fraction) -> str:
     return f"{n // 10**6}.{n % 10**6:06d}"
 
 
+def _plural(n: int, word: str) -> str:
+    return f"{n} {word}" + ("" if n == 1 else "s")
+
+
 def render(arr: ProductArrangement, fmt: str, folding: SymmetricFolding | None = None) -> str:
     """Render the arrangement; "svg" and "ascii" accept at most 2 factors."""
     if fmt not in RENDER_FORMATS:
         raise ValueError(f"unknown render format {fmt!r}; choose from {RENDER_FORMATS}")
+    if fmt == "text":
+        return _render_text(arr, folding)
     if fmt == "json":
         return _render_json(arr, folding)
     if arr.k > 2:
@@ -338,6 +346,38 @@ def render(arr: ProductArrangement, fmt: str, folding: SymmetricFolding | None =
             f"{fmt} diagrams support at most 2 factors, got {arr.k}"
         )
     return _render_svg(arr, folding) if fmt == "svg" else _render_ascii(arr)
+
+
+def _render_text(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:
+    """The report; the orbit rows come first, so that a bound error or a
+    disagreement is raised before any line is built."""
+    rows = []
+    for j in range(arr.k + 1) if folding is not None else ():
+        direct, burnside = folding.orbit_count(j), folding.burnside_orbit_count(j)
+        if direct != burnside:
+            raise ConsistencyError(
+                f"codim-{j} orbit counts disagree: {direct} (enumeration), {burnside} (burnside)"
+            )
+        rows.append(f"codim-{j} orbits: {direct} (enumeration) = {burnside} (burnside)")
+    counts = arr.cell_counts
+    lines = [
+        "families: " + ", ".join(fid for fid, _ in arr.factors),
+        *(f"factor {i} ({fid}): {_plural(len(ws) + 1, 'chamber')}, {_plural(len(ws), 'wall')}"
+          for i, (fid, ws) in enumerate(arr.factors)),
+        *(f"codim-{j} cells: {count}" for j, count in enumerate(counts)),
+        f"total cells: {sum(counts)}",
+        # a box product of paths: one node per chamber, one edge per codim-1
+        # cell, of which k = 0 has none
+        f"crossing graph: {_plural(counts[0], 'node')}, {_plural(sum(counts[1:2]), 'edge')}, "
+        "connected",
+    ]
+    if folding is not None:
+        groups = ", ".join(
+            f"{arr.factors[part[0]][0]} -> positions {','.join(map(str, part))}"
+            for part in folding.grouping
+        )
+        lines += [f"folding by family id: {groups}", *rows]
+    return "\n".join(lines) + "\n"
 
 
 def _render_json(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:

@@ -5,6 +5,10 @@ human-readable text by default; --format json switches to the JSON schemas
 of the underlying modules, and product also renders ascii/svg diagrams.
 Identical invocations produce byte-identical output.
 
+Each verb returns its exit code and its whole output, and main writes that
+output to stdout once, after the verb has returned: an error leaves stdout
+empty.  Every product format, the text report too, is arrangement.render's.
+
 Exit codes: 0 success, 1 usage error, 2 computation error (missing data,
 out-of-range input, unsupported configuration), 3 consistency failure (a
 cross-check that should hold did not).
@@ -58,104 +62,51 @@ def _iso_classes(text: str) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(cls) for cls in classes)
 
 
-def _plural(n: int, word: str) -> str:
-    return f"{n} {word}" + ("" if n == 1 else "s")
-
-
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _records(registry, ids):
-    missing = [fid for fid in ids if fid not in registry]
-    if missing:
-        raise wallsets.MissingDataError(
-            "unknown family id(s): " + ", ".join(sorted(missing))
-        )
+    if missing := [fid for fid in ids if fid not in registry]:
+        raise wallsets.MissingDataError("unknown family id(s): " + ", ".join(sorted(missing)))
     return [registry[fid] for fid in ids]
 
 
-def _cmd_walls(args) -> int:
+def _cmd_walls(args) -> tuple[int, str]:
     registry = wallsets.load_registry(args.registry)
     (rec,) = _records(registry, [args.family])
     ws = rec.walls(args.space)
     if args.format == "json":
-        _emit_json({"family": rec.id, "space": args.space, "walls": ws.to_json()})
-    else:
-        print(str(ws))
-    return 0
+        return 0, _json({"family": rec.id, "space": args.space, "walls": ws.to_json()})
+    return 0, f"{ws}\n"
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> tuple[int, str]:
     from . import arrangement
 
     registry = wallsets.load_registry(args.registry)
-    recs = _records(registry, args.families)
-    arr = arrangement.build_product(recs, args.space)
+    arr = arrangement.build_product(_records(registry, args.families), args.space)
     folding = None
     if args.fold:
         folding = arrangement.fold_symmetric(arr, arrangement.grouping_by_id(arr))
-    if args.format in ("json", "ascii", "svg"):
-        out = arrangement.render(arr, args.format, folding)
-        sys.stdout.write(out)
-        return 0
-    # the orbit rows first, so that a bound error leaves stdout empty
-    rows = [] if folding is None else [
-        (folding.orbit_count(j), folding.burnside_orbit_count(j)) for j in range(arr.k + 1)
-    ]
-    print("families: " + ", ".join(args.families))
-    for i, (fid, ws) in enumerate(arr.factors):
-        print(
-            f"factor {i} ({fid}): "
-            f"{_plural(len(ws) + 1, 'chamber')}, {_plural(len(ws), 'wall')}"
-        )
-    counts = arr.cell_counts
-    for j, count in enumerate(counts):
-        print(f"codim-{j} cells: {count}")
-    print(f"total cells: {sum(counts)}")
-    # a box product of paths (--families is never empty): one node per
-    # chamber, one edge per codim-1 cell
-    print(
-        f"crossing graph: {_plural(counts[0], 'node')}, {_plural(counts[1], 'edge')}, connected"
-    )
-    if folding is not None:
-        groups = ", ".join(
-            f"{arr.factors[part[0]][0]} -> positions {','.join(map(str, part))}"
-            for part in folding.grouping
-        )
-        print(f"folding by family id: {groups}")
-        for j, (direct, burnside) in enumerate(rows):
-            print(f"codim-{j} orbits: {direct} (enumeration) = {burnside} (burnside)")
-            if direct != burnside:
-                print("error: orbit counts disagree", file=sys.stderr)
-                return 3
-    return 0
+    return 0, arrangement.render(arr, args.format, folding)
 
 
-def _cmd_chamber(args) -> int:
+def _cmd_chamber(args) -> tuple[int, str]:
     from . import arrangement
 
     registry = wallsets.load_registry(args.registry)
-    recs = _records(registry, args.families)
-    arr = arrangement.build_product(recs, args.space)
+    arr = arrangement.build_product(_records(registry, args.families), args.space)
     cell = arr.locate(args.point)
+    point = [format_rational(x) for x in args.point]
     if args.format == "json":
-        _emit_json(
-            {
-                "families": list(args.families),
-                "space": args.space,
-                "point": [format_rational(x) for x in args.point],
-                "cell": arrangement.cell_json(cell),
-            }
-        )
-    else:
-        print("point: " + ", ".join(format_rational(x) for x in args.point))
-        print(f"cell: {arrangement.cell_str(cell)}")
-        print(f"codim: {arrangement.cell_codim(cell)}")
-    return 0
+        return 0, _json({"families": list(args.families), "space": args.space,
+                         "point": point, "cell": arrangement.cell_json(cell)})
+    return 0, (f"point: {', '.join(point)}\ncell: {arrangement.cell_str(cell)}\n"
+               f"codim: {arrangement.cell_codim(cell)}\n")
 
 
-def _cmd_stack(args) -> int:
+def _cmd_stack(args) -> tuple[int, str]:
     from . import stackalg
 
     registry = wallsets.load_registry(args.registry)
@@ -166,23 +117,16 @@ def _cmd_stack(args) -> int:
     if len(args.factors) == 2:
         kind = stackalg.classify_product_map(list(args.factors), iso)
     if args.format == "json":
-        _emit_json(
-            {
-                "factors": list(args.factors),
-                "iso": sorted(sorted(cls) for cls in iso),
-                "descriptor": descriptor.to_json(),
-                "product_map": kind.value if kind else None,
-            }
-        )
-    else:
-        print("factors: " + ", ".join(args.factors))
-        print(f"descriptor: {descriptor}")
-        if kind is not None:
-            print(f"product map: {kind.value}")
-    return 0
+        return 0, _json({"factors": list(args.factors), "iso": sorted(sorted(cls) for cls in iso),
+                         "descriptor": descriptor.to_json(),
+                         "product_map": kind.value if kind else None})
+    lines = ["factors: " + ", ".join(args.factors), f"descriptor: {descriptor}"]
+    if kind is not None:
+        lines.append(f"product map: {kind.value}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_git_walls(args) -> int:
+def _cmd_git_walls(args) -> tuple[int, str]:
     from . import gitwalls
 
     if args.degree != 3:
@@ -195,17 +139,15 @@ def _cmd_git_walls(args) -> int:
         doc = gitwalls.wall_report(3, 3)
         match = reference is not None and doc["walls"] == reference.to_json()
         doc["registry_match"] = match
-        _emit_json(doc)
+        out = _json(doc)
     else:
         computed = gitwalls.compute_walls(3, 3)
         match = reference is not None and computed == reference
-        print(str(computed))
+        lines = [str(computed)]
         if reference is not None:
-            print(f"registry t-walls (dp3): {reference}")
-            print("match: " + ("yes" if match else "NO"))
-    if reference is not None and not match:
-        return 3
-    return 0
+            lines += [f"registry t-walls (dp3): {reference}", f"match: {'yes' if match else 'NO'}"]
+        out = "\n".join(lines) + "\n"
+    return 3 if reference is not None and not match else 0, out
 
 
 def _require(ok: bool, what: str) -> None:
@@ -275,24 +217,18 @@ def _check_stack(registry) -> str:
     return "descriptor algebra and groupoid cardinality examples hold"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str]:
     registry = wallsets.load_registry(args.registry)
-    checks = [
-        _check_moebius,
-        _check_registry,
-        _check_products,
-        _check_arrangement,
-        _check_stack,
-    ]
-    failed = False
-    for check in checks:
+    lines, failed = [], False
+    for check in (_check_moebius, _check_registry, _check_products, _check_arrangement,
+                  _check_stack):
         try:
-            print("ok " + check(registry))
+            lines.append("ok " + check(registry))
         except WallcrossError as exc:
             failed = True
-            print(f"FAIL {check.__name__}: {exc}")
-    print("all checks passed" if not failed else "CHECKS FAILED")
-    return 3 if failed else 0
+            lines.append(f"FAIL {check.__name__}: {exc}")
+    lines.append("CHECKS FAILED" if failed else "all checks passed")
+    return 3 if failed else 0, "\n".join(lines) + "\n"
 
 
 def _build_parser() -> _Parser:
@@ -353,13 +289,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, out = args.func(args)
     except (WallcrossError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ConsistencyError) else 2
+    sys.stdout.write(out)
+    return code
 
 
 def main_entry() -> None:

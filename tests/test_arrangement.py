@@ -150,7 +150,7 @@ def test_cell_count_formulas_random():
     for _ in range(40):
         k = rng.randint(0, 3)
         factors = [(f"f{i}", random_wallset(rng)) for i in range(k)]
-        arr = build_product(factors)
+        arr = ProductArrangement(tuple(factors))
         for j in range(k + 1):
             cells = arr.cells(j)
             assert len(cells) == codim_count_oracle(arr.wall_counts, j)
@@ -166,7 +166,7 @@ def test_cell_counts_closed_form_matches_enumeration_random():
     rng = random.Random(2025)
     for _ in range(60):
         k = rng.randint(0, 4)
-        arr = build_product([(f"f{i}", random_wallset(rng)) for i in range(k)])
+        arr = ProductArrangement(tuple((f"f{i}", random_wallset(rng)) for i in range(k)))
         counts = arr.cell_counts
         assert len(counts) == k + 1
         assert counts == tuple(len(arr.cells(j)) for j in range(k + 1))
@@ -240,7 +240,7 @@ def test_crossing_graph_is_box_product_of_paths():
     for _ in range(25):
         k = rng.randint(1, 3)
         factors = [(f"f{i}", random_wallset(rng)) for i in range(k)]
-        arr = build_product(factors)
+        arr = ProductArrangement(tuple(factors))
         graph = crossing_graph(arr)
 
         def chamber_tuple(cell):
@@ -362,7 +362,7 @@ def test_burnside_matches_enumeration_random():
             factors.extend((f"f{start + j}", ws) for j in range(size))
             grouping.append(tuple(range(start, start + size)))
             start += size
-        arr = build_product(factors)
+        arr = ProductArrangement(tuple(factors))
         folding = fold_symmetric(arr, grouping)
         for j in range(arr.k + 1):
             assert folding.orbit_count(j) == folding.burnside_orbit_count(j)
@@ -419,7 +419,7 @@ def folded_products(draw, max_walls=3):
         w = draw(st.integers(0, max_walls))
         for pos in part:
             walls[pos] = WallSet(tuple(F(i + 1, w + 1) for i in range(w)))
-    return build_product([(f"f{pos}", ws) for pos, ws in enumerate(walls)]), grouping
+    return ProductArrangement(tuple((f"f{pos}", ws) for pos, ws in enumerate(walls))), grouping
 
 
 @settings(max_examples=100)
@@ -527,7 +527,7 @@ def test_render_json_matches_oracle(case, data):
     # ids that need escaping or look like the writer's own marker
     ids = data.draw(st.lists(st.sampled_from(["@", '"@"', "d\u00e9", "a\\b", "f"]),
                              min_size=arr.k, max_size=arr.k))
-    arr = build_product([(fid, ws) for fid, (_, ws) in zip(ids, arr.factors)])
+    arr = ProductArrangement(tuple((fid, ws) for fid, (_, ws) in zip(ids, arr.factors)))
     assert_same_text(render(arr, "json"), render_json_oracle(arr))
     folding = fold_symmetric(arr, grouping)
     assert_same_text(render(arr, "json", folding), render_json_oracle(arr, folding))
@@ -574,7 +574,7 @@ class BoundedDraws:
 
 def test_wall_free_factors_offer_no_wall_slot(registry, monkeypatch):
     p1s = build_product([registry["p1"]] * 40)
-    distinct = build_product([(f"f{i:02d}", WallSet(())) for i in range(40)])
+    distinct = ProductArrangement(tuple((f"f{i:02d}", WallSet(())) for i in range(40)))
     folding = fold_symmetric(distinct, grouping_by_id(distinct))
     monkeypatch.setattr(arrangement, "itertools", BoundedDraws(1000))
     assert [len(p1s.cells(j)) for j in range(41)] == [1] + [0] * 40
@@ -655,6 +655,13 @@ def test_render_ascii_walls_rounding_onto_the_border():
     assert out == "\n".join([edge, *[inner] * 29, edge, *walls]) + "\n"
 
 
+def test_render_text_no_factors():
+    assert render(build_product([]), "text") == (
+        "families: \ncodim-0 cells: 1\ntotal cells: 1\n"
+        "crossing graph: 1 node, 0 edges, connected\n"
+    )
+
+
 def test_render_rejects_unknown_format(registry):
     with pytest.raises(ValueError):
         render(build_product([registry["dp3"]]), "png")
@@ -707,7 +714,7 @@ def test_render_svg_folded_labels(registry):
 
 def test_render_svg_folded_200_walls_digest():
     ws = WallSet(tuple(F(i, 201) for i in range(1, 201)))
-    arr = build_product([("a", ws), ("a", ws)])
+    arr = ProductArrangement((("a", ws), ("a", ws)))
     svg = render(arr, "svg", fold_symmetric(arr, [(0, 1)]))
     assert svg.count('font-size="12"') == 201**2
     digest = "169e7205c65712bc7fe742fefcccfb34ace441347f7f5709b69ed7d2d3b2b9da"

@@ -9,7 +9,7 @@ import pytest
 
 import wallcross
 from wallcross import arrangement, gitwalls, load_registry
-from wallcross.cli import main
+from wallcross.cli import _build_parser, main
 from wallcross.errors import ConsistencyError
 
 
@@ -101,6 +101,44 @@ def test_consistency_error_is_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "product", "--families", "dp3,dp3", "--fold")
     assert code == 3
     assert err == "error: Burnside sum 7 not divisible by 2\n"
+
+
+def test_orbit_disagreement_leaves_stdout_empty(capsys, monkeypatch):
+    def off_by_one(self, codim):
+        return self.orbit_count(codim) + 1
+
+    monkeypatch.setattr(arrangement.SymmetricFolding, "burnside_orbit_count", off_by_one)
+    code, out, err = run(capsys, "product", "--families", "dp3,dp3", "--fold")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "orbit counts disagree" in err
+
+
+@pytest.mark.parametrize("argv", [["dp3,dp4"], ["dp3,dp3,dp4", "--fold"]])
+def test_product_text_report_is_render_text(capsys, argv):
+    code, out, _ = run(capsys, "product", "--families", *argv)
+    assert code == 0
+    registry = load_registry()
+    arr = arrangement.build_product([registry[fid] for fid in argv[0].split(",")])
+    folding = None
+    if "--fold" in argv:
+        folding = arrangement.fold_symmetric(arr, arrangement.grouping_by_id(arr))
+    assert arrangement.render(arr, "text", folding) == out
+
+
+def test_product_refuses_more_than_max_factors(capsys):
+    bound = arrangement.MAX_FACTORS
+    argv = ["product", "--families", ",".join(["dp3"] * (bound + 1))]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bound + 1} factors, above the bound {bound}\n"
+
+
+def test_product_formats_are_the_render_formats():
+    # the parser is built without importing arrangement, so the two lists
+    # are kept equal here
+    sub = next(a for a in _build_parser()._actions if a.dest == "verb")
+    (fmt,) = [a for a in sub.choices["product"]._actions if a.dest == "format"]
+    assert set(fmt.choices) == set(arrangement.RENDER_FORMATS)
 
 
 def test_product_json(capsys):

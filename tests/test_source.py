@@ -100,6 +100,33 @@ def test_family_records_are_built_only_by_the_decoder():
     assert callers == {("wallsets.py", "_record_from_json")}
 
 
+def test_only_cli_main_writes_stdout():
+    """A verb returns its output and cli.main writes it once, so an error
+    raised anywhere leaves stdout empty."""
+    found = {
+        (path.name, getattr(top, "name", None))
+        for path in SOURCES
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "stdout"
+        and getattr(node.value, "id", None) == "sys"
+    }
+    assert found == {("cli.py", "main")}
+
+
+def test_every_print_goes_to_stderr():
+    def to_stderr(node) -> bool:
+        return any(
+            kw.arg == "file" and isinstance(kw.value, ast.Attribute) and kw.value.attr == "stderr"
+            and getattr(kw.value.value, "id", None) == "sys"
+            for kw in node.keywords
+        )
+
+    found = [f"{module}:{node.lineno}" for module, _, node in calls_of("print")
+             if not to_stderr(node)]
+    assert found == []
+
+
 def test_stackalg_imports_only_errors_and_exactq():
     """Descriptors take the point ids from the caller, so stackalg loads no
     registry and imports no other module of the package."""
