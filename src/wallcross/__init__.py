@@ -11,7 +11,7 @@ Modules:
 """
 
 from .exactq import MoebiusMap, format_rational, parse_rational
-from .wallsets import FamilyRecord, WallSet, c_to_t_walls, load_registry
+from .wallsets import FamilyRecord, WallSet, load_registry
 
 __version__ = "0.1.0"
 
@@ -19,7 +19,6 @@ __all__ = [
     "FamilyRecord",
     "MoebiusMap",
     "WallSet",
-    "c_to_t_walls",
     "format_rational",
     "load_registry",
     "parse_rational",

@@ -373,10 +373,12 @@ def _render_text(arr: ProductArrangement, folding: SymmetricFolding | None) -> s
     ]
     if folding is not None:
         groups = ", ".join(
-            f"{arr.factors[part[0]][0]} -> positions {','.join(map(str, part))}"
+            "=".join(dict.fromkeys(arr.factors[pos][0] for pos in part))
+            + f" -> positions {','.join(map(str, part))}"
             for part in folding.grouping
         )
-        lines += [f"folding by family id: {groups}", *rows]
+        by_id = " by family id" if folding.grouping == grouping_by_id(arr) else ""
+        lines += [f"folding{by_id}: {groups}", *rows]
     return "\n".join(lines) + "\n"
 
 

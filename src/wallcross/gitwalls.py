@@ -67,9 +67,9 @@ WeightVector = tuple[int, ...]
 
 # candidate_weights refuses configurations with more monomials than this,
 # before it builds any.  Its walk costs, at each rank, the flats meeting the
-# descending cone times the direction count; it refuses to cut a rank of
-# more than MAX_FLATS flats.  (5, 2) peaks at 7,078; (6, 2) reaches 11,108
-# on its way to 412,366.
+# descending cone times the direction count; it refuses as it is about to
+# make flat number MAX_FLATS + 1 of a rank.  (5, 2) peaks at 7,078; (6, 2)
+# would reach 11,108 on its way to 412,366.
 MAX_MONOMIALS = 56
 MAX_FLATS = 10_000
 
@@ -169,8 +169,6 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
     flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n)): extreme}
     for _ in range(n - 1):
-        if (count := len(flats)) > MAX_FLATS:
-            raise BoundExceededError(f"({n}, {d}) has {count} flats at a rank, above {MAX_FLATS}")
         cut_flats: dict[tuple, tuple] = {}
         for basis, gens in flats.items():
             for p in gens:
@@ -185,6 +183,9 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
             for s, vals in cuts.items():
                 child = _cut(basis, s)
                 if child not in cut_flats:
+                    if len(cut_flats) == MAX_FLATS:
+                        raise BoundExceededError(
+                            f"({n}, {d}) has more than {MAX_FLATS} flats at a rank")
                     # F & C & ker a: the generators a vanishes on, and
                     # (a . p) q - (a . q) p for each pair a . p > 0 > a . q
                     side = [(v, p) for v, p in zip(vals, gens) if v]

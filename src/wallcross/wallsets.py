@@ -3,8 +3,10 @@
 A family record carries the rational walls of a one-parameter moduli problem
 on the open interval (0, 1), in two coordinate scales: the pair-coefficient
 scale c and the slope scale t, linked by a fractional-linear reparametrization
-t = reparam(c).  Records also carry the numerical invariants (dimension,
-anticanonical volume, Hilbert polynomial) used by the product calculus.
+t = reparam(c).  A record's t-walls are the image of its c-walls, taken or
+checked by FamilyRecord.  Records also carry the numerical invariants
+(dimension, anticanonical volume, Hilbert polynomial) used by the product
+calculus.
 
 Walls are always stored strictly increasing and strictly inside (0, 1); the
 interval endpoints are never walls.  Families without an established wall
@@ -83,9 +85,9 @@ class FamilyRecord(Value):
     """Wall tables and numerical invariants for one registered family.
 
     Invariants, enforced at construction:
-      * when c_walls, reparam, and t_walls are all present, the image of
-        c_walls under reparam equals t_walls wall by wall;
-      * hilbert(0) = 1 and dimension! * lead(hilbert) = volume.
+      * hilbert(0) = 1 and dimension! * lead(hilbert) = volume;
+      * when c_walls and reparam are present, t_walls is their image: taken
+        when no t_walls is given, compared wall by wall otherwise.
     """
 
     def __init__(
@@ -99,21 +101,19 @@ class FamilyRecord(Value):
         t_walls: WallSet | None = None,
         reparam: MoebiusMap | None = None,
     ) -> None:
+        image = None if c_walls is None or reparam is None else c_walls.map(reparam)
         self.__dict__.update(
             id=id, dimension=dimension, volume=parse_rational(volume), moduli_note=moduli_note,
-            hilbert=poly_trim(hilbert), c_walls=c_walls, t_walls=t_walls, reparam=reparam,
+            hilbert=poly_trim(hilbert), c_walls=c_walls,
+            t_walls=image if t_walls is None else t_walls, reparam=reparam,
         )
         if not id:
             raise ValueError("empty family id")
         problems = consistency_check(self.numerics())
         if problems:
             raise ValueError(f"family {self.id}: " + "; ".join(problems))
-        if self.c_walls is not None and self.reparam is not None and self.t_walls is not None:
-            image = self.c_walls.map(self.reparam)
-            if image != self.t_walls:
-                raise ValueError(
-                    f"family {self.id}: reparam image {image} != t_walls {self.t_walls}"
-                )
+        if image is not None and image != self.t_walls:
+            raise ValueError(f"family {self.id}: reparam image {image} != t_walls {self.t_walls}")
 
     @property
     def is_point(self) -> bool:
@@ -131,16 +131,6 @@ class FamilyRecord(Value):
         if ws is None:
             raise MissingDataError(f"family {self.id} has no registered {space}-walls")
         return ws
-
-
-def c_to_t_walls(rec: FamilyRecord) -> WallSet:
-    """Image of the c-scale walls under the family's reparametrization.
-
-    Raises MissingDataError when the record lacks c_walls or reparam.
-    """
-    if rec.c_walls is None or rec.reparam is None:
-        raise MissingDataError(f"family {rec.id} lacks c-walls or a reparametrization")
-    return rec.c_walls.map(rec.reparam)
 
 
 # The built-in families, in the overlay format that load_registry decodes.
@@ -204,8 +194,6 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         if len(reparam) != 4:
             raise ValueError(f"registry record {family_id!r}: reparam {reparam} needs 4 entries")
         reparam = MoebiusMap(*(_strict_int(family_id, "reparam", v) for v in reparam))
-    if t_walls is None and c_walls is not None and reparam is not None:
-        t_walls = c_walls.map(reparam)
     dimension = _strict_int(family_id, "dimension", data["dimension"])
     if dimension > MAX_DIMENSION:
         raise ValueError(
@@ -225,8 +213,8 @@ def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, Fa
     hilbert is constant-first.  The built-in families are such records too,
     decoded by the same _record_from_json.  An overlay record replaces a
     built-in record of the same id wholesale, in its place; new ids follow in
-    sorted order.  A missing t_walls is derived from c_walls and reparam when
-    both are present.
+    sorted order.  A missing t_walls is the image of c_walls under reparam
+    when both are present (FamilyRecord).
     """
     registry = {fid: _record_from_json(fid, data) for fid, data in _BUILTIN.items()}
     if overlay_path is not None:

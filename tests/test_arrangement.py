@@ -662,6 +662,24 @@ def test_render_text_no_factors():
     )
 
 
+@pytest.mark.parametrize(
+    "ids, grouping, header",
+    [
+        ("ab", [(0, 1)], "folding: a=b -> positions 0,1"),
+        ("aa", [(0,), (1,)], "folding: a -> positions 0, a -> positions 1"),
+        ("aab", [(0, 2, 1)], "folding: a=b -> positions 0,2,1"),
+        ("aba", [(0, 2), (1,)], "folding by family id: a -> positions 0,2, b -> positions 1"),
+    ],
+    ids=["two-ids", "split", "unsorted", "by-id"],
+)
+def test_render_text_names_the_folding(ids, grouping, header):
+    """Only a grouping by family id is labelled so; any other folding names
+    each part by its distinct ids."""
+    ws = WallSet((F(1, 3),))
+    arr = ProductArrangement(tuple((fid, ws) for fid in ids))
+    assert header in render(arr, "text", fold_symmetric(arr, grouping)).splitlines()
+
+
 def test_render_rejects_unknown_format(registry):
     with pytest.raises(ValueError):
         render(build_product([registry["dp3"]]), "png")

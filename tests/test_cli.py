@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import wallcross
-from wallcross import arrangement, gitwalls, load_registry
+from wallcross import arrangement, gitwalls, invariants, load_registry
 from wallcross.cli import _build_parser, main
 from wallcross.errors import ConsistencyError
+from wallcross.exactq import MoebiusMap
+from wallcross.invariants import FanoNumerics
 
 
 def run(capsys, *argv):
@@ -503,6 +505,48 @@ def test_stack_and_check_read_overlay_point_ids(capsys, tmp_path):
     assert [line for line in lines if line.startswith("FAIL")] == [
         "FAIL _check_stack: descriptor dp3"
     ]
+    assert sum(1 for line in lines if line.startswith("ok ")) == 4
+    assert lines[-1] == "CHECKS FAILED"
+
+
+def _doubled_volume(a, b, product_numerics=invariants.product_numerics):
+    prod = product_numerics(a, b)
+    return FanoNumerics(prod.dimension, 2 * prod.volume, prod.hilbert)
+
+
+# t = c/2 keeps the walls inside (0, 1) but moves the endpoint 1
+HALVING_TOY = {"toy": {"dimension": 1, "volume": 2, "moduli_note": "toy", "hilbert": ["1", "2"],
+                       "c_walls": ["1/3", "1/2"], "reparam": [1, 0, 0, 2]}}
+
+
+@pytest.mark.parametrize(
+    "overlay, patch, failed",
+    [
+        (HALVING_TOY, None, "FAIL _check_moebius: toy endpoints"),
+        (None, (MoebiusMap, "inverse", lambda self: MoebiusMap(1, 0, 0, 1)),
+         "FAIL _check_moebius: dp3 inverse"),
+        (None, (invariants, "product_numerics", _doubled_volume),
+         "FAIL _check_products: dp1 x dp1"),
+        (None, (arrangement.SymmetricFolding, "burnside_orbit_count",
+                lambda self, codim, count=arrangement.SymmetricFolding.burnside_orbit_count:
+                count(self, codim) + 1),
+         "FAIL _check_arrangement: codim-0 orbit counts disagree: "
+         "21 (enumeration), 22 (burnside)"),
+    ],
+    ids=["endpoints", "inverse", "products", "orbits"],
+)
+def test_check_reports_each_failure(capsys, monkeypatch, tmp_path, overlay, patch, failed):
+    argv = ["check"]
+    if overlay is not None:
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps(overlay))
+        argv += ["--registry", str(path)]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 3
+    assert [line for line in lines if line.startswith("FAIL")] == [failed]
     assert sum(1 for line in lines if line.startswith("ok ")) == 4
     assert lines[-1] == "CHECKS FAILED"
 

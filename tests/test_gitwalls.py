@@ -257,10 +257,10 @@ def test_candidate_weights_bound(monkeypatch):
 
 
 def test_candidate_weights_flat_bound(monkeypatch):
-    """Each rank's flats are counted before any of them is cut: (4, 2) holds
-    45 and then 250 flats, so MAX_FLATS = 100 refuses it after the cuts of
-    the first ranks only.  (6, 2) would reach 412,366 flats over minutes."""
-    with pytest.raises(BoundExceededError, match=r"^\(6, 2\) has 11108 flats at a rank, above"):
+    """A rank's flats are counted as they are made: (4, 2) holds 45 and then
+    250 flats, so MAX_FLATS = 100 refuses it partway through that rank.
+    (6, 2) would reach 412,366 flats over minutes."""
+    with pytest.raises(BoundExceededError, match=r"^\(6, 2\) has more than 10000 flats at a rank$"):
         candidate_weights(6, 2)
     calls = []
     cut = gitwalls._cut
@@ -272,9 +272,30 @@ def test_candidate_weights_flat_bound(monkeypatch):
     calls.clear()
     monkeypatch.setattr(gitwalls, "MAX_FLATS", 100)
     candidate_weights.cache_clear()
-    with pytest.raises(BoundExceededError, match=r"^\(4, 2\) has 250 flats at a rank, above 100$"):
+    with pytest.raises(BoundExceededError, match=r"^\(4, 2\) has more than 100 flats at a rank$"):
         candidate_weights(4, 2)
     assert 0 < len(calls) < full
+
+
+@pytest.mark.parametrize("n, d", [(9, 2), (5, 3)])
+def test_candidate_weights_refuses_before_building_an_over_bound_rank(monkeypatch, n, d):
+    """The bound is met while the rank is made, not after: (9, 2) and (5, 3)
+    are refused within 2,000 cuts at MAX_FLATS = 1,000, while finishing the
+    first over-bound rank takes more than 100,000."""
+    calls = []
+    cut = gitwalls._cut
+
+    def bounded(basis, s):
+        calls.append(s)
+        if len(calls) > 3000:
+            raise AssertionError("cut past the first over-bound flat")
+        return cut(basis, s)
+
+    monkeypatch.setattr(gitwalls, "_cut", bounded)
+    monkeypatch.setattr(gitwalls, "MAX_FLATS", 1000)
+    candidate_weights.cache_clear()
+    with pytest.raises(BoundExceededError, match=rf"^\({n}, {d}\) has more than 1000 flats"):
+        candidate_weights(n, d)
 
 
 def exhaustive_weights(n: int, bound: int):

@@ -75,6 +75,11 @@ def calls_of(name: str):
                     yield path.name, getattr(top, "name", None), node
 
 
+def test_registry_is_loaded_only_by_cli_main():
+    """main loads the registry once per request and hands it to the verb."""
+    assert [(module, top) for module, top, _ in calls_of("load_registry")] == [("cli.py", "main")]
+
+
 def test_fractions_are_built_from_integer_parts_outside_exactq():
     """Outside exactq, a Fraction is built from a numerator and a
     denominator, or from one int literal; any other value becomes a

@@ -10,7 +10,7 @@ from _models import hand_built_registry
 from wallcross.arrangement import ProductArrangement, cell_json, cell_str
 from wallcross.errors import MissingDataError, OutOfRangeError
 from wallcross.exactq import MoebiusMap
-from wallcross.wallsets import FamilyRecord, WallSet, c_to_t_walls, load_registry
+from wallcross.wallsets import FamilyRecord, WallSet, load_registry
 
 F = Fraction
 
@@ -66,7 +66,7 @@ def test_registry_families_without_wall_tables(registry):
         with pytest.raises(MissingDataError):
             rec.walls("c")
         with pytest.raises(MissingDataError):
-            c_to_t_walls(rec)
+            rec.walls("t")
     assert registry["dp1"].volume == 1 and registry["dp1"].dimension == 2
     assert registry["dp2"].volume == 2 and registry["dp2"].dimension == 2
     assert "Kirwan" in registry["dp2"].moduli_note
@@ -169,9 +169,9 @@ def test_coord_ordering_and_forms():
 
 
 def test_c_to_t_translation(registry):
-    assert c_to_t_walls(registry["dp3"]).walls == DP3_T
-    assert c_to_t_walls(registry["dp4"]).walls == DP4_T
-    assert c_to_t_walls(registry["p1"]).walls == ()
+    for fid, t_walls in (("dp3", DP3_T), ("dp4", DP4_T), ("p1", ())):
+        rec = registry[fid]
+        assert rec.c_walls.map(rec.reparam).walls == rec.t_walls.walls == t_walls
     for c, t in zip(DP3_C, DP3_T):
         assert registry["dp3"].reparam(c) == t
     for c, t in zip(DP4_C, DP4_T):
@@ -216,6 +216,16 @@ def test_family_record_checks_internal_consistency():
             t_walls=WallSet((F(1, 2),)),  # disagrees with identity reparam
             reparam=MoebiusMap(1, 0, 0, 1),
         )
+
+
+def test_family_record_takes_the_reparam_image_as_t_walls():
+    """Given c-walls and a reparam but no t-walls, the record's t-walls are
+    the image, and it equals the record given those t-walls."""
+    hilbert, c_walls, reparam = (F(1), F(3, 2), F(3, 2)), WallSet(DP3_C), MoebiusMap(9, 0, 1, 8)
+    rec = FamilyRecord("x", 2, 3, "n", hilbert, c_walls, None, reparam)
+    assert rec.t_walls == WallSet(DP3_T)
+    assert rec == FamilyRecord("x", 2, 3, "n", hilbert, c_walls, WallSet(DP3_T), reparam)
+    assert FamilyRecord("x", 2, 3, "n", hilbert, c_walls).t_walls is None  # no reparam
 
 
 def test_wallset_json_and_str(registry):
@@ -374,7 +384,7 @@ def test_registry_internal_consistency(registry):
         assert rec.hilbert[0] == 1
         assert factorial(rec.dimension) * rec.hilbert[-1] == rec.volume
         if rec.c_walls is not None and rec.reparam is not None:
-            assert c_to_t_walls(rec) == rec.walls("t")
+            assert rec.c_walls.map(rec.reparam) == rec.walls("t")
             a, b, c, d = rec.reparam.coefficients()
             assert a * d - b * c > 0
             assert rec.reparam(F(1, 2)) > 0  # no pole in (0, 1)
