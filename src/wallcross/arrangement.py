@@ -8,8 +8,7 @@ the lexicographic cell order, and the codimension is the number of odd
 entries; cell_json, cell_str and the JSON writer name position p by
 KINDS[p & 1] and index p >> 1.  With w_i walls in factor i there are
 prod(w_i + 1) top cells, prod(2 w_i + 1) cells in total, and the codim-j
-count is the elementary symmetric sum pairing j wall choices with chamber
-choices elsewhere.
+count is the coefficient of x^j in prod((w_i + 1) + w_i x).
 
 The crossing graph has the top cells as nodes and one edge per codim-1 cell,
 joining the two chambers adjacent across that wall; it is the box product of
@@ -21,11 +20,15 @@ wall sets agree exactly (wall-set equality is the computable proxy for
 isomorphic factors; the caller asserts the isomorphism).  Orbit
 representatives follow the lexicographically-least-cell convention, a
 labeling choice, not canon: each part's positions sorted into its slots.
-Orbit counts are exposed two independent ways, neither building the cells:
-direct enumeration of those representatives, one sorted position multiset
-per part, and the Burnside average of fixed-cell counts, summed over each
-part's symmetric group by a recursion on the cycle through its last
-position, so no group element is enumerated either.
+Orbit counts come two independent ways, building no cell: a closed form for
+those representatives, one sorted position multiset per part, C(w + c - 1, c)
+C(w + n - c, n - c) at codim c for n positions and w walls (c walls and n - c
+chambers, with repetition; singleton parts give the cell counts), and the
+Burnside average of fixed-cell counts, summed over each part's symmetric
+group by a recursion on the cycle through its last position, so no group
+element is enumerated either.  The text report labels the first
+"(enumeration)": orbits lists that many, for JSON and SVG, and like cells
+refuses a codimension past MAX_CELLS before building any.
 
 Renderers, one per product format, each returning the whole document:
 "text" for any k, the counts by the closed form and, when folded, the orbit
@@ -53,7 +56,7 @@ from .errors import (
 from .exactq import Value, format_rational
 from .wallsets import WallSet
 
-# cells(codim) refuses more cells than this before building any; dp3^6 peaks at 540,000.
+# cells and orbits refuse a codim of more than this before building any; dp3^6 peaks at 540,000.
 MAX_CELLS = 2_000_000
 # A product refuses more factors than this before any count: cell_counts costs
 # O(k^2) big-int steps, and at 100 factors the total prod(2w + 1) that the text
@@ -79,6 +82,19 @@ def cell_str(cell: tuple[int, ...]) -> str:
     return "(" + ", ".join(f"{KINDS[p & 1]} {p >> 1}" for p in cell) + ")"
 
 
+def _representative_counts(parts) -> list[int]:
+    """Counts by codimension of one sorted position multiset per (w, n) part."""
+    counts = [1]
+    for w, n in parts:
+        nxt = [0] * (len(counts) + n)
+        for c in range(n + 1):
+            ways = (comb(w + c - 1, c) if c else 1) * comb(w + n - c, n - c)
+            for j, val in enumerate(counts):
+                nxt[j + c] += ways * val
+        counts = nxt
+    return counts
+
+
 class ProductArrangement(Value):
     """Factors as (family id, wall set) pairs, in fixed order."""
 
@@ -97,12 +113,8 @@ class ProductArrangement(Value):
 
     @property
     def cell_counts(self) -> tuple[int, ...]:
-        """Cells per codimension by the closed form, with no enumeration: a
-        factor with w walls maps the codim-j count c_j to c_j (w + 1) + c_{j-1} w."""
-        counts = [1]
-        for w in self.wall_counts:
-            counts = [a * (w + 1) + b * w for a, b in zip([*counts, 0], [0, *counts])]
-        return tuple(counts)
+        """Cells per codimension by the closed form: one-position parts."""
+        return tuple(_representative_counts((w, 1) for w in self.wall_counts))
 
     def cells(self, codim: int) -> tuple[tuple[int, ...], ...]:
         """All cells of the given codimension, lexicographically ordered."""
@@ -196,6 +208,8 @@ def _orderings(multiset: tuple[int, ...]) -> int:
 class SymmetricFolding(Value):
     """Quotient bookkeeping for an arrangement and a position partition."""
 
+    __slots__ = ("_burnside",)  # memo: a slot, so not a field of the value
+
     def __init__(
         self, arrangement: ProductArrangement, grouping: tuple[tuple[int, ...], ...]
     ) -> None:
@@ -215,14 +229,13 @@ class SymmetricFolding(Value):
         codimension in representative order, enumerated without cells: a
         representative lays one sorted position multiset per part into the
         part's sorted slots, and its orbit size is the product over parts of
-        the multiset's distinct orderings."""
+        the multiset's distinct orderings.  Refuses past MAX_CELLS by orbit_count."""
+        if (count := self.orbit_count(codim)) > MAX_CELLS:
+            raise BoundExceededError(
+                f"{count} codim-{codim} orbit representatives, above the bound {MAX_CELLS}"
+            )
         arr = self.arrangement
-        if not 0 <= codim <= arr.k:
-            raise BadCodimError(f"codim {codim} outside 0..{arr.k}")
         walls = [arr.wall_counts[part[0]] for part in self.grouping]
-        count = prod(comb(2 * w + len(p), len(p)) for w, p in zip(walls, self.grouping))
-        if count > MAX_CELLS:
-            raise BoundExceededError(f"{count} orbit representatives, above {MAX_CELLS}")
         slots = [sorted(part) for part in self.grouping]
         cwr = itertools.combinations_with_replacement
         out = []
@@ -245,8 +258,11 @@ class SymmetricFolding(Value):
         return tuple(out)
 
     def orbit_count(self, codim: int) -> int:
-        """Direct enumeration of the orbit representatives."""
-        return len(self.orbits(codim))
+        """Orbit representatives of the given codimension by the closed form, listing none."""
+        if not 0 <= codim <= self.arrangement.k:
+            raise BadCodimError(f"codim {codim} outside 0..{self.arrangement.k}")
+        walls = self.arrangement.wall_counts
+        return _representative_counts((walls[part[0]], len(part)) for part in self.grouping)[codim]
 
     def group_order(self) -> int:
         return prod(factorial(len(part)) for part in self.grouping)
@@ -262,25 +278,25 @@ class SymmetricFolding(Value):
         positions in perm(n - 1, l - 1) orders, so the fixed-cell sums by
         codimension obey sums[n] = sum over l of perm(n - 1, l - 1)
         ((w + 1) + w x^l) sums[n - l] (the exponential formula); parts
-        multiply as polynomials in the codimension x.
-        """
-        k = self.arrangement.k
-        if not 0 <= codim <= k:
-            raise BadCodimError(f"codim {codim} outside 0..{k}")
-        total = [1]  # fixed-cell sums by codimension over the parts so far
-        for part in self.grouping:
-            w = self.arrangement.wall_counts[part[0]]
-            sums = [total]  # the recursion is linear, so it starts from the product
-            for n in range(1, len(part) + 1):
-                nxt = [0] * (len(total) + n)
-                for l in range(1, n + 1):
-                    ways = perm(n - 1, l - 1)
-                    for j, val in enumerate(sums[n - l]):
-                        nxt[j] += ways * (w + 1) * val
-                        nxt[j + l] += ways * w * val
-                sums.append(nxt)
-            total = sums[-1]
-        order = self.group_order()
+        multiply as polynomials in the codimension x."""
+        if not 0 <= codim <= self.arrangement.k:
+            raise BadCodimError(f"codim {codim} outside 0..{self.arrangement.k}")
+        if not hasattr(self, "_burnside"):  # built once per folding
+            total = [1]  # fixed-cell sums by codimension over the parts so far
+            for part in self.grouping:
+                w = self.arrangement.wall_counts[part[0]]
+                sums = [total]  # the recursion is linear, so it starts from the product
+                for n in range(1, len(part) + 1):
+                    nxt = [0] * (len(total) + n)
+                    for l in range(1, n + 1):
+                        ways = perm(n - 1, l - 1)
+                        for j, val in enumerate(sums[n - l]):
+                            nxt[j] += ways * (w + 1) * val
+                            nxt[j + l] += ways * w * val
+                    sums.append(nxt)
+                total = sums[-1]
+            object.__setattr__(self, "_burnside", total)
+        total, order = self._burnside, self.group_order()
         if total[codim] % order:
             raise ConsistencyError(f"Burnside sum {total[codim]} not divisible by {order}")
         return total[codim] // order
@@ -349,8 +365,7 @@ def render(arr: ProductArrangement, fmt: str, folding: SymmetricFolding | None =
 
 
 def _render_text(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:
-    """The report; the orbit rows come first, so that a bound error or a
-    disagreement is raised before any line is built."""
+    """The report; the orbit rows come first, so a disagreement raises before any line."""
     rows = []
     for j in range(arr.k + 1) if folding is not None else ():
         direct, burnside = folding.orbit_count(j), folding.burnside_orbit_count(j)

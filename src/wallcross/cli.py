@@ -132,15 +132,12 @@ def _cmd_git_walls(args, registry) -> tuple[int, str]:
             f"degree {args.degree} is registry-only; only degree 3 is recomputed"
         )
     reference = registry["dp3"].t_walls if "dp3" in registry else None
+    doc = gitwalls.wall_report(3, 3)
+    match = reference is not None and doc["walls"] == reference.to_json()
     if args.format == "json":
-        doc = gitwalls.wall_report(3, 3)
-        match = reference is not None and doc["walls"] == reference.to_json()
-        doc["registry_match"] = match
-        out = _json(doc)
+        out = _json({**doc, "registry_match": match})
     else:
-        computed = gitwalls.compute_walls(3, 3)
-        match = reference is not None and computed == reference
-        lines = [str(computed)]
+        lines = [" ".join(doc["walls"])]
         if reference is not None:
             lines += [f"registry t-walls (dp3): {reference}", f"match: {'yes' if match else 'NO'}"]
         out = "\n".join(lines) + "\n"
@@ -190,7 +187,7 @@ def _check_arrangement(registry) -> str:
     _require(len(graph.edges) == 60 and graph.is_connected(), "crossing graph")
     sym = arrangement.build_product([registry["dp3"], registry["dp3"]])
     folding = arrangement.fold_symmetric(sym, arrangement.grouping_by_id(sym))
-    arrangement.render(sym, "text", folding)  # raises unless enumeration and Burnside agree
+    arrangement.render(sym, "text", folding)  # raises unless closed form and Burnside agree
     _require(folding.orbit_count(0) == 21, "dp3 x dp3 chamber orbits")
     return "dp3 x dp4 cells 36/60/25, graph connected, folding 21 both ways"
 

@@ -183,7 +183,7 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
     arr = build_product([dp3] * 9)
     counts = arr.cell_counts
     assert counts[0] == 6**9 and counts[9] == 5**9
-    # singleton parts leave 11**9 representatives, one per cell
+    # singleton parts leave one representative per cell
     unfolded = fold_symmetric(arr, [(i,) for i in range(9)])
     monkeypatch.setattr(arrangement, "itertools", NoEnumeration())
     for j in range(9):
@@ -192,12 +192,47 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
             arr.cells(j)
     with pytest.raises(BoundExceededError):
         crossing_graph(arr)
-    assert 11**9 > MAX_CELLS
-    for j in range(10):
-        with pytest.raises(BoundExceededError):
+    # orbits bounds each codimension as cells does; codim 9 has 5**9 and is
+    # within the bound, so it is not enumerated here
+    for j in range(9):
+        assert unfolded.orbit_count(j) == counts[j]
+        with pytest.raises(BoundExceededError, match=rf"^{counts[j]} codim-{j} orbit repr"):
             unfolded.orbits(j)
     # the largest codimension of dp3^6 stays inside the bound
     assert max(build_product([dp3] * 6).cell_counts) == 540_000 <= MAX_CELLS
+
+
+def test_orbits_refuse_exactly_the_codims_past_the_bound(registry, monkeypatch):
+    arr = build_product([registry["dp3"], registry["dp4"], registry["dp3"]])
+    folding = fold_symmetric(arr, grouping_by_id(arr))  # parts (0, 2) and (1,)
+    counts = [folding.burnside_orbit_count(j) for j in range(4)]
+    assert counts == [126, 285, 240, 75]
+    bound = 126  # a codimension at the bound is still listed
+    monkeypatch.setattr(arrangement, "MAX_CELLS", bound)
+    for j, count in enumerate(counts):
+        if count <= bound:
+            assert len(folding.orbits(j)) == count
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(arrangement, "itertools", NoEnumeration())
+            message = rf"^{count} codim-{j} orbit representatives, above the bound {bound}$"
+            with pytest.raises(BoundExceededError, match=message):
+                folding.orbits(j)
+
+
+def test_burnside_polynomial_is_built_once_per_folding(registry, monkeypatch):
+    arr = build_product([registry["dp3"]] * 4)
+    folding = fold_symmetric(arr, grouping_by_id(arr))
+    calls, perm = [], arrangement.perm
+    monkeypatch.setattr(arrangement, "perm", lambda *args: calls.append(args) or perm(*args))
+    first = [folding.burnside_orbit_count(j) for j in range(5)]
+    built = len(calls)
+    assert built > 0 and first == [126, 280, 315, 210, 70]
+    assert [folding.burnside_orbit_count(j) for j in range(5)] == first
+    assert len(calls) == built
+    # the memo is no field of the value: a fresh folding is equal, with the same hash
+    fresh = fold_symmetric(arr, grouping_by_id(arr))
+    assert folding == fresh and hash(folding) == hash(fresh) and vars(folding) == vars(fresh)
 
 
 def test_crossing_graph_two_factors(registry):
@@ -287,7 +322,7 @@ def test_fold_two_equal_factors(registry):
 def test_burnside_rejects_bad_codim(registry):
     folding = fold_symmetric(build_product([registry["dp3"]] * 2), [(0, 1)])
     for codim in (-1, 3):
-        for count in (folding.burnside_orbit_count, folding.orbits):
+        for count in (folding.burnside_orbit_count, folding.orbit_count, folding.orbits):
             with pytest.raises(BadCodimError, match=rf"^codim {codim} outside 0\.\.2$"):
                 count(codim)
 
@@ -430,7 +465,7 @@ def test_representative_orbits_match_bucketing_and_burnside(case):
     for j in range(arr.k + 1):
         orbits = folding.orbits(j)
         assert orbits == orbits_oracle(folding, j)
-        assert len(orbits) == folding.burnside_orbit_count(j)
+        assert len(orbits) == folding.orbit_count(j) == folding.burnside_orbit_count(j)
         assert sum(size for _, size in orbits) == arr.cell_counts[j]
 
 

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wallcross
 from wallcross import arrangement, gitwalls, invariants, load_registry
@@ -186,10 +191,32 @@ def test_product_json_dp3_4_fold_matches_digest_golden(capsys, data_dir):
 
 
 def test_product_fold_bound_error_leaves_stdout_empty(capsys):
-    # C(25, 15) sorted multisets of dp3's 11 positions
-    code, out, err = run(capsys, "product", "--families", ",".join(["dp3"] * 15), "--fold")
+    # the JSON document lists every cell, and dp3^15 has 6^15 top cells
+    argv = ["product", "--families", ",".join(["dp3"] * 15), "--fold", "--format", "json"]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: 3268760 orbit representatives, above 2000000\n"
+    assert err == "error: 470184984576 codim-0 cells, above the bound 2000000\n"
+
+
+def test_product_fold_text_counts_past_the_bound(capsys):
+    # dp3^15 has C(25, 15) = 3,268,760 orbit representatives in all; the text
+    # report counts them by the closed form, and codim 7 alone has 424,710
+    code, out, err = run(capsys, "product", "--families", ",".join(["dp3"] * 15), "--fold")
+    assert (code, err) == (0, "")
+    assert "codim-7 orbits: 424710 (enumeration) = 424710 (burnside)" in out.splitlines()
+
+
+def test_counting_paths_list_no_orbit(capsys, monkeypatch, registry):
+    def listing(self, codim):
+        raise AssertionError("a count listed the orbit representatives")
+
+    monkeypatch.setattr(arrangement.SymmetricFolding, "orbits", listing)
+    arr = arrangement.build_product([registry["dp3"]] * 4)
+    folding = arrangement.fold_symmetric(arr, arrangement.grouping_by_id(arr))
+    text = arrangement.render(arr, "text", folding)
+    assert "codim-0 orbits: 126 (enumeration) = 126 (burnside)" in text.splitlines()
+    code, out, _ = run(capsys, "check")
+    assert code == 0 and out.splitlines()[-1] == "all checks passed"
 
 
 def test_product_fold_p1_9_report(capsys):
@@ -608,8 +635,7 @@ def test_product_text_enumerates_each_codim_at_most_twice(capsys, monkeypatch, f
     assert code == 0
     assert "codim-3 cells: 125" in out.splitlines()
     assert all(calls.count(j) <= 2 for j in range(4))
-    # the counts and the crossing-graph line come from the closed form, and
-    # the orbits from their representatives: no cell is built
+    # the cell, graph and orbit counts all come from closed forms: no cell is built
     assert calls == []
 
 
@@ -716,3 +742,73 @@ def test_verbs_import_only_their_modules(argv, loaded, absent):
     assert {f"wallcross.{m}" for m in loaded.split()} <= added, proc.stderr
     assert not added & {f"wallcross.{m}" for m in absent.split()}
     assert not added & {"dataclasses", "inspect"}
+
+
+# -- the error contract, over random argv and overlay records -----------------
+
+IDS = ["dp3", "dp4", "p1", "dp2", "toy", "nope"]
+# wrong types, a zero denominator, a float, bools and a 401-digit integer
+JUNK = [None, True, False, 1.5, 10**400, -1, 7, "1/0", "0.5", "x", "", [], ["1/2", 3], {"a": 1}]
+BAD_TEXT = ["1/2,1/5", "1/0", "0.5", "", "a=b", "-1", str(10**400)]
+VERB_FLAGS = {  # verb -> {flag: well-formed values}; None is a comma-separated id list
+    "walls": {"--family": IDS, "--space": ["c", "t"], "--format": ["text", "json"]},
+    "product": {"--families": None, "--format": ["text", "json", "svg", "ascii"],
+                "--space": ["c", "t"]},
+    "chamber": {"--families": None, "--point": ["1/2,1/5", "1/3", "2/11,1/2,1/2"],
+                "--format": ["text", "json"]},
+    "stack": {"--factors": None, "--iso": ["dp3=dp4", "toy=dp3", "nope=dp4,p1=toy"],
+              "--format": ["text", "json"]},
+    "git-walls": {"--degree": ["3", "4"], "--format": ["text", "json"]},
+    "check": {},
+    "nope": {},
+}
+
+
+def random_request(rng: random.Random):
+    """argv for one of the six verbs or an unknown one, and an overlay (or
+    None): each flag mostly present and well formed, each record dp3-like
+    with keys dropped or replaced by junk, now and then a non-object."""
+    verb = rng.choice(sorted(VERB_FLAGS))
+    argv = [verb, *["--fold"] * (verb == "product" and rng.random() < 0.5)]
+    for flag, values in VERB_FLAGS[verb].items():
+        ids = rng.choices(IDS[:3] if rng.random() < 0.7 else IDS, k=rng.randint(1, 3))
+        value = rng.choice(values or [",".join(ids)])
+        if rng.random() < 0.8:
+            argv += [flag, rng.choice(BAD_TEXT) if rng.random() < 0.1 else value]
+    if rng.random() < 0.3:
+        return argv, None
+    overlay = {}
+    for fid in rng.sample(IDS, rng.randint(1, 2)):
+        record = dict(ONE_WALL_DP3["dp3"], t_walls=["9/17"])  # the image of 1/2
+        keys = sorted(record)
+        for key in rng.sample(keys, rng.choice([0, 0, 1, 2])):
+            del record[key]
+        for key in rng.sample(keys, rng.choice([0, 1, 1, 2])):
+            record[key] = rng.choice(JUNK)
+        overlay[fid] = record
+    return argv, rng.choice(JUNK) if rng.random() < 0.1 else overlay
+
+
+@pytest.fixture(scope="module")
+def overlay_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "overlay.json"
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=True))  # seeded from the drawn data, so derandomized too
+def test_error_contract(overlay_path, rng):
+    argv, overlay = random_request(rng)
+    if overlay is not None:
+        overlay_path.write_text(json.dumps(overlay))
+        argv = [*argv, "--registry", str(overlay_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert out == "" and err
+    if err:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(("error: ", "usage error: "))
+        assert out == "" and code
