@@ -208,7 +208,7 @@ def _orderings(multiset: tuple[int, ...]) -> int:
 class SymmetricFolding(Value):
     """Quotient bookkeeping for an arrangement and a position partition."""
 
-    __slots__ = ("_burnside",)  # memo: a slot, so not a field of the value
+    __slots__ = ("_burnside", "_representatives")  # memos: slots, so not fields of the value
 
     def __init__(
         self, arrangement: ProductArrangement, grouping: tuple[tuple[int, ...], ...]
@@ -261,8 +261,11 @@ class SymmetricFolding(Value):
         """Orbit representatives of the given codimension by the closed form, listing none."""
         if not 0 <= codim <= self.arrangement.k:
             raise BadCodimError(f"codim {codim} outside 0..{self.arrangement.k}")
-        walls = self.arrangement.wall_counts
-        return _representative_counts((walls[part[0]], len(part)) for part in self.grouping)[codim]
+        if not hasattr(self, "_representatives"):  # built once per folding
+            walls = self.arrangement.wall_counts
+            counts = _representative_counts((walls[part[0]], len(part)) for part in self.grouping)
+            object.__setattr__(self, "_representatives", counts)
+        return self._representatives[codim]
 
     def group_order(self) -> int:
         return prod(factorial(len(part)) for part in self.grouping)

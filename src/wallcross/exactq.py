@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import DegenerateMapError, PoleError
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")  # ASCII: \d takes any Unicode digit
 
 
 class Value:

@@ -31,10 +31,13 @@ a ray of C lies in every flat above it.  The walk refuses a rank of more
 than MAX_FLATS flats.  Candidate walls are the values t = -<m, r>/r_j
 landing in (0, 1).  Every support M+ changes only at such a value, so the
 family of inclusion-maximal pairs (M+, j) is constant on each open chamber
-between consecutive candidates.  One sweep samples every chamber: the
-stability test builds the first chamber's support masks and family, and
-each candidate then flips only the mask bits whose own threshold it is,
-updating the family where a pair changes.  A candidate is a wall when the
+between consecutive candidates.  One sweep samples every chamber from
+integer signs and the flip table alone: the first chamber's support masks
+are the signs of <m, r> + t * r_j just above t = 0, every threshold in (0, 1)
+being a candidate, and each candidate then flips only the mask bits whose
+own threshold it is, updating the family where a pair changes.  The test
+suite's oracle recomputes each family by the Fraction stability test
+instead, sharing no code with the sweep.  A candidate is a wall when the
 samples on its two sides differ; its witnesses are read back from the bits
 it flips.  Completeness of R is not proved here; it is backed empirically
 by the bounded exhaustive refinement check (test suite) and by the
@@ -200,54 +203,40 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     return tuple(found)
 
 
-def _mask(wvec: tuple[int, ...], rj: int, t: Fraction) -> int:
-    """The stability test: bit i is set iff wvec[i] + t * rj > 0."""
-    q, shift = t.denominator, t.numerator * rj
-    return sum(1 << i for i, w in enumerate(wvec) if w * q + shift > 0)
-
-
-def _maximal(pairs) -> frozenset[tuple[int, int]]:
-    """The inclusion-maximal nonempty members of {(mask, j)}: the largest j
-    per mask, less those inside another mask with a threshold at least j."""
-    best_j: dict[int, int] = {}
-    for mask, j in pairs:
-        if mask and best_j.get(mask, -1) < j:
-            best_j[mask] = j
-    members = sorted(best_j.items(), key=lambda kv: -kv[0].bit_count())
-    kept: list[tuple[int, int]] = []
-    for mask, j in members:
-        if not any(mask & ~km == 0 and j <= kj for km, kj in kept):
-            kept.append((mask, j))
-    return frozenset(kept)
-
-
 class _Antichain:
-    """_maximal of a multiset of pairs (mask, j) under single insertions and
-    deletions: a count per pair, and members touched only where a pair first
-    appears or its last copy leaves."""
+    """The inclusion-maximal nonempty pairs (mask, j) of a multiset under
+    single insertions and deletions: a count per pair, and one insertion
+    rule, _offer.  A pair is offered when its first copy arrives; when the
+    last copy of a member leaves, the present pairs below it are offered
+    again, since only it could have dominated them."""
 
     def __init__(self, pairs):
-        self.count = Counter(pairs)
-        self.members = set(_maximal(self.count))
+        self.count, self.members = Counter(), set()
+        for pair in pairs:
+            self.add(pair)
 
-    def _undominated(self, mask: int, j: int) -> bool:
-        return not any(mask & ~m == 0 and j <= k for m, k in self.members)
+    def _offer(self, pair: tuple[int, int]) -> None:
+        """Admit a nonempty pair that no member dominates (mask inside the
+        member's, j at most its threshold), dropping the members it dominates."""
+        mask, j = pair
+        if mask and not any(mask & ~m == 0 and j <= k for m, k in self.members):
+            self.members = {(m, k) for m, k in self.members if m & ~mask or k > j} | {pair}
 
     def add(self, pair: tuple[int, int]) -> None:
         self.count[pair] += 1
-        mask, j = pair
-        if self.count[pair] == 1 and mask and self._undominated(mask, j):
-            self.members = {(m, k) for m, k in self.members if m & ~mask or k > j} | {pair}
+        if self.count[pair] == 1:
+            self._offer(pair)
 
     def remove(self, pair: tuple[int, int]) -> None:
         self.count[pair] -= 1
         if not self.count[pair]:
             del self.count[pair]
-            if pair in self.members:  # offer again the present pairs below it
+            if pair in self.members:
                 self.members.remove(pair)
                 mask, j = pair
-                below = _maximal(p for p in self.count if p[0] & ~mask == 0 and p[1] <= j)
-                self.members.update(p for p in below if self._undominated(*p))
+                for p in self.count:
+                    if p[0] & ~mask == 0 and p[1] <= j:
+                        self._offer(p)
 
 
 class _Search:
@@ -297,12 +286,14 @@ class _Search:
 
     def _chamber_samples(self, cuts: list[Fraction]) -> list[frozenset[tuple[int, int]]]:
         """The deduplicated, inclusion-maximalized family {(support mask, j)}
-        on each open chamber of (0, 1) cut at `cuts`, the sorted candidates,
-        among them every profile threshold -wvec[i] / r_j: _mask builds the
-        first chamber's masks, and each cut XORs in the bits it flips and
-        moves each flipped profile's pair in the _Antichain."""
-        start = (cuts[0] if cuts else Fraction(1)) / 2
-        masks = [_mask(wvec, rj, start) for wvec, rj, _ in self.profiles]
+        on each open chamber of (0, 1) cut at `cuts`, the sorted candidates.
+        They hold every profile threshold -w_i / r_j in (0, 1), so no sign of
+        w_i + t * r_j changes below the first: the first chamber's bit i is
+        set iff w_i > 0, or w_i = 0 < r_j, its sign just above t = 0.  Each
+        cut then XORs in the bits it flips and moves each flipped profile's
+        pair in the _Antichain."""
+        masks = [sum(1 << i for i, w in enumerate(wvec) if w > 0 or w == 0 < rj)
+                 for wvec, rj, _ in self.profiles]
         js = [j for _, _, j in self.profiles]
         family = _Antichain(zip(masks, js))
         samples = [frozenset(family.members)]

@@ -2,8 +2,10 @@
 brute-force oracles for the closed forms that `stackalg` computes, the
 per-entry lifts that `product_model`'s generators must match, the
 plain `Fraction` polynomial product that `invariants.poly_mul` must match,
-the unpruned probe walk that `gitwalls.candidate_weights` must match, the
-per-point fingerprint that the wall sweep's chamber samples must match, the
+the unpruned probe walk and the kernel oracle that `gitwalls.candidate_weights`
+must match, the per-point fingerprint that the wall sweep's chamber samples
+must match (by the stability test `stability_mask` and the from-scratch
+`maximal_family`, which `gitwalls._Antichain` must match too), the
 per-element Burnside sum that `SymmetricFolding.burnside_orbit_count` must
 match, and the hand-built registry that `wallsets.load_registry` must match
 when it decodes the built-in families from overlay data."""
@@ -11,6 +13,7 @@ when it decodes the built-in families from overlay data."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -198,10 +201,62 @@ def unpruned_probes(n: int, d: int):
     return tuple(sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:]))))
 
 
+def _det(rows) -> int:
+    """Integer determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** c * v * _det([row[:c] + row[c + 1:] for row in rows[1:]])
+               for c, v in enumerate(rows[0]) if v)
+
+
+def kernel_probes(n: int, d: int):
+    """The probes by linear algebra alone: each ray of the direction
+    arrangement in the sum-zero space is the kernel of the all-ones
+    functional and n - 1 directions, read off as the signed maximal minors
+    of those n rows; a nonzero kernel is kept with its descending sign, made
+    primitive.  Monomials and directions (monomial differences and
+    consecutive ties) are built here, not taken from `gitwalls`."""
+    mons = [e for e in itertools.product(range(d + 1), repeat=n + 1) if sum(e) == d]
+    dirs = {tuple(a - b for a, b in zip(m1, m2)) for m1, m2 in itertools.combinations(mons, 2)}
+    dirs |= {tuple(int(k == i) - int(k == i + 1) for k in range(n + 1)) for i in range(n)}
+    found = set()
+    for chosen in itertools.combinations(dirs, n - 1):
+        rows = [(1,) * (n + 1), *chosen]
+        kernel = [(-1) ** k * _det([row[:k] + row[k + 1:] for row in rows]) for k in range(n + 1)]
+        if g := math.gcd(*kernel):
+            for ray in (kernel, [-v for v in kernel]):
+                if all(a >= b for a, b in zip(ray, ray[1:])):
+                    found.add(tuple(v // g for v in ray))
+    return tuple(sorted(found))
+
+
+def stability_mask(wvec, rj: int, t: Fraction) -> int:
+    """M+(r, t, j) as bits by the stability test at t = p / q: bit i is set
+    iff wvec[i] + t * rj > 0, that is iff q * wvec[i] + p * rj > 0."""
+    q, shift = t.denominator, t.numerator * rj
+    return sum(1 << i for i, w in enumerate(wvec) if w * q + shift > 0)
+
+
+def maximal_family(pairs) -> frozenset[tuple[int, int]]:
+    """The inclusion-maximal nonempty members of {(mask, j)}, from scratch:
+    the largest j per mask, then, largest masks first, each one kept unless
+    a kept mask contains it with a threshold at least j."""
+    best_j: dict[int, int] = {}
+    for mask, j in pairs:
+        if mask and best_j.get(mask, -1) < j:
+            best_j[mask] = j
+    kept: list[tuple[int, int]] = []
+    for mask, j in sorted(best_j.items(), key=lambda kv: -kv[0].bit_count()):
+        if not any(mask & ~km == 0 and j <= kj for km, kj in kept):
+            kept.append((mask, j))
+    return frozenset(kept)
+
+
 def fingerprint(search, t):
     """Deduplicated, inclusion-maximalized family {(support mask, j)} of a
-    `gitwalls._Search` at t, computed anew from every profile."""
-    return gitwalls._maximal((gitwalls._mask(wvec, rj, t), j) for wvec, rj, j in search.profiles)
+    `gitwalls._Search` at t, computed anew from every profile by
+    `stability_mask` and `maximal_family`."""
+    return maximal_family((stability_mask(wvec, rj, t), j) for wvec, rj, j in search.profiles)
 
 
 def brute_burnside_orbit_count(folding, codim: int) -> int:

@@ -235,6 +235,22 @@ def test_burnside_polynomial_is_built_once_per_folding(registry, monkeypatch):
     assert folding == fresh and hash(folding) == hash(fresh) and vars(folding) == vars(fresh)
 
 
+def test_orbit_counts_are_built_once_per_folding(monkeypatch):
+    """The text report asks orbit_count at each of the k + 1 codimensions;
+    the closed form behind them is built at the first.  100 factors with
+    distinct one-wall sets make 100 singleton parts."""
+    arr = ProductArrangement(tuple((f"f{i}", WallSet((Fraction(1, i + 2),))) for i in range(100)))
+    folding = fold_symmetric(arr, grouping_by_id(arr))
+    calls, counts = [], arrangement._representative_counts
+    monkeypatch.setattr(arrangement, "_representative_counts",
+                        lambda parts: calls.append(parts) or counts(parts))
+    assert [folding.orbit_count(j) for j in range(101)] == [
+        comb(100, j) * 2 ** (100 - j) for j in range(101)]
+    assert len(calls) == 1
+    fresh = fold_symmetric(arr, grouping_by_id(arr))
+    assert folding == fresh and hash(folding) == hash(fresh) and vars(folding) == vars(fresh)
+
+
 def test_crossing_graph_two_factors(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
     graph = crossing_graph(arr)

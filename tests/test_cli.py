@@ -326,6 +326,8 @@ def test_chamber_errors(capsys):
     assert code == 2  # outside the open interval
     code, _, err = run(capsys, "chamber", "--families", "dp3", "--point", "zzz")
     assert code == 1  # unparsable rational is a usage error
+    code, out, _ = run(capsys, "chamber", "--families", "dp3", "--point", "\u0661/\u0662")
+    assert (code, out) == (1, "")  # Arabic-Indic 1/2: only ASCII digits make a rational
 
 
 def test_stack_text(capsys):

@@ -31,6 +31,10 @@ def test_parse_rational_rejects_junk():
     for bad in (True, False):
         with pytest.raises(ValueError, match=f"^not a rational literal: {bad}$"):
             parse_rational(bad)
+    # ASCII digits only, though int() reads every Unicode decimal digit
+    for bad in ("\u0661/\u0662", "\uff11/\uff13"):
+        with pytest.raises(ValueError, match=f"^not a rational literal: '{bad}'$"):
+            parse_rational(bad)
     # surrounding whitespace is tolerated (hand-edited registry files)
     assert parse_rational(" 1") == Fraction(1)
     assert parse_rational("2/11 ") == Fraction(2, 11)

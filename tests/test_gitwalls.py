@@ -7,7 +7,13 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from _models import fingerprint, unpruned_probes
+from _models import (
+    fingerprint,
+    kernel_probes,
+    maximal_family,
+    stability_mask,
+    unpruned_probes,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +23,6 @@ from wallcross.gitwalls import (
     _Antichain,
     _cut,
     _equation_directions,
-    _mask,
-    _maximal,
     _Search,
     candidate_twalls,
     candidate_weights,
@@ -97,44 +101,11 @@ def test_candidate_weights_line_case():
     assert candidate_weights(1, 3) == ((1, -1),)
 
 
-def _int_det(rows):
-    """Determinant of a small square integer matrix, Laplace expansion."""
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    total = 0
-    for col, v in enumerate(rows[0]):
-        if v:
-            minor = tuple(tuple(row[c] for c in range(k) if c != col) for row in rows[1:])
-            total += (-1) ** col * v * _int_det(minor)
-    return total
-
-
-def probes_oracle(n: int, d: int):
-    """The rays of every maximal-rank system: the sum-zero row plus n - 1
-    directions, solved by the integer cross product (v_i = (-1)^i times the
-    minor without column i), primitive, in its descending orientation."""
-    ones = (1,) * (n + 1)
-    found = set()
-    for chosen in itertools.combinations(_equation_directions(n, d), n - 1):
-        rows = (ones, *chosen)
-        minors = (tuple(row[:i] + row[i + 1 :] for row in rows) for i in range(n + 1))
-        v = tuple((-1) ** i * _int_det(minor) for i, minor in enumerate(minors))
-        if any(v):
-            g = gcd(*v)
-            v = tuple(x // g for x in v)
-            for cand in (v, tuple(-x for x in v)):
-                if all(a >= b for a, b in zip(cand, cand[1:])):
-                    found.add(cand)
-                    break
-    return tuple(sorted(found))
-
-
 @pytest.mark.parametrize(
     "n, d", [(1, 1), (1, 3), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4)]
 )
 def test_candidate_weights_match_system_oracle(n, d):
-    assert candidate_weights(n, d) == probes_oracle(n, d)
+    assert candidate_weights(n, d) == kernel_probes(n, d)
 
 
 def is_reduced_echelon_key(rows):
@@ -349,7 +320,7 @@ def test_max_destabilized_support_matches_direct_oracle():
             for t in slopes:
                 floor = -t * r[j]  # m is in M+ iff <m, r> > floor
                 want = sum(1 << i for i, w in enumerate(wvec) if floor < w)
-                assert _mask(wvec, r[j], t) == want
+                assert stability_mask(wvec, r[j], t) == want
 
 
 def test_max_destabilized_support_examples():
@@ -357,15 +328,15 @@ def test_max_destabilized_support_examples():
     bit = {m: 1 << i for i, m in enumerate(mons)}
     r = (1, 0, 0, -1)
     wvec = tuple(monomial_weight(m, r) for m in mons)
-    support = _mask(wvec, r[3], F(1))
+    support = stability_mask(wvec, r[3], F(1))
     assert support & bit[(3, 0, 0, 0)]  # weight 3, shift -1
     assert not support & bit[(2, 0, 0, 1)]  # weight 1, 1 + 1*(-1) = 0, not > 0
     # t = 0 reduces to the plain positive-weight test, independent of j
     positive = sum(bit[m] for m in mons if monomial_weight(m, r) > 0)
-    assert all(_mask(wvec, r[j], F(0)) == positive for j in range(4))
+    assert all(stability_mask(wvec, r[j], F(0)) == positive for j in range(4))
     r = (3, 1, -1, -3)
     wvec = tuple(monomial_weight(m, r) for m in mons)
-    support = _mask(wvec, r[0], F(1, 5))
+    support = stability_mask(wvec, r[0], F(1, 5))
     assert not support & bit[(0, 1, 2, 0)]  # -1 + 3/5 <= 0
     assert support & bit[(1, 1, 1, 0)]  # weight 3, 3 + 3/5 > 0
 
@@ -603,7 +574,7 @@ PAIRS = st.tuples(st.integers(0, 7), st.integers(0, 2))  # 3-bit masks, mask 0 i
 @example([(0b111, 2), (0b011, 1), (0b001, 2), (0, 1)], [[(False, (0, 0), 0)]])
 def test_antichain_matches_maximal_after_every_batch(initial, batches):
     """Each operation adds `pair` or deletes the `index`-th present pair;
-    the batch then compares the family with _maximal of what is present."""
+    the batch then compares the family with maximal_family of what is present."""
     family = _Antichain(initial)
     present = list(initial)
     for batch in batches:
@@ -613,7 +584,7 @@ def test_antichain_matches_maximal_after_every_batch(initial, batches):
                 present.append(pair)
             elif present:
                 family.remove(present.pop(index % len(present)))
-        assert family.members == _maximal(present)
+        assert family.members == maximal_family(present)
         assert family.count == Counter(present)
 
 

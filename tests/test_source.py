@@ -228,3 +228,29 @@ def test_every_public_name_is_reached():
         if not {use for use in uses.get(name, ()) if use[: len(scope)] != scope}:
             unreached.append(f"{scope[0]}:{name}")
     assert unreached == []
+
+
+def test_gitwalls_oracles_share_no_code_with_gitwalls():
+    """The oracles that the wall sweep, its antichain and the probe walk
+    must match, and every `_models` function they call, read no `gitwalls`
+    name, so that a fault in the module cannot hide in its own oracle."""
+    tree = ast.parse((Path(__file__).resolve().parent / "_models.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "wallcross.gitwalls"
+        for alias in node.names
+    }
+    todo, reached = ["fingerprint", "stability_mask", "maximal_family", "kernel_probes"], set()
+    while todo:
+        if (name := todo.pop()) not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
+    found = sorted(
+        f"{name}:{node.lineno}"
+        for name in reached
+        for node in ast.walk(defs[name])
+        if isinstance(node, ast.Name) and node.id in {"gitwalls", *imported}
+    )
+    assert found == []
