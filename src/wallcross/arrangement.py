@@ -27,8 +27,8 @@ chambers, with repetition; singleton parts give the cell counts), and the
 Burnside average of fixed-cell counts, summed over each part's symmetric
 group by a recursion on the cycle through its last position, so no group
 element is enumerated either.  The text report labels the first
-"(enumeration)": orbits lists that many, for JSON and SVG, and like cells
-refuses a codimension past MAX_CELLS before building any.
+"(enumeration)": orbits lists that many, for JSON and SVG, by the lex walk
+behind cells, and like cells refuses a codimension past MAX_CELLS first.
 
 Renderers, one per product format, each returning the whole document:
 "text" for any k, the counts by the closed form and, when folded, the orbit
@@ -40,7 +40,6 @@ written as text cached per position, no dict per cell.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from math import comb, factorial, perm, prod
@@ -95,6 +94,39 @@ def _representative_counts(parts) -> list[int]:
     return counts
 
 
+def _lex_walk(wall_counts: tuple[int, ...], parts, codim: int) -> list[tuple[int, ...]]:
+    """Position tuples with codim odd entries, slot i in 0..2 wall_counts[i],
+    nondecreasing along each part's slots, in lex order with no sort.  Each suffix
+    is built once per (slot, walls left, last value of each open part), and a value
+    is tried only if the walls left still fit, so the work is k (2w + 1) times output."""
+    k, room = len(wall_counts), len(wall_counts) - wall_counts.count(0)
+    if codim > room:
+        return []
+    part_of, later = [0] * k, [0] * k  # each slot's part, and its part's slots after it
+    for n, part in enumerate(parts):
+        for rank, slot in enumerate(sorted(part)):
+            part_of[slot], later[slot] = n, len(part) - 1 - rank
+    memo: dict[tuple, list] = {}
+
+    def walk(i: int, walls: int, room: int, lasts: tuple[int, ...]) -> list:
+        if i == k:
+            return [()]
+        if (out := memo.get((i, walls, lasts))) is None:
+            n, top, low = part_of[i], 2 * wall_counts[i], lasts[part_of[i]]
+            out = memo[i, walls, lasts] = []
+            for p in range(low, top + 1):
+                # a part on its top chamber takes no more walls
+                left = room - (low < top) - (later[i] if p == top > low else 0)
+                if 0 <= walls - (p & 1) <= left:
+                    nxt = lasts[:n] + (p if later[i] else 0,) + lasts[n + 1 :]
+                    out.extend(map((p,).__add__, walk(i + 1, walls - (p & 1), left, nxt)))
+        return out
+
+    out = walk(0, codim, room, (0,) * len(parts))
+    memo.clear()  # walk's closure refers to itself, so only the cycle collector frees it
+    return out
+
+
 class ProductArrangement(Value):
     """Factors as (family id, wall set) pairs, in fixed order."""
 
@@ -117,24 +149,12 @@ class ProductArrangement(Value):
         return tuple(_representative_counts((w, 1) for w in self.wall_counts))
 
     def cells(self, codim: int) -> tuple[tuple[int, ...], ...]:
-        """All cells of the given codimension, lexicographically ordered."""
+        """All cells of the given codimension in lex order: the walk over singleton parts."""
         if not 0 <= codim <= self.k:
             raise BadCodimError(f"codim {codim} outside 0..{self.k}")
         if (count := self.cell_counts[codim]) > MAX_CELLS:
             raise BoundExceededError(f"{count} codim-{codim} cells, above the bound {MAX_CELLS}")
-        chambers = [range(0, 2 * w + 1, 2) for w in self.wall_counts]
-        walls = [range(1, 2 * w, 2) for w in self.wall_counts]
-        # a wall-free factor offers no wall, so slots come only from the others
-        walled = [i for i, w in enumerate(self.wall_counts) if w]
-        out = []
-        for slots in itertools.combinations(walled, codim):
-            out.extend(
-                itertools.product(
-                    *(walls[i] if i in slots else chambers[i] for i in range(self.k))
-                )
-            )
-        out.sort()
-        return tuple(out)
+        return tuple(_lex_walk(self.wall_counts, tuple((i,) for i in range(self.k)), codim))
 
     def all_cells(self) -> tuple[tuple[int, ...], ...]:
         return tuple(cell for codim in range(self.k + 1) for cell in self.cells(codim))
@@ -225,37 +245,16 @@ class SymmetricFolding(Value):
         return tuple(positions)
 
     def orbits(self, codim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(representative, size) pairs of the orbits of the given
-        codimension in representative order, enumerated without cells: a
-        representative lays one sorted position multiset per part into the
-        part's sorted slots, and its orbit size is the product over parts of
-        the multiset's distinct orderings.  Refuses past MAX_CELLS by orbit_count."""
+        """(representative, size) pairs of the codim orbits in lex order: the walk over
+        the folding's parts, sizes by the distinct orderings of each part's positions."""
         if (count := self.orbit_count(codim)) > MAX_CELLS:
             raise BoundExceededError(
                 f"{count} codim-{codim} orbit representatives, above the bound {MAX_CELLS}"
             )
-        arr = self.arrangement
-        walls = [arr.wall_counts[part[0]] for part in self.grouping]
-        slots = [sorted(part) for part in self.grouping]
-        cwr = itertools.combinations_with_replacement
-        out = []
-        splits = (range(len(part) + 1 if w else 1) for w, part in zip(walls, self.grouping))
-        for split in itertools.product(*splits):
-            if sum(split) == codim:
-                # a part's codim-c multisets: c walls merged with len - c chambers
-                multisets = [
-                    [tuple(sorted(ws + cs)) for ws in cwr(range(1, 2 * w, 2), c)
-                     for cs in cwr(range(0, 2 * w + 1, 2), len(part) - c)]
-                    for w, part, c in zip(walls, slots, split)
-                ]
-                for choice in itertools.product(*multisets):
-                    positions = [0] * arr.k
-                    for part_slots, ms in zip(slots, choice):
-                        for slot, p in zip(part_slots, ms):
-                            positions[slot] = p
-                    out.append((tuple(positions), prod(map(_orderings, choice))))
-        out.sort()
-        return tuple(out)
+        return tuple(
+            (rep, prod(_orderings(tuple(rep[s] for s in part)) for part in self.grouping))
+            for rep in _lex_walk(self.arrangement.wall_counts, self.grouping, codim)
+        )
 
     def orbit_count(self, codim: int) -> int:
         """Orbit representatives of the given codimension by the closed form, listing none."""

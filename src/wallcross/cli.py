@@ -48,7 +48,7 @@ def _id_list(text: str) -> tuple[str, ...]:
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part.strip()) for part in text.split(","))
+    return tuple(parse_rational(part) for part in text.split(","))
 
 
 def _iso_classes(text: str) -> tuple[frozenset[str], ...]:

@@ -52,13 +52,13 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an integer or a "p/q" string into a Fraction; a Fraction passes.
 
     The denominator part is optional; "2/11", "-3", 7 are all accepted.
-    Strings in any other shape (floats, whitespace inside, empty), floats,
-    Decimals and bools (JSON true/false) are rejected so bad inputs fail loudly.
+    Strings in any other shape (floats, inner or non-ASCII blanks, empty),
+    floats, Decimals and bools (JSON true/false) are rejected so bad inputs fail loudly.
     """
     if type(value) is Fraction:  # first, so hot callers pay no ABC check
         return value
     if isinstance(value, str):
-        m = _RATIONAL_RE.match(value.strip())
+        m = _RATIONAL_RE.match(value.strip(" \t\r\n"))
         if m:
             p, q = int(m[1]), int(m[2] or 1)
             if q == 0:

@@ -6,9 +6,12 @@ the unpruned probe walk and the kernel oracle that `gitwalls.candidate_weights`
 must match, the per-point fingerprint that the wall sweep's chamber samples
 must match (by the stability test `stability_mask` and the from-scratch
 `maximal_family`, which `gitwalls._Antichain` must match too), the
-per-element Burnside sum that `SymmetricFolding.burnside_orbit_count` must
-match, and the hand-built registry that `wallsets.load_registry` must match
-when it decodes the built-in families from overlay data."""
+filtered full product and the bucketing under every group image that
+`ProductArrangement.cells` and `SymmetricFolding.orbits` must match (by
+`cells_oracle` and `orbits_oracle`), the per-element Burnside sum that
+`SymmetricFolding.burnside_orbit_count` must match, and the hand-built
+registry that `wallsets.load_registry` must match when it decodes the
+built-in families from overlay data."""
 
 from __future__ import annotations
 
@@ -257,6 +260,44 @@ def fingerprint(search, t):
     `gitwalls._Search` at t, computed anew from every profile by
     `stability_mask` and `maximal_family`."""
     return maximal_family((stability_mask(wvec, rj, t), j) for wvec, rj, j in search.profiles)
+
+
+def cells_oracle(wall_counts, j):
+    """(kind, index) tuples of codim j, filtered from the full (2w+1)^k product
+    of per-factor coords in left-to-right interval order, hence in lex order."""
+    per_factor = [
+        [c for i in range(w) for c in (("chamber", i), ("wall", i))] + [("chamber", w)]
+        for w in wall_counts
+    ]
+    return [
+        coords
+        for coords in itertools.product(*per_factor)
+        if sum(1 for kind, _ in coords if kind == "wall") == j
+    ]
+
+
+def group_images(grouping, positions):
+    """Every image of a positions tuple under the folding group."""
+    images = set()
+    for perms in itertools.product(
+        *(itertools.permutations(part) for part in grouping)
+    ):
+        image = list(positions)
+        for part, perm in zip(grouping, perms):
+            for src, dst in zip(part, perm):
+                image[dst] = positions[src]
+        images.add(tuple(image))
+    return images
+
+
+def orbits_oracle(folding, j):
+    """(representative, size) pairs by bucketing every codim-j cell, filtered
+    from the full product of positions 0..2w (chamber i is 2i, wall i is
+    2i + 1), under its lex-least group image, in representative order."""
+    ranges = (range(2 * w + 1) for w in folding.arrangement.wall_counts)
+    codim_cells = (cell for cell in itertools.product(*ranges) if sum(p & 1 for p in cell) == j)
+    buckets = Counter(min(group_images(folding.grouping, cell)) for cell in codim_cells)
+    return tuple(sorted(buckets.items()))
 
 
 def brute_burnside_orbit_count(folding, codim: int) -> int:

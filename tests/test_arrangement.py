@@ -3,13 +3,14 @@ import itertools
 import json
 import random
 import re
-from collections import Counter
+import sys
+from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal, getcontext
 from fractions import Fraction
 from math import comb
 
 import pytest
-from _models import brute_burnside_orbit_count
+from _models import brute_burnside_orbit_count, cells_oracle, group_images, orbits_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,20 +62,6 @@ def codim_count_oracle(wall_counts, j):
 def decode(cell):
     """(kind, index) per position: even positions are chambers, odd ones walls."""
     return tuple(("wall" if p % 2 else "chamber", p // 2) for p in cell)
-
-
-def cells_oracle(wall_counts, j):
-    """(kind, index) tuples of codim j, filtered from the full (2w+1)^k product
-    of per-factor coords in left-to-right interval order, hence in lex order."""
-    per_factor = [
-        [c for i in range(w) for c in (("chamber", i), ("wall", i))] + [("chamber", w)]
-        for w in wall_counts
-    ]
-    return [
-        coords
-        for coords in itertools.product(*per_factor)
-        if sum(1 for kind, _ in coords if kind == "wall") == j
-    ]
 
 
 def random_wallset(rng, max_walls=4):
@@ -173,9 +160,8 @@ def test_cell_counts_closed_form_matches_enumeration_random():
         assert counts == tuple(codim_count_oracle(arr.wall_counts, j) for j in range(k + 1))
 
 
-class NoEnumeration:
-    def __getattr__(self, name):
-        raise AssertionError(f"itertools.{name} called past the bound")
+def no_walk(*args):
+    raise AssertionError("the lex walk ran past the bound")
 
 
 def test_cells_bounded_before_enumeration(registry, monkeypatch):
@@ -185,7 +171,7 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
     assert counts[0] == 6**9 and counts[9] == 5**9
     # singleton parts leave one representative per cell
     unfolded = fold_symmetric(arr, [(i,) for i in range(9)])
-    monkeypatch.setattr(arrangement, "itertools", NoEnumeration())
+    monkeypatch.setattr(arrangement, "_lex_walk", no_walk)
     for j in range(9):
         assert counts[j] > MAX_CELLS
         with pytest.raises(BoundExceededError):
@@ -214,7 +200,7 @@ def test_orbits_refuse_exactly_the_codims_past_the_bound(registry, monkeypatch):
             assert len(folding.orbits(j)) == count
             continue
         with monkeypatch.context() as patch:
-            patch.setattr(arrangement, "itertools", NoEnumeration())
+            patch.setattr(arrangement, "_lex_walk", no_walk)
             message = rf"^{count} codim-{j} orbit representatives, above the bound {bound}$"
             with pytest.raises(BoundExceededError, match=message):
                 folding.orbits(j)
@@ -347,7 +333,7 @@ def test_burnside_enumerates_no_group_element(registry, monkeypatch):
     # dp3^12 in one part: S_12 has 479,001,600 elements
     arr = build_product([registry["dp3"]] * 12)
     folding = fold_symmetric(arr, grouping_by_id(arr))
-    monkeypatch.setattr(arrangement, "itertools", NoEnumeration())
+    monkeypatch.setattr(arrangement, "_lex_walk", no_walk)
     w = 5
     for j in range(13):
         # multisets of j walls from w, times multisets of 12 - j chambers from w + 1
@@ -419,29 +405,6 @@ def test_burnside_matches_enumeration_random():
             assert folding.orbit_count(j) == folding.burnside_orbit_count(j)
             assert_orbits_partition(folding, j)
         assert sum(size for _, size in folding.orbits(0)) == len(arr.cells(0))
-
-
-def group_images(grouping, positions):
-    """Every image of a positions tuple under the folding group."""
-    images = set()
-    for perms in itertools.product(
-        *(itertools.permutations(part) for part in grouping)
-    ):
-        image = list(positions)
-        for part, perm in zip(grouping, perms):
-            for src, dst in zip(part, perm):
-                image[dst] = positions[src]
-        images.add(tuple(image))
-    return images
-
-
-def orbits_oracle(folding, j):
-    """(representative, size) pairs by bucketing every codim-j cell under its
-    lex-least group image, in representative order."""
-    buckets = Counter(
-        min(group_images(folding.grouping, cell)) for cell in folding.arrangement.cells(j)
-    )
-    return tuple(sorted(buckets.items()))
 
 
 def assert_orbits_partition(folding, j):
@@ -598,40 +561,69 @@ def test_render_json_fixed_cases(registry, k, fold):
         assert text.index('"10": 0') < text.index('"2": 0')
 
 
-class BoundedDraws:
-    """itertools with every tuple drawn from combinations and product
-    counted, failing past a small limit: a walk over every wall slot or
-    codimension split of k factors would draw 2^k of them."""
-
-    def __init__(self, limit):
-        self.drawn, self.limit = 0, limit
-
-    def __getattr__(self, name):
-        return getattr(itertools, name)
-
-    def _count(self, tuples):
-        for t in tuples:
-            self.drawn += 1
-            if self.drawn > self.limit:
-                raise AssertionError(f"more than {self.limit} tuples drawn")
-            yield t
-
-    def combinations(self, *args):
-        return self._count(itertools.combinations(*args))
-
-    def product(self, *args):
-        return self._count(itertools.product(*args))
+def walk_codes():
+    """The code objects of arrangement's lex walk and of the functions nested in it."""
+    codes, todo = set(), [arrangement._lex_walk.__code__]
+    while todo:
+        codes.add(code := todo.pop())
+        todo += [c for c in code.co_consts if isinstance(c, type(code))]
+    return codes
 
 
-def test_wall_free_factors_offer_no_wall_slot(registry, monkeypatch):
+@contextmanager
+def line_budget(budget):
+    """Count the lines that the lex walk runs, failing past the budget: a
+    deterministic measure of its work, which a loop over every wall slot or
+    codimension split of k factors, 2^k or more, cannot stay within."""
+    codes, ran = walk_codes(), [0]
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran[0] += 1
+            if ran[0] > budget:
+                raise AssertionError(f"more than {budget} lines of the walk run")
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code in codes else None)
+    try:
+        yield ran
+    finally:
+        sys.settrace(previous)
+
+
+def test_wall_free_factors_offer_no_wall_slot(registry):
     p1s = build_product([registry["p1"]] * 40)
     distinct = ProductArrangement(tuple((f"f{i:02d}", WallSet(())) for i in range(40)))
     folding = fold_symmetric(distinct, grouping_by_id(distinct))
-    monkeypatch.setattr(arrangement, "itertools", BoundedDraws(1000))
-    assert [len(p1s.cells(j)) for j in range(41)] == [1] + [0] * 40
-    assert_same_text(render(p1s, "json"), render_json_oracle(p1s))
-    assert [folding.orbit_count(j) for j in range(41)] == [1] + [0] * 40
-    assert_same_text(render(distinct, "json", folding), render_json_oracle(distinct, folding))
+    # 1,000 lines for each of eight sweeps over the 41 codimensions: cells,
+    # orbits, and the cells (and orbits, folded) of each JSON report and its oracle
+    with line_budget(8 * 1000):
+        assert [len(p1s.cells(j)) for j in range(41)] == [1] + [0] * 40
+        assert_same_text(render(p1s, "json"), render_json_oracle(p1s))
+        assert [folding.orbit_count(j) for j in range(41)] == [1] + [0] * 40
+        assert [len(folding.orbits(j)) for j in range(41)] == [1] + [0] * 40
+        assert_same_text(render(distinct, "json", folding), render_json_oracle(distinct, folding))
+
+
+def test_orbit_listing_work_is_bounded_by_the_output():
+    """30 one-wall families, each twice and interleaved, folded by id: 30
+    parts of two slots.  Codims 60, 59 and 58 have 1, 60 and 1,830
+    representatives, and the walk runs at most k (2w + 1) (N + k) lines to
+    list N of them, where a walk over each part's codimension split would
+    visit 3^30 vectors (and one without its memo runs 593,585 lines at
+    codim 58)."""
+    walls = [(f"f{i:02d}", WallSet((F(1, i + 2),))) for i in range(30)]
+    arr = ProductArrangement(tuple(walls * 2))
+    folding = fold_symmetric(arr, grouping_by_id(arr))
+    assert folding.grouping == tuple((i, i + 30) for i in range(30))
+    for j, count in ((60, 1), (59, 60), (58, 1830)):
+        assert folding.orbit_count(j) == count  # the closed form, built outside the budget
+        with line_budget(180 * (count + 60)):
+            orbits = folding.orbits(j)
+        assert len(orbits) == count
+        assert all(folding.canonical(rep) == rep for rep, _ in orbits)
+        assert sum(size for _, size in orbits) == arr.cell_counts[j] == comb(60, j) * 2 ** (60 - j)
 
 
 def record_calls(monkeypatch, owner, name, calls):

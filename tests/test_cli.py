@@ -328,6 +328,10 @@ def test_chamber_errors(capsys):
     assert code == 1  # unparsable rational is a usage error
     code, out, _ = run(capsys, "chamber", "--families", "dp3", "--point", "\u0661/\u0662")
     assert (code, out) == (1, "")  # Arabic-Indic 1/2: only ASCII digits make a rational
+    code, out, _ = run(capsys, "chamber", "--families", "dp3", "--point", "\u30001/2")
+    assert (code, out) == (1, "")  # an ideographic space is no ASCII blank
+    code, out, _ = run(capsys, "chamber", "--families", "dp3,dp4", "--point", " 1/2,\t1/3 ")
+    assert code == 0 and out.startswith("point: 1/2, 1/3\n")  # ASCII blanks still pass
 
 
 def test_stack_text(capsys):

@@ -35,9 +35,16 @@ def test_parse_rational_rejects_junk():
     for bad in ("\u0661/\u0662", "\uff11/\uff13"):
         with pytest.raises(ValueError, match=f"^not a rational literal: '{bad}'$"):
             parse_rational(bad)
-    # surrounding whitespace is tolerated (hand-edited registry files)
+    # only ASCII blanks are stripped: str.strip() would also take an
+    # ideographic space, a line separator or an information separator
+    for bad in ("\u30001/2", "1/2\u2028", "\x1c1/3", "\u00a01", "1\u2003"):
+        with pytest.raises(ValueError, match=r"^not a rational literal: "):
+            parse_rational(bad)
+    # surrounding ASCII blanks are tolerated (hand-edited registry files)
     assert parse_rational(" 1") == Fraction(1)
     assert parse_rational("2/11 ") == Fraction(2, 11)
+    assert parse_rational(" 1/2\t") == Fraction(1, 2)
+    assert parse_rational("\r\n-1/3\n") == Fraction(-1, 3)
 
 
 HALF = WallSet((Fraction(1, 2),))

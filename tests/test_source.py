@@ -230,27 +230,74 @@ def test_every_public_name_is_reached():
     assert unreached == []
 
 
+def models_reached(*roots):
+    """The parsed tests/_models.py and the top-level functions that the roots
+    call there, directly or not, roots included, by name."""
+    tree = ast.parse((Path(__file__).resolve().parent / "_models.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, reached = list(roots), {}
+    while todo:
+        if (name := todo.pop()) not in reached:
+            reached[name] = fn = defs[name]
+            todo += [n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in defs]
+    return tree, reached
+
+
 def test_gitwalls_oracles_share_no_code_with_gitwalls():
     """The oracles that the wall sweep, its antichain and the probe walk
     must match, and every `_models` function they call, read no `gitwalls`
     name, so that a fault in the module cannot hide in its own oracle."""
-    tree = ast.parse((Path(__file__).resolve().parent / "_models.py").read_text())
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tree, reached = models_reached(
+        "fingerprint", "stability_mask", "maximal_family", "kernel_probes")
     imported = {
         alias.asname or alias.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.module == "wallcross.gitwalls"
         for alias in node.names
     }
-    todo, reached = ["fingerprint", "stability_mask", "maximal_family", "kernel_probes"], set()
-    while todo:
-        if (name := todo.pop()) not in reached:
-            reached.add(name)
-            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
     found = sorted(
         f"{name}:{node.lineno}"
-        for name in reached
-        for node in ast.walk(defs[name])
+        for name, fn in reached.items()
+        for node in ast.walk(fn)
         if isinstance(node, ast.Name) and node.id in {"gitwalls", *imported}
     )
     assert found == []
+
+
+def test_orbit_oracles_share_no_code_with_the_walk():
+    """The cell and orbit oracles, and every `_models` function they call,
+    read no enumeration name of `arrangement`: they filter their own full
+    product, so a fault in the lex walk cannot hide in them."""
+    _, reached = models_reached("cells_oracle", "orbits_oracle", "group_images")
+    listing = {"cells", "all_cells", "orbits", "_lex_walk"}
+    found = sorted(
+        f"{name}:{node.lineno}"
+        for name, fn in reached.items()
+        for node in ast.walk(fn)
+        if getattr(node, "id", None) in listing or getattr(node, "attr", None) in listing
+    )
+    assert found == []
+
+
+def test_arrangement_lists_by_one_walk():
+    """Cells and orbit representatives come from one lex-order walk:
+    `arrangement` imports no itertools, and `cells` and `orbits` each call
+    `_lex_walk` and sort nothing."""
+    (path,) = [p for p in SOURCES if p.name == "arrangement.py"]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "itertools" not in modules
+    methods = {
+        (cls.name, fn.name): fn
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+    }
+    for key in (("ProductArrangement", "cells"), ("SymmetricFolding", "orbits")):
+        called = {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(methods[key])
+            if isinstance(node, ast.Call)
+        }
+        assert "_lex_walk" in called and not called & {"sort", "sorted"}, key
