@@ -130,6 +130,8 @@ def _lex_walk(wall_counts: tuple[int, ...], parts, codim: int) -> list[tuple[int
 class ProductArrangement(Value):
     """Factors as (family id, wall set) pairs, in fixed order."""
 
+    __slots__ = ("_cell_counts",)  # memo: a slot, so not a field of the value
+
     def __init__(self, factors: tuple[tuple[str, WallSet], ...]) -> None:
         if len(factors) > MAX_FACTORS:
             raise BoundExceededError(f"{len(factors)} factors, above the bound {MAX_FACTORS}")
@@ -146,7 +148,10 @@ class ProductArrangement(Value):
     @property
     def cell_counts(self) -> tuple[int, ...]:
         """Cells per codimension by the closed form: one-position parts."""
-        return tuple(_representative_counts((w, 1) for w in self.wall_counts))
+        if not hasattr(self, "_cell_counts"):  # built once per arrangement
+            counts = tuple(_representative_counts((w, 1) for w in self.wall_counts))
+            object.__setattr__(self, "_cell_counts", counts)
+        return self._cell_counts
 
     def cells(self, codim: int) -> tuple[tuple[int, ...], ...]:
         """All cells of the given codimension in lex order: the walk over singleton parts."""

@@ -68,11 +68,11 @@ from .wallsets import WallSet
 Monomial = tuple[int, ...]
 WeightVector = tuple[int, ...]
 
-# candidate_weights refuses configurations with more monomials than this,
-# before it builds any.  Its walk costs, at each rank, the flats meeting the
-# descending cone times the direction count; it refuses as it is about to
-# make flat number MAX_FLATS + 1 of a rank.  (5, 2) peaks at 7,078; (6, 2)
-# would reach 11,108 on its way to 412,366.
+# monomials refuses configurations with more monomials than this, before it
+# builds any.  The candidate_weights walk costs, at each rank, the flats
+# meeting the descending cone times the direction count; it refuses as it is
+# about to make flat number MAX_FLATS + 1 of a rank.  (5, 2) peaks at 7,078;
+# (6, 2) would reach 11,108 on its way to 412,366.
 MAX_MONOMIALS = 56
 MAX_FLATS = 10_000
 
@@ -88,6 +88,8 @@ def monomials(n: int, d: int) -> tuple[Monomial, ...]:
     """
     if n < 1 or d < 1:
         raise UnsupportedError(f"need n >= 1 and d >= 1, got ({n}, {d})")
+    if (count := comb(n + d, n)) > MAX_MONOMIALS:  # counted before any is built
+        raise UnsupportedError(f"({n}, {d}) has {count} monomials, above the bound {MAX_MONOMIALS}")
     out = [(d,)]
     for _ in range(n):
         out = [(*m[:-1], f, m[-1] - f) for m in out for f in range(m[-1], -1, -1)]
@@ -164,9 +166,6 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     that reached F.  After n - 1 steps every flat is a ray meeting C, so its
     key, positive first like every descending sum-zero vector, is the probe.
     """
-    # C(n + d, n) counts the monomials before any is built; monomials() refuses n or d < 1
-    if n >= 1 and d >= 1 and (count := comb(n + d, n)) > MAX_MONOMIALS:
-        raise UnsupportedError(f"({n}, {d}) has {count} monomials, above the bound {MAX_MONOMIALS}")
     dirs = _equation_directions(n, d)
     dots: dict[tuple[int, ...], tuple[int, ...]] = {}  # generator p -> a . p for each a
     extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
@@ -242,28 +241,23 @@ class _Antichain:
 class _Search:
     """Shared exact machinery for one (n, d) instance.
 
-    Supports are bitmasks over the canonical monomial order; profiles
-    (per-monomial weights, r_j, j) are deduplicated up to positive scaling,
-    keeping the largest j per scaled profile (larger thresholds dominate)
-    and every (r, j) behind it.  One pass over the profiles' thresholds
-    t = -w_i / r_j in (0, 1), each keyed by p / q in lowest terms, builds the
-    one threshold table: the mask bits each t flips per profile.
+    Supports are bitmasks over the canonical monomial order.  Profiles are
+    the raw table, one (per-monomial weights, r_j, j) per probe r and index
+    j in probe order; a tie r_j = r_j' gives equal masks at every t, and
+    _Antichain keeps the larger j.  One pass over the thresholds
+    t = -w_i / r_j in (0, 1), each keyed by p / q in lowest terms, builds
+    the one threshold table: the mask bits each t flips per profile.
     """
 
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
-        weights = candidate_weights(n, d)  # checks the monomial bound first
         self.mons = monomials(n, d)
-        profiles: dict[tuple[tuple[int, ...], int], list[tuple[WeightVector, int]]] = {}
-        for r in weights:
+        self.probes = candidate_weights(n, d)
+        profiles = []
+        for r in self.probes:
             wvec = tuple(sum(map(mul, m, r)) for m in self.mons)
-            for j in range(n + 1):
-                g = gcd(*wvec, r[j])
-                key = (tuple(w // g for w in wvec), r[j] // g) if g > 1 else (wvec, r[j])
-                profiles.setdefault(key, []).append((r, j))
-        groups = sorted(profiles.items())
-        self.profiles = tuple((w, rj, max(j for _, j in rjs)) for (w, rj), rjs in groups)
-        self.sources = tuple(rjs for _, rjs in groups)
+            profiles.extend((wvec, rj, j) for j, rj in enumerate(r))
+        self.profiles = tuple(profiles)
         self.flips: dict[tuple[int, int], dict[int, int]] = {}
         for k, (wvec, rj, _) in enumerate(self.profiles):
             sign, q = (-1, rj) if rj > 0 else (1, -rj)
@@ -278,11 +272,11 @@ class _Search:
         return sorted(Fraction(p, q) for p, q in self.flips)
 
     def witnesses(self, t: Fraction) -> list[tuple]:
-        """The sorted triples (r, m, j) behind candidate t: every (r, j)
-        behind a profile that t flips, with each monomial whose bit it flips."""
-        flips = self.flips[t.numerator, t.denominator].items()
-        return sorted((r, m, j) for k, bits in flips for i, m in enumerate(self.mons)
-                      if bits >> i & 1 for r, j in self.sources[k])
+        """The sorted triples (r, m, j) behind candidate t: the (r, j) of
+        each profile that t flips, with each monomial whose bit it flips."""
+        return sorted((self.probes[k // (self.n + 1)], m, k % (self.n + 1))
+                      for k, bits in self.flips[t.numerator, t.denominator].items()
+                      for i, m in enumerate(self.mons) if bits >> i & 1)
 
     def _chamber_samples(self, cuts: list[Fraction]) -> list[frozenset[tuple[int, int]]]:
         """The deduplicated, inclusion-maximalized family {(support mask, j)}

@@ -221,6 +221,19 @@ def test_burnside_polynomial_is_built_once_per_folding(registry, monkeypatch):
     assert folding == fresh and hash(folding) == hash(fresh) and vars(folding) == vars(fresh)
 
 
+def test_cell_counts_are_built_once_per_arrangement(monkeypatch):
+    """cells reads cell_counts for its bound at each codimension; the closed
+    form behind them is built at the first read.  100 wall-free factors."""
+    arr = ProductArrangement(tuple((f"f{i}", WallSet(())) for i in range(100)))
+    calls, counts = [], arrangement._representative_counts
+    monkeypatch.setattr(arrangement, "_representative_counts",
+                        lambda parts: calls.append(parts) or counts(parts))
+    assert [arr.cells(j) for j in range(101)] == [((0,) * 100,)] + [()] * 100
+    assert len(calls) == 1
+    fresh = ProductArrangement(arr.factors)
+    assert arr == fresh and hash(arr) == hash(fresh) and vars(arr) == vars(fresh)
+
+
 def test_orbit_counts_are_built_once_per_folding(monkeypatch):
     """The text report asks orbit_count at each of the k + 1 codimensions;
     the closed form behind them is built at the first.  100 factors with

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -211,20 +212,26 @@ def test_probes_closed_under_reversal():
 
 
 def test_candidate_weights_bound(monkeypatch):
-    """The monomial count is checked before any monomial is built:
-    (10, 10) would build 184,756 of them only to refuse."""
-    calls = []
-    monkeypatch.setattr(gitwalls, "monomials", lambda n, d: calls.append((n, d)))
+    """monomials counts its monomials before it builds any, and candidate_weights
+    and compute_walls refuse through it: building the 184,756 of (10, 10) only
+    to refuse would peak at about 38 MB traced."""
     with pytest.raises(UnsupportedError, match=r"^\(4, 4\) has 70 monomials, above the bound 56$"):
         candidate_weights(4, 4)
     with pytest.raises(UnsupportedError, match=r"^\(10, 10\) has 184756 monomials, above"):
         compute_walls(10, 10, exploratory=True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedError, match=r"^\(10, 10\) has 184756 monomials, above"):
+            monomials(10, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
     # the bound is read on each call: (3, 3) has 20 monomials
     monkeypatch.setattr(gitwalls, "MAX_MONOMIALS", 19)
     candidate_weights.cache_clear()
     with pytest.raises(UnsupportedError, match=r"^\(3, 3\) has 20 monomials, above the bound 19$"):
         candidate_weights(3, 3)
-    assert calls == []
 
 
 def test_candidate_weights_flat_bound(monkeypatch):
@@ -586,6 +593,18 @@ def test_antichain_matches_maximal_after_every_batch(initial, batches):
                 family.remove(present.pop(index % len(present)))
         assert family.members == maximal_family(present)
         assert family.count == Counter(present)
+
+
+@pytest.mark.parametrize("n, d, count", [(3, 3, 196), (4, 2, 210)])
+def test_profiles_are_the_raw_table(n, d, count):
+    """One profile (<m, r> per monomial, r_j, j) per probe r and index j, in
+    probe order: profiles equal up to scale are not merged (a merge would
+    leave 181 and 174)."""
+    mons = monomials(n, d)
+    expected = tuple((tuple(monomial_weight(m, r) for m in mons), r[j], j)
+                     for r in candidate_weights(n, d) for j in range(n + 1))
+    assert len(expected) == count
+    assert _Search(n, d).profiles == expected
 
 
 def test_sweep_without_candidates_samples_one_chamber():
