@@ -33,7 +33,8 @@ behind cells, and like cells refuses a codimension past MAX_CELLS first.
 Renderers, one per product format, each returning the whole document:
 "text" for any k, the counts by the closed form and, when folded, the orbit
 counts both ways (ConsistencyError if they disagree); "svg" and "ascii" for
-k <= 2 (exact-fraction ticks, SVG positions rounded half up to 6 decimals);
+k <= 2 (exact-fraction ticks, SVG positions rounded half up to 6 decimals;
+the SVG puts factor 0 on x, rightward, and factor 1 on y, upward);
 "json" for any k in the layout of json.dumps(indent=2, sort_keys=True),
 written as text cached per position, no dict per cell.
 """
@@ -442,69 +443,43 @@ def _render_json(arr: ProductArrangement, folding: SymmetricFolding | None) -> s
     return "\n".join([*lines, rest]) + "\n"
 
 
-def _svg_x(value: Fraction) -> str:
-    return _fmt6(MARGIN_LEFT + value * BOX)
-
-
-def _svg_y(value: Fraction) -> str:
-    # unit interval runs bottom to top
-    return _fmt6(MARGIN_TOP + (1 - value) * BOX)
-
-
 def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:
-    width = MARGIN_LEFT + BOX + MARGIN_RIGHT
-    height = MARGIN_TOP + BOX + MARGIN_BOTTOM
-    x_walls = tuple(arr.factors[0][1]) if arr.k >= 1 else ()
-    y_walls = tuple(arr.factors[1][1]) if arr.k >= 2 else ()
-    left, right = _svg_x(Fraction(0)), _svg_x(Fraction(1))
-    bottom, top = _svg_y(Fraction(0)), _svg_y(Fraction(1))
+    def x(value, offset=0):  # factor 0, rightward from the left margin
+        return _fmt6(MARGIN_LEFT + value * BOX + offset)
+
+    def y(value, offset=0):  # factor 1, upward from the bottom margin
+        return _fmt6(MARGIN_TOP + (1 - value) * BOX + offset)
+
+    width, height = MARGIN_LEFT + BOX + MARGIN_RIGHT, MARGIN_TOP + BOX + MARGIN_BOTTOM
+    left, right, bottom, top = x(0), x(1), y(0), y(1)
+    walls = [ws for _, ws in arr.factors]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="{left}" y="{top}" width="{BOX}" height="{BOX}" '
         'fill="white" stroke="black" stroke-width="1.5"/>',
     ]
-    for w in x_walls:
-        x = _svg_x(w)
-        parts.append(
-            f'<line x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-    for w in y_walls:
-        y = _svg_y(w)
-        parts.append(
-            f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-    label_y = _fmt6(MARGIN_TOP + BOX + 20)
-    for w in (Fraction(0), *x_walls, Fraction(1)):
-        parts.append(
-            f'<text x="{_svg_x(w)}" y="{label_y}" font-family="monospace" '
-            f'font-size="13" text-anchor="middle">{format_rational(w)}</text>'
-        )
-    label_x = _fmt6(MARGIN_LEFT - 8)
-    if arr.k >= 2:
-        for w in (Fraction(0), *y_walls, Fraction(1)):
-            parts.append(
-                f'<text x="{label_x}" y="{_fmt6(MARGIN_TOP + (1 - w) * BOX + 4)}" '
-                'font-family="monospace" font-size="13" '
-                f'text-anchor="end">{format_rational(w)}</text>'
-            )
+    for i, ws in enumerate(walls):
+        for w in ws:
+            x1, y1, x2, y2 = (x(w), top, x(w), bottom) if i == 0 else (left, y(w), right, y(w))
+            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                         'stroke="black" stroke-width="1"/>')
+    for i, ws in enumerate(walls or [()]):  # no factors still ticks 0 and 1 on x
+        for w in (Fraction(0), *ws, Fraction(1)):
+            tx, ty, anchor = (x(w), y(0, 20), "middle") if i == 0 else (x(0, -8), y(w, 4), "end")
+            parts.append(f'<text x="{tx}" y="{ty}" font-family="monospace" font-size="13" '
+                         f'text-anchor="{anchor}">{format_rational(w)}</text>')
     if folding is not None and arr.k == 2:
-        parts.append(
-            f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{top}" '
-            'stroke="black" stroke-width="0.75" stroke-dasharray="6 4"/>'
-        )
+        parts.append(f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{top}" '
+                     'stroke="black" stroke-width="0.75" stroke-dasharray="6 4"/>')
         # one coordinate string per chamber centre of each axis
-        xs = [_svg_x(sum(c) / 2) for c in arr.factors[0][1].chambers()]
-        ys = [_fmt6(MARGIN_TOP + (1 - sum(c) / 2) * BOX + 4) for c in arr.factors[1][1].chambers()]
+        xs = [x(sum(c) / 2) for c in walls[0].chambers()]
+        ys = [y(sum(c) / 2, 4) for c in walls[1].chambers()]
         label = {rep: i for i, (rep, _) in enumerate(folding.orbits(0))}
         for cell in arr.cells(0):
-            parts.append(
-                f'<text x="{xs[cell[0] >> 1]}" y="{ys[cell[1] >> 1]}" '
-                'font-family="monospace" font-size="12" text-anchor="middle">'
-                f"{label[folding.canonical(cell)]}</text>"
-            )
+            parts.append(f'<text x="{xs[cell[0] >> 1]}" y="{ys[cell[1] >> 1]}" '
+                         'font-family="monospace" font-size="12" text-anchor="middle">'
+                         f"{label[folding.canonical(cell)]}</text>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import invariants, wallsets
-from .errors import ConsistencyError, WallcrossError
+from .errors import ConsistencyError, MissingDataError, UnsupportedError, WallcrossError
 from .exactq import format_rational, parse_rational
 
 
@@ -70,7 +70,7 @@ def _json(doc) -> str:
 
 def _records(registry, ids):
     if missing := [fid for fid in ids if fid not in registry]:
-        raise wallsets.MissingDataError("unknown family id(s): " + ", ".join(sorted(missing)))
+        raise MissingDataError("unknown family id(s): " + ", ".join(sorted(missing)))
     return [registry[fid] for fid in ids]
 
 
@@ -125,12 +125,11 @@ def _cmd_stack(args, registry) -> tuple[int, str]:
 
 
 def _cmd_git_walls(args, registry) -> tuple[int, str]:
+    if args.degree != 3:
+        raise UnsupportedError(f"degree {args.degree} is registry-only; "
+                               "only degree 3 is recomputed")
     from . import gitwalls
 
-    if args.degree != 3:
-        raise gitwalls.UnsupportedError(
-            f"degree {args.degree} is registry-only; only degree 3 is recomputed"
-        )
     reference = registry["dp3"].t_walls if "dp3" in registry else None
     doc = gitwalls.wall_report(3, 3)
     match = reference is not None and doc["walls"] == reference.to_json()

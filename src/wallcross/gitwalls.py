@@ -250,7 +250,7 @@ class _Search:
     """
 
     def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
+        self.n = n
         self.mons = monomials(n, d)
         self.probes = candidate_weights(n, d)
         profiles = []

@@ -795,6 +795,29 @@ def test_render_svg_folded_200_walls_digest():
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
+def test_render_svg_no_factors_ticks_the_x_axis():
+    assert render(build_product([]), "svg") == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="816" height="792" viewBox="0 0 816 792">\n'
+        '<rect x="72.000000" y="24.000000" width="720" height="720" '
+        'fill="white" stroke="black" stroke-width="1.5"/>\n'
+        '<text x="72.000000" y="764.000000" font-family="monospace" font-size="13" '
+        'text-anchor="middle">0</text>\n'
+        '<text x="792.000000" y="764.000000" font-family="monospace" font-size="13" '
+        'text-anchor="middle">1</text>\n'
+        "</svg>\n"
+    )
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_render_svg_one_factor_digest(registry, fold):
+    # five vertical walls and seven x ticks; folding one factor draws nothing extra
+    arr = build_product([registry["dp3"]])
+    svg = render(arr, "svg", fold_symmetric(arr, grouping_by_id(arr)) if fold else None)
+    assert (svg.count("<line"), svg.count("<text")) == (5, 7)
+    digest = "0c557b483a9283aff36fdef5fa49e0f26efefb9a085bcf14e787b8b2031a96de"
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
 def test_codim_sum_identity(registry):
     # sum over codims of codim-count equals the total cell count
     arr = build_product([registry["dp3"], registry["dp4"], registry["p1"]])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import wallcross
 from wallcross import arrangement, gitwalls, invariants, load_registry
-from wallcross.cli import _build_parser, main
+from wallcross.cli import _build_parser, main, main_entry
 from wallcross.errors import ConsistencyError
 from wallcross.exactq import MoebiusMap
 from wallcross.invariants import FanoNumerics
@@ -67,6 +67,18 @@ def test_help_and_unknown_verb(capsys):
     assert code == 0 and "walls" in out
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_main_entry_exits_with_the_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["wallcross", "walls", "--family", "dp3"])
+    with pytest.raises(SystemExit) as exc:
+        main_entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "2/11 4/13 2/5 10/19 2/3\n"
+    monkeypatch.setattr(sys, "argv", ["wallcross", "frobnicate"])
+    with pytest.raises(SystemExit) as exc:
+        main_entry()
+    assert exc.value.code == 1
 
 
 def test_product_text_report(capsys):
@@ -472,7 +484,7 @@ def test_git_walls_sweeps_once(capsys, monkeypatch, fmt):
     original = gitwalls._Search.walls
 
     def counting(self):
-        sweeps.append((self.n, self.d))
+        sweeps.append((self.n, sum(self.mons[0])))  # the first monomial is (d, 0, ..., 0)
         return original(self)
 
     monkeypatch.setattr(gitwalls._Search, "walls", counting)
@@ -494,6 +506,19 @@ def _subprocess_env():
     src = str(Path(wallcross.__file__).resolve().parents[1])
     path_entries = [src, os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+
+
+def test_git_walls_refuses_other_degrees_without_importing_gitwalls():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from wallcross.cli import main; code = main(sys.argv[1:]); "
+         "print('wallcross.gitwalls' in sys.modules); sys.exit(code)",
+         "git-walls", "--degree", "4"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: degree 4 is registry-only; only degree 3 is recomputed\n"
+    assert proc.stdout == "False\n"
 
 
 def test_check_fails_under_optimize(tmp_path):
