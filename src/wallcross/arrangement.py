@@ -19,16 +19,18 @@ Folding quotients the arrangement by permutations of factor positions whose
 wall sets agree exactly (wall-set equality is the computable proxy for
 isomorphic factors; the caller asserts the isomorphism).  Orbit
 representatives follow the lexicographically-least-cell convention, a
-labeling choice, not canon: each part's positions sorted into its slots.
-Orbit counts come two independent ways, building no cell: a closed form for
-those representatives, one sorted position multiset per part, C(w + c - 1, c)
-C(w + n - c, n - c) at codim c for n positions and w walls (c walls and n - c
-chambers, with repetition; singleton parts give the cell counts), and the
-Burnside average of fixed-cell counts, summed over each part's symmetric
-group by a recursion on the cycle through its last position, so no group
-element is enumerated either.  The text report labels the first
-"(enumeration)": orbits lists that many, for JSON and SVG, by the lex walk
-behind cells, and like cells refuses a codimension past MAX_CELLS first.
+labeling choice, not canon: each part's positions nondecreasing along its
+slots.  Orbit counts come two independent ways, building no cell: a closed
+form for those representatives, one sorted position multiset per part,
+C(w + c - 1, c) C(w + n - c, n - c) at codim c for n positions and w walls
+(c walls and n - c chambers, with repetition; singleton parts give the cell
+counts), and the Burnside average of fixed-cell counts, summed over each
+part's symmetric group by a recursion on the cycle through its last
+position, so no group element is enumerated either.  The text report labels
+the first "(enumeration)": orbits lists that many, for JSON only, by the lex
+walk behind cells, sized by one multiplicity pass over each part's slots, and
+like cells refuses a codimension past MAX_CELLS first.  The folded SVG lists
+none, numbering orbits in the order lex order meets their representatives.
 
 Renderers, one per product format, each returning the whole document:
 "text" for any k, the counts by the closed form and, when folded, the orbit
@@ -223,14 +225,6 @@ def crossing_graph(arr: ProductArrangement) -> CrossingGraph:
     return CrossingGraph(arr.cells(0), tuple(edges))
 
 
-def _orderings(multiset: tuple[int, ...]) -> int:
-    """Distinct orderings of a multiset: the multinomial coefficient."""
-    count = factorial(len(multiset))
-    for p in set(multiset):
-        count //= factorial(multiset.count(p))
-    return count
-
-
 class SymmetricFolding(Value):
     """Quotient bookkeeping for an arrangement and a position partition."""
 
@@ -241,26 +235,24 @@ class SymmetricFolding(Value):
     ) -> None:
         self.__dict__.update(arrangement=arrangement, grouping=grouping)
 
-    def canonical(self, cell: tuple[int, ...]) -> tuple[int, ...]:
-        """Orbit representative, the lex-least member: each group's
-        positions sorted into its slots in increasing order."""
-        positions = list(cell)
-        for part in self.grouping:
-            for slot, p in zip(sorted(part), sorted(positions[s] for s in part)):
-                positions[slot] = p
-        return tuple(positions)
-
     def orbits(self, codim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(representative, size) pairs of the codim orbits in lex order: the walk over
-        the folding's parts, sizes by the distinct orderings of each part's positions."""
+        """(representative, size) pairs of the codim orbits in lex order: the walk over the
+        folding's parts names them, and each part's n! / prod(m_v!) orderings multiply in
+        one pass over its slots, the t-th by t / m_v for its value's multiplicity so far."""
         if (count := self.orbit_count(codim)) > MAX_CELLS:
             raise BoundExceededError(
                 f"{count} codim-{codim} orbit representatives, above the bound {MAX_CELLS}"
             )
-        return tuple(
-            (rep, prod(_orderings(tuple(rep[s] for s in part)) for part in self.grouping))
-            for rep in _lex_walk(self.arrangement.wall_counts, self.grouping, codim)
-        )
+        multi, orbits = [part for part in self.grouping if len(part) > 1], []
+        for rep in _lex_walk(self.arrangement.wall_counts, self.grouping, codim):
+            size = 1
+            for part in multi:
+                seen: dict[int, int] = {}
+                for t, slot in enumerate(part, 1):
+                    seen[p] = seen.get(p := rep[slot], 0) + 1
+                    size = size * t // seen[p]  # each partial product is whole, so exact
+            orbits.append((rep, size))
+        return tuple(orbits)
 
     def orbit_count(self, codim: int) -> int:
         """Orbit representatives of the given codimension by the closed form, listing none."""
@@ -470,16 +462,19 @@ def _render_svg(arr: ProductArrangement, folding: SymmetricFolding | None) -> st
             parts.append(f'<text x="{tx}" y="{ty}" font-family="monospace" font-size="13" '
                          f'text-anchor="{anchor}">{format_rational(w)}</text>')
     if folding is not None and arr.k == 2:
+        if (count := arr.cell_counts[0]) > MAX_CELLS:  # one orbit label per chamber
+            raise BoundExceededError(f"{count} codim-0 cells, above the bound {MAX_CELLS}")
         parts.append(f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{top}" '
                      'stroke="black" stroke-width="0.75" stroke-dasharray="6 4"/>')
         # one coordinate string per chamber centre of each axis
         xs = [x(sum(c) / 2) for c in walls[0].chambers()]
         ys = [y(sum(c) / 2, 4) for c in walls[1].chambers()]
-        label = {rep: i for i, (rep, _) in enumerate(folding.orbits(0))}
-        for cell in arr.cells(0):
-            parts.append(f'<text x="{xs[cell[0] >> 1]}" y="{ys[cell[1] >> 1]}" '
-                         'font-family="monospace" font-size="12" text-anchor="middle">'
-                         f"{label[folding.canonical(cell)]}</text>")
+        folded, label = len(folding.grouping) == 1, {}
+        for a, cx in enumerate(xs):
+            for b, cy in enumerate(ys):
+                key = (min(a, b), max(a, b)) if folded else (a, b)
+                parts.append(f'<text x="{cx}" y="{cy}" font-family="monospace" font-size="12" '
+                             f'text-anchor="middle">{label.setdefault(key, len(label))}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -8,7 +8,9 @@ must match (by the stability test `stability_mask` and the from-scratch
 `maximal_family`, which `gitwalls._Antichain` must match too), the
 filtered full product and the bucketing under every group image that
 `ProductArrangement.cells` and `SymmetricFolding.orbits` must match (by
-`cells_oracle` and `orbits_oracle`), the per-element Burnside sum that
+`cells_oracle` and `orbits_oracle`), the lex-least group image that names
+each orbit's representative, in `orbits` and in the folded SVG labels (by
+`min(group_images(grouping, cell))`), the per-element Burnside sum that
 `SymmetricFolding.burnside_orbit_count` must match, and the hand-built
 registry that `wallsets.load_registry` must match when it decodes the
 built-in families from overlay data."""

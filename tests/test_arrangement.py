@@ -326,7 +326,7 @@ def test_fold_two_equal_factors(registry):
     # mirror cells share one orbit; the representative is the lex-least member
     a = (4, 0)  # chambers (2, 0)
     b = (0, 4)
-    assert folding.canonical(a) == b
+    assert min(group_images(folding.grouping, a)) == b
     sizes = dict(folding.orbits(0))
     assert a not in sizes
     assert sizes[b] == 2  # the orbit {a, b}
@@ -426,7 +426,7 @@ def assert_orbits_partition(folding, j):
     orbits = folding.orbits(j)
     assert orbits == orbits_oracle(folding, j)
     for rep, size in orbits:
-        assert folding.canonical(rep) == rep
+        assert min(group_images(folding.grouping, rep)) == rep
         assert len(group_images(folding.grouping, rep)) == size
     assert sum(size for _, size in orbits) == len(folding.arrangement.cells(j))
 
@@ -474,7 +474,8 @@ def test_burnside_matches_group_walk_and_enumeration(case):
 def test_fold_unsorted_part_keeps_lex_least_representatives(registry):
     arr = build_product([registry["dp3"]] * 3)
     folding = fold_symmetric(arr, [(2, 0), (1,)])
-    assert folding.canonical((4, 1, 0)) == (0, 1, 4)
+    assert min(group_images(folding.grouping, (4, 1, 0))) == (0, 1, 4)
+    assert (0, 1, 4) in dict(folding.orbits(1)) and (4, 1, 0) not in dict(folding.orbits(1))
     for j in range(arr.k + 1):
         assert_orbits_partition(folding, j)
 
@@ -635,7 +636,8 @@ def test_orbit_listing_work_is_bounded_by_the_output():
         with line_budget(180 * (count + 60)):
             orbits = folding.orbits(j)
         assert len(orbits) == count
-        assert all(folding.canonical(rep) == rep for rep, _ in orbits)
+        # lex-least in its orbit: each part's two slots nondecreasing (2^30 images to min over)
+        assert all(rep[a] <= rep[b] for rep, _ in orbits for a, b in folding.grouping)
         assert sum(size for _, size in orbits) == arr.cell_counts[j] == comb(60, j) * 2 ** (60 - j)
 
 
@@ -674,14 +676,17 @@ def test_render_json_builds_no_coord_and_enumerates_once(registry, monkeypatch):
 def test_orbits_visit_only_their_codimension(registry, monkeypatch):
     arr = build_product([registry["dp3"]] * 3)
     folding = fold_symmetric(arr, [(0, 2), (1,)])
-    orderings, calls = arrangement._orderings, []
-    monkeypatch.setattr(arrangement, "_orderings", lambda ms: calls.append(ms) or orderings(ms))
+    walk, calls = arrangement._lex_walk, []
+    monkeypatch.setattr(
+        arrangement, "_lex_walk", lambda w, parts, codim: calls.append(codim) or walk(w, parts, codim)
+    )
     for j in range(arr.k + 1):
         calls.clear()
         orbits = folding.orbits(j)
-        # one multinomial per part of each codim-j representative, and no other
-        assert len(calls) == 2 * len(orbits)
-        assert sum(map(cell_codim, calls)) == j * len(orbits)
+        # one walk, at codim j, and every representative sized as the bucketing sizes it
+        assert calls == [j]
+        assert all(cell_codim(rep) == j for rep, _ in orbits)
+        assert orbits == orbits_oracle(folding, j)
 
 
 def test_render_ascii(registry):
@@ -793,6 +798,63 @@ def test_render_svg_folded_200_walls_digest():
     assert svg.count('font-size="12"') == 201**2
     digest = "169e7205c65712bc7fe742fefcccfb34ace441347f7f5709b69ed7d2d3b2b9da"
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def test_render_svg_walks_nothing(registry, data_dir, monkeypatch):
+    def listed(*args):
+        raise AssertionError("the SVG writer listed cells or orbits")
+
+    monkeypatch.setattr(arrangement, "_lex_walk", listed)
+    arr = build_product([registry["dp3"], registry["dp3"]])
+    svg = render(arr, "svg", fold_symmetric(arr, [(0, 1)]))
+    assert svg == (data_dir / "dp3_dp3_fold_c.svg").read_text()
+
+
+def test_render_svg_refuses_labels_past_the_bound(registry, data_dir, monkeypatch):
+    # 36 chambers: labelled at a bound of 36, refused at 35, unfolded drawn at either
+    arr = build_product([registry["dp3"], registry["dp3"]])
+    folding = fold_symmetric(arr, [(0, 1)])
+    monkeypatch.setattr(arrangement, "MAX_CELLS", 36)
+    assert render(arr, "svg", folding) == (data_dir / "dp3_dp3_fold_c.svg").read_text()
+    monkeypatch.setattr(arrangement, "MAX_CELLS", 35)
+    with pytest.raises(BoundExceededError, match=r"^36 codim-0 cells, above the bound 35$"):
+        render(arr, "svg", folding)
+    assert render(arr, "svg").count("<line") == 10
+
+
+@st.composite
+def two_factor_foldings(draw):
+    """Two factors of 0 to 8 walls each: one folded part over equal wall sets,
+    in either slot order, or two singleton parts in either order."""
+    walls = st.lists(st.integers(1, 99), unique=True, max_size=8)
+    ws = [WallSet(tuple(F(i, 100) for i in sorted(draw(walls))))]
+    if draw(st.booleans()):
+        grouping = [draw(st.permutations([0, 1]))]
+        ws.append(ws[0])
+    else:
+        grouping = draw(st.permutations([(0,), (1,)]))
+        ws.append(WallSet(tuple(F(i, 100) for i in sorted(draw(walls)))))
+    arr = ProductArrangement((("f0", ws[0]), ("f1", ws[1])))
+    return arr, fold_symmetric(arr, grouping)
+
+
+@settings(max_examples=50)
+@given(two_factor_foldings())
+def test_render_svg_labels_number_orbits_in_listing_order(case):
+    arr, folding = case
+    labels = re.findall(
+        r'<text x="([0-9.]+)" y="([0-9.]+)" font-family="monospace" '
+        r'font-size="12" text-anchor="middle">(\d+)</text>',
+        render(arr, "svg", folding),
+    )
+    reps = [rep for rep, _ in orbits_oracle(folding, 0)]
+    expected = [
+        (svg_coord(72 + (x0 + x1) / 2 * 720), svg_coord(24 + (1 - (y0 + y1) / 2) * 720 + 4),
+         str(reps.index(min(group_images(folding.grouping, (2 * a, 2 * b))))))
+        for a, (x0, x1) in enumerate(arr.factors[0][1].chambers())
+        for b, (y0, y1) in enumerate(arr.factors[1][1].chambers())
+    ]
+    assert labels == expected
 
 
 def test_render_svg_no_factors_ticks_the_x_axis():
