@@ -15,8 +15,9 @@ joining the two chambers adjacent across that wall; it is the box product of
 per-factor path graphs, so it is connected with cell_counts[0] nodes and
 cell_counts[1] edges, which is what the "text" report prints.
 
-Folding quotients the arrangement by permutations of factor positions whose
-wall sets agree exactly (wall-set equality is the computable proxy for
+A SymmetricFolding quotients the arrangement by permutations of factor
+positions inside the parts of a partition that its constructor checks: the
+positions of a part must carry equal wall sets (the computable proxy for
 isomorphic factors; the caller asserts the isomorphism).  Orbit
 representatives follow the lexicographically-least-cell convention, a
 labeling choice, not canon: each part's positions nondecreasing along its
@@ -32,7 +33,8 @@ walk behind cells, sized by one multiplicity pass over each part's slots, and
 like cells refuses a codimension past MAX_CELLS first.  The folded SVG lists
 none, numbering orbits in the order lex order meets their representatives.
 
-Renderers, one per product format, each returning the whole document:
+render takes an arrangement or a folding, which carries its arrangement, and
+dispatches to one renderer per product format, each returning the whole document:
 "text" for any k, the counts by the closed form and, when folded, the orbit
 counts both ways (ConsistencyError if they disagree); "svg" and "ascii" for
 k <= 2 (exact-fraction ticks, SVG positions rounded half up to 6 decimals;
@@ -226,13 +228,22 @@ def crossing_graph(arr: ProductArrangement) -> CrossingGraph:
 
 
 class SymmetricFolding(Value):
-    """Quotient bookkeeping for an arrangement and a position partition."""
+    """Quotient bookkeeping for an arrangement and a grouping, kept as a tuple of tuples,
+    that partitions 0..k-1 into non-empty parts of int positions (ValueError otherwise),
+    each part of one wall set (MismatchedWallSetsError otherwise); singletons fold nothing."""
 
     __slots__ = ("_burnside", "_representatives")  # memos: slots, so not fields of the value
 
-    def __init__(
-        self, arrangement: ProductArrangement, grouping: tuple[tuple[int, ...], ...]
-    ) -> None:
+    def __init__(self, arrangement: ProductArrangement, grouping) -> None:
+        grouping = tuple(tuple(part) for part in grouping)
+        flat, k = [pos for part in grouping for pos in part], arrangement.k
+        # types before the sort: True and 0.0 equal ints there, and a str does not sort with them
+        if not all(grouping) or not set(map(type, flat)) <= {int} or sorted(flat) != [*range(k)]:
+            raise ValueError(f"grouping {grouping} is not a partition of 0..{k - 1}")
+        for part in grouping:
+            if len({arrangement.factors[pos][1] for pos in part}) > 1:
+                ids = [arrangement.factors[pos][0] for pos in part]
+                raise MismatchedWallSetsError(f"grouped factors {ids} carry different wall sets")
         self.__dict__.update(arrangement=arrangement, grouping=grouping)
 
     def orbits(self, codim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -302,27 +313,6 @@ class SymmetricFolding(Value):
         return total[codim] // order
 
 
-def fold_symmetric(arr: ProductArrangement, grouping) -> SymmetricFolding:
-    """Validate a position partition and return the folding.
-
-    Positions inside one group must carry identical wall sets
-    (MismatchedWallSetsError otherwise); singleton groups leave the
-    arrangement unfolded.
-    """
-    grouping = tuple(tuple(part) for part in grouping)
-    flat = [pos for part in grouping for pos in part]
-    if sorted(flat) != list(range(arr.k)) or any(not part for part in grouping):
-        raise ValueError(f"grouping {grouping} is not a partition of 0..{arr.k - 1}")
-    for part in grouping:
-        sets = {arr.factors[pos][1] for pos in part}
-        if len(sets) > 1:
-            ids = [arr.factors[pos][0] for pos in part]
-            raise MismatchedWallSetsError(
-                f"grouped factors {ids} carry different wall sets"
-            )
-    return SymmetricFolding(arr, grouping)
-
-
 def grouping_by_id(arr: ProductArrangement) -> tuple[tuple[int, ...], ...]:
     """Positions grouped by equal family id, in first-appearance order."""
     order: dict[str, list[int]] = {}
@@ -349,8 +339,11 @@ def _plural(n: int, word: str) -> str:
     return f"{n} {word}" + ("" if n == 1 else "s")
 
 
-def render(arr: ProductArrangement, fmt: str, folding: SymmetricFolding | None = None) -> str:
-    """Render the arrangement; "svg" and "ascii" accept at most 2 factors."""
+def render(product: ProductArrangement | SymmetricFolding, fmt: str) -> str:
+    """Render an arrangement, or a folding with its arrangement; "svg" and "ascii"
+    accept at most 2 factors."""
+    folding = product if isinstance(product, SymmetricFolding) else None
+    arr = product if folding is None else folding.arrangement
     if fmt not in RENDER_FORMATS:
         raise ValueError(f"unknown render format {fmt!r}; choose from {RENDER_FORMATS}")
     if fmt == "text":

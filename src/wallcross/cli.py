@@ -85,11 +85,10 @@ def _cmd_walls(args, registry) -> tuple[int, str]:
 def _cmd_product(args, registry) -> tuple[int, str]:
     from . import arrangement
 
-    arr = arrangement.build_product(_records(registry, args.families), args.space)
-    folding = None
+    product = arrangement.build_product(_records(registry, args.families), args.space)
     if args.fold:
-        folding = arrangement.fold_symmetric(arr, arrangement.grouping_by_id(arr))
-    return 0, arrangement.render(arr, args.format, folding)
+        product = arrangement.SymmetricFolding(product, arrangement.grouping_by_id(product))
+    return 0, arrangement.render(product, args.format)
 
 
 def _cmd_chamber(args, registry) -> tuple[int, str]:
@@ -185,8 +184,8 @@ def _check_arrangement(registry) -> str:
     graph = arrangement.crossing_graph(arr)
     _require(len(graph.edges) == 60 and graph.is_connected(), "crossing graph")
     sym = arrangement.build_product([registry["dp3"], registry["dp3"]])
-    folding = arrangement.fold_symmetric(sym, arrangement.grouping_by_id(sym))
-    arrangement.render(sym, "text", folding)  # raises unless closed form and Burnside agree
+    folding = arrangement.SymmetricFolding(sym, arrangement.grouping_by_id(sym))
+    arrangement.render(folding, "text")  # raises unless closed form and Burnside agree
     _require(folding.orbit_count(0) == 21, "dp3 x dp3 chamber orbits")
     return "dp3 x dp4 cells 36/60/25, graph connected, folding 21 both ways"
 

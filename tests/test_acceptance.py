@@ -17,7 +17,7 @@ from pathlib import Path
 import wallcross.gitwalls as gitwalls
 from _models import assert_product_laws, random_model_pair
 from wallcross import load_registry
-from wallcross.arrangement import build_product, crossing_graph, fold_symmetric, render
+from wallcross.arrangement import SymmetricFolding, build_product, crossing_graph, render
 from wallcross.cli import main
 from wallcross.invariants import (
     FanoNumerics,
@@ -131,12 +131,12 @@ def test_criterion_4_figure_reproduction(capsys):
 
 def test_criterion_5_symmetric_folding(capsys):
     registry = load_registry()
-    two = fold_symmetric(
+    two = SymmetricFolding(
         build_product([registry["dp3"], registry["dp3"]]), [(0, 1)]
     )
     assert len(two.orbits(0)) == 21  # explicit orbit enumeration
     assert two.burnside_orbit_count(0) == 21  # Burnside average
-    three = fold_symmetric(build_product([registry["dp3"]] * 3), [(0, 1, 2)])
+    three = SymmetricFolding(build_product([registry["dp3"]] * 3), [(0, 1, 2)])
     assert len(three.orbits(0)) == 56
     assert three.burnside_orbit_count(0) == 56
     assert comb(6 + 2 - 1, 2) == 21 and comb(6 + 3 - 1, 3) == 56

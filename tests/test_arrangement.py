@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -18,12 +19,12 @@ from wallcross import arrangement
 from wallcross.arrangement import (
     MAX_CELLS,
     ProductArrangement,
+    SymmetricFolding,
     build_product,
     cell_codim,
     cell_json,
     cell_str,
     crossing_graph,
-    fold_symmetric,
     grouping_by_id,
     render,
 )
@@ -170,7 +171,7 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
     counts = arr.cell_counts
     assert counts[0] == 6**9 and counts[9] == 5**9
     # singleton parts leave one representative per cell
-    unfolded = fold_symmetric(arr, [(i,) for i in range(9)])
+    unfolded = SymmetricFolding(arr, [(i,) for i in range(9)])
     monkeypatch.setattr(arrangement, "_lex_walk", no_walk)
     for j in range(9):
         assert counts[j] > MAX_CELLS
@@ -190,7 +191,7 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
 
 def test_orbits_refuse_exactly_the_codims_past_the_bound(registry, monkeypatch):
     arr = build_product([registry["dp3"], registry["dp4"], registry["dp3"]])
-    folding = fold_symmetric(arr, grouping_by_id(arr))  # parts (0, 2) and (1,)
+    folding = SymmetricFolding(arr, grouping_by_id(arr))  # parts (0, 2) and (1,)
     counts = [folding.burnside_orbit_count(j) for j in range(4)]
     assert counts == [126, 285, 240, 75]
     bound = 126  # a codimension at the bound is still listed
@@ -208,7 +209,7 @@ def test_orbits_refuse_exactly_the_codims_past_the_bound(registry, monkeypatch):
 
 def test_burnside_polynomial_is_built_once_per_folding(registry, monkeypatch):
     arr = build_product([registry["dp3"]] * 4)
-    folding = fold_symmetric(arr, grouping_by_id(arr))
+    folding = SymmetricFolding(arr, grouping_by_id(arr))
     calls, perm = [], arrangement.perm
     monkeypatch.setattr(arrangement, "perm", lambda *args: calls.append(args) or perm(*args))
     first = [folding.burnside_orbit_count(j) for j in range(5)]
@@ -217,7 +218,7 @@ def test_burnside_polynomial_is_built_once_per_folding(registry, monkeypatch):
     assert [folding.burnside_orbit_count(j) for j in range(5)] == first
     assert len(calls) == built
     # the memo is no field of the value: a fresh folding is equal, with the same hash
-    fresh = fold_symmetric(arr, grouping_by_id(arr))
+    fresh = SymmetricFolding(arr, grouping_by_id(arr))
     assert folding == fresh and hash(folding) == hash(fresh) and vars(folding) == vars(fresh)
 
 
@@ -239,14 +240,14 @@ def test_orbit_counts_are_built_once_per_folding(monkeypatch):
     the closed form behind them is built at the first.  100 factors with
     distinct one-wall sets make 100 singleton parts."""
     arr = ProductArrangement(tuple((f"f{i}", WallSet((Fraction(1, i + 2),))) for i in range(100)))
-    folding = fold_symmetric(arr, grouping_by_id(arr))
+    folding = SymmetricFolding(arr, grouping_by_id(arr))
     calls, counts = [], arrangement._representative_counts
     monkeypatch.setattr(arrangement, "_representative_counts",
                         lambda parts: calls.append(parts) or counts(parts))
     assert [folding.orbit_count(j) for j in range(101)] == [
         comb(100, j) * 2 ** (100 - j) for j in range(101)]
     assert len(calls) == 1
-    fresh = fold_symmetric(arr, grouping_by_id(arr))
+    fresh = SymmetricFolding(arr, grouping_by_id(arr))
     assert folding == fresh and hash(folding) == hash(fresh) and vars(folding) == vars(fresh)
 
 
@@ -319,7 +320,7 @@ def test_crossing_graph_is_box_product_of_paths():
 
 def test_fold_two_equal_factors(registry):
     arr = build_product([registry["dp3"], registry["dp3"]])
-    folding = fold_symmetric(arr, [(0, 1)])
+    folding = SymmetricFolding(arr, [(0, 1)])
     assert folding.group_order() == 2
     assert [folding.orbit_count(j) for j in range(3)] == [21, 30, 15]
     assert [folding.burnside_orbit_count(j) for j in range(3)] == [21, 30, 15]
@@ -335,7 +336,7 @@ def test_fold_two_equal_factors(registry):
 
 
 def test_burnside_rejects_bad_codim(registry):
-    folding = fold_symmetric(build_product([registry["dp3"]] * 2), [(0, 1)])
+    folding = SymmetricFolding(build_product([registry["dp3"]] * 2), [(0, 1)])
     for codim in (-1, 3):
         for count in (folding.burnside_orbit_count, folding.orbit_count, folding.orbits):
             with pytest.raises(BadCodimError, match=rf"^codim {codim} outside 0\.\.2$"):
@@ -345,7 +346,7 @@ def test_burnside_rejects_bad_codim(registry):
 def test_burnside_enumerates_no_group_element(registry, monkeypatch):
     # dp3^12 in one part: S_12 has 479,001,600 elements
     arr = build_product([registry["dp3"]] * 12)
-    folding = fold_symmetric(arr, grouping_by_id(arr))
+    folding = SymmetricFolding(arr, grouping_by_id(arr))
     monkeypatch.setattr(arrangement, "_lex_walk", no_walk)
     w = 5
     for j in range(13):
@@ -355,7 +356,7 @@ def test_burnside_enumerates_no_group_element(registry, monkeypatch):
 
 def test_fold_singleton_groups_do_nothing(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
-    folding = fold_symmetric(arr, [(0,), (1,)])
+    folding = SymmetricFolding(arr, [(0,), (1,)])
     assert folding.group_order() == 1
     for j in range(3):
         assert folding.orbit_count(j) == len(arr.cells(j))
@@ -365,7 +366,7 @@ def test_fold_singleton_groups_do_nothing(registry):
 
 def test_fold_three_equal_factors(registry):
     arr = build_product([registry["dp3"]] * 3)
-    folding = fold_symmetric(arr, [(0, 1, 2)])
+    folding = SymmetricFolding(arr, [(0, 1, 2)])
     assert folding.group_order() == 6
     assert folding.orbit_count(0) == 56  # multisets of 3 chambers from 6
     assert folding.burnside_orbit_count(0) == 56
@@ -376,13 +377,46 @@ def test_fold_three_equal_factors(registry):
 def test_fold_rejects_bad_groupings(registry):
     arr = build_product([registry["dp3"], registry["dp4"]])
     with pytest.raises(MismatchedWallSetsError):
-        fold_symmetric(arr, [(0, 1)])
+        SymmetricFolding(arr, [(0, 1)])
     with pytest.raises(ValueError):
-        fold_symmetric(arr, [(0,)])  # not a partition: 1 missing
+        SymmetricFolding(arr, [(0,)])  # not a partition: 1 missing
     with pytest.raises(ValueError):
-        fold_symmetric(arr, [(0, 0), (1,)])
+        SymmetricFolding(arr, [(0, 0), (1,)])
     with pytest.raises(ValueError):
-        fold_symmetric(arr, [(0, 1), ()])
+        SymmetricFolding(arr, [(0, 1), ()])
+
+
+def test_direct_construction_checks_the_grouping(registry):
+    """The constructor is the one way to build a folding, so it refuses what no
+    folding is: a part over unequal wall sets, a position missing or repeated."""
+    with pytest.raises(MismatchedWallSetsError,
+                       match=r"^grouped factors \['dp3', 'p1'\] carry different wall sets$"):
+        SymmetricFolding(build_product([registry["dp3"], registry["p1"]]), [(0, 1)])
+    arr = build_product([registry["dp3"]] * 2)
+    for grouping in ([(0,)], [(0, 0)]):
+        with pytest.raises(ValueError, match=r"is not a partition of 0\.\.1$"):
+            SymmetricFolding(arr, grouping)
+    # any iterable of iterables is kept as a tuple of tuples
+    assert SymmetricFolding(arr, iter([[1, 0]])).grouping == ((1, 0),)
+
+
+@pytest.mark.parametrize(
+    "grouping", [[(True, False)], [(1, False)], [("0", 1)], [(0.0, 1)], [(0, 1.0)]]
+)
+def test_folding_positions_must_be_ints(registry, grouping):
+    arr = build_product([registry["dp3"]] * 2)
+    with pytest.raises(ValueError, match=r"is not a partition of 0\.\.1$") as info:
+        SymmetricFolding(arr, grouping)
+    assert type(info.value) is ValueError
+
+
+def test_render_takes_an_arrangement_or_a_folding(registry):
+    """The folding carries its arrangement, so render is given the product once."""
+    assert list(inspect.signature(render).parameters) == ["product", "fmt"]
+    arr = build_product([registry["dp3"]] * 2)
+    folded = render(SymmetricFolding(arr, [(0, 1)]), "text")
+    assert folded.startswith(render(arr, "text"))
+    assert "folding by family id: dp3 -> positions 0,1" in folded.splitlines()
 
 
 def test_grouping_by_id(registry):
@@ -390,7 +424,7 @@ def test_grouping_by_id(registry):
         [registry["dp3"], registry["dp4"], registry["dp3"], registry["p1"]]
     )
     assert grouping_by_id(arr) == ((0, 2), (1,), (3,))
-    folded = fold_symmetric(arr, grouping_by_id(arr))
+    folded = SymmetricFolding(arr, grouping_by_id(arr))
     assert folded.group_order() == 2
 
 
@@ -413,7 +447,7 @@ def test_burnside_matches_enumeration_random():
             grouping.append(tuple(range(start, start + size)))
             start += size
         arr = ProductArrangement(tuple(factors))
-        folding = fold_symmetric(arr, grouping)
+        folding = SymmetricFolding(arr, grouping)
         for j in range(arr.k + 1):
             assert folding.orbit_count(j) == folding.burnside_orbit_count(j)
             assert_orbits_partition(folding, j)
@@ -453,7 +487,7 @@ def folded_products(draw, max_walls=3):
 @given(folded_products())
 def test_representative_orbits_match_bucketing_and_burnside(case):
     arr, grouping = case
-    folding = fold_symmetric(arr, grouping)
+    folding = SymmetricFolding(arr, grouping)
     for j in range(arr.k + 1):
         orbits = folding.orbits(j)
         assert orbits == orbits_oracle(folding, j)
@@ -465,7 +499,7 @@ def test_representative_orbits_match_bucketing_and_burnside(case):
 @given(folded_products(max_walls=4))
 def test_burnside_matches_group_walk_and_enumeration(case):
     arr, grouping = case
-    folding = fold_symmetric(arr, grouping)
+    folding = SymmetricFolding(arr, grouping)
     for j in range(arr.k + 1):
         count = folding.burnside_orbit_count(j)
         assert count == brute_burnside_orbit_count(folding, j) == folding.orbit_count(j)
@@ -473,7 +507,7 @@ def test_burnside_matches_group_walk_and_enumeration(case):
 
 def test_fold_unsorted_part_keeps_lex_least_representatives(registry):
     arr = build_product([registry["dp3"]] * 3)
-    folding = fold_symmetric(arr, [(2, 0), (1,)])
+    folding = SymmetricFolding(arr, [(2, 0), (1,)])
     assert min(group_images(folding.grouping, (4, 1, 0))) == (0, 1, 4)
     assert (0, 1, 4) in dict(folding.orbits(1)) and (4, 1, 0) not in dict(folding.orbits(1))
     for j in range(arr.k + 1):
@@ -496,10 +530,10 @@ def test_render_json_shapes(registry):
     assert len(doc["cells"]) == 121
     assert "folding" not in doc
 
-    folding = fold_symmetric(
+    folding = SymmetricFolding(
         build_product([registry["dp3"], registry["dp3"]]), [(0, 1)]
     )
-    doc = json.loads(render(folding.arrangement, "json", folding))
+    doc = json.loads(render(folding, "json"))
     assert doc["folding"]["orbit_counts"] == {"0": 21, "1": 30, "2": 15}
     assert doc["folding"]["grouping"] == [[0, 1]]
     sizes = [o["size"] for o in doc["folding"]["orbits"] if o["codim"] == 0]
@@ -557,8 +591,8 @@ def test_render_json_matches_oracle(case, data):
                              min_size=arr.k, max_size=arr.k))
     arr = ProductArrangement(tuple((fid, ws) for fid, (_, ws) in zip(ids, arr.factors)))
     assert_same_text(render(arr, "json"), render_json_oracle(arr))
-    folding = fold_symmetric(arr, grouping)
-    assert_same_text(render(arr, "json", folding), render_json_oracle(arr, folding))
+    folding = SymmetricFolding(arr, grouping)
+    assert_same_text(render(folding, "json"), render_json_oracle(arr, folding))
 
 
 @pytest.mark.parametrize("fold", [False, True])
@@ -566,8 +600,8 @@ def test_render_json_matches_oracle(case, data):
 def test_render_json_fixed_cases(registry, k, fold):
     # k = 0: one cell with empty coords; ten p1 factors: key "10" sorts before "2"
     arr = build_product([registry["p1"]] * k)
-    folding = fold_symmetric(arr, grouping_by_id(arr)) if fold else None
-    text = render(arr, "json", folding)
+    folding = SymmetricFolding(arr, grouping_by_id(arr)) if fold else None
+    text = render(folding or arr, "json")
     assert_same_text(text, render_json_oracle(arr, folding))
     if k == 0:
         assert '"coords": []' in text
@@ -609,7 +643,7 @@ def line_budget(budget):
 def test_wall_free_factors_offer_no_wall_slot(registry):
     p1s = build_product([registry["p1"]] * 40)
     distinct = ProductArrangement(tuple((f"f{i:02d}", WallSet(())) for i in range(40)))
-    folding = fold_symmetric(distinct, grouping_by_id(distinct))
+    folding = SymmetricFolding(distinct, grouping_by_id(distinct))
     # 1,000 lines for each of eight sweeps over the 41 codimensions: cells,
     # orbits, and the cells (and orbits, folded) of each JSON report and its oracle
     with line_budget(8 * 1000):
@@ -617,7 +651,7 @@ def test_wall_free_factors_offer_no_wall_slot(registry):
         assert_same_text(render(p1s, "json"), render_json_oracle(p1s))
         assert [folding.orbit_count(j) for j in range(41)] == [1] + [0] * 40
         assert [len(folding.orbits(j)) for j in range(41)] == [1] + [0] * 40
-        assert_same_text(render(distinct, "json", folding), render_json_oracle(distinct, folding))
+        assert_same_text(render(folding, "json"), render_json_oracle(distinct, folding))
 
 
 def test_orbit_listing_work_is_bounded_by_the_output():
@@ -629,7 +663,7 @@ def test_orbit_listing_work_is_bounded_by_the_output():
     codim 58)."""
     walls = [(f"f{i:02d}", WallSet((F(1, i + 2),))) for i in range(30)]
     arr = ProductArrangement(tuple(walls * 2))
-    folding = fold_symmetric(arr, grouping_by_id(arr))
+    folding = SymmetricFolding(arr, grouping_by_id(arr))
     assert folding.grouping == tuple((i, i + 30) for i in range(30))
     for j, count in ((60, 1), (59, 60), (58, 1830)):
         assert folding.orbit_count(j) == count  # the closed form, built outside the budget
@@ -654,7 +688,7 @@ def record_calls(monkeypatch, owner, name, calls):
 
 def test_render_json_builds_no_coord_and_enumerates_once(registry, monkeypatch):
     arr = build_product([registry["dp3"]] * 3)
-    folding = fold_symmetric(arr, grouping_by_id(arr))
+    folding = SymmetricFolding(arr, grouping_by_id(arr))
     expected = render_json_oracle(arr, folding)
 
     def fail(*args):
@@ -667,7 +701,7 @@ def test_render_json_builds_no_coord_and_enumerates_once(registry, monkeypatch):
     record_calls(monkeypatch, arrangement.SymmetricFolding, "orbits", orbit_calls)
     dumps = json.dumps
     monkeypatch.setattr(json, "dumps", lambda *a, **k: dumped.append(dumps(*a, **k)) or dumped[-1])
-    assert_same_text(render(arr, "json", folding), expected)
+    assert_same_text(render(folding, "json"), expected)
     assert cell_calls == orbit_calls == [0, 1, 2, 3]
     # json.dumps writes only the small skeleton, never the cells
     assert len(dumped) == 1 and len(dumped[0]) < 1000 < len(expected)
@@ -675,7 +709,7 @@ def test_render_json_builds_no_coord_and_enumerates_once(registry, monkeypatch):
 
 def test_orbits_visit_only_their_codimension(registry, monkeypatch):
     arr = build_product([registry["dp3"]] * 3)
-    folding = fold_symmetric(arr, [(0, 2), (1,)])
+    folding = SymmetricFolding(arr, [(0, 2), (1,)])
     walk, calls = arrangement._lex_walk, []
     monkeypatch.setattr(
         arrangement, "_lex_walk", lambda w, parts, codim: calls.append(codim) or walk(w, parts, codim)
@@ -738,7 +772,7 @@ def test_render_text_names_the_folding(ids, grouping, header):
     each part by its distinct ids."""
     ws = WallSet((F(1, 3),))
     arr = ProductArrangement(tuple((fid, ws) for fid in ids))
-    assert header in render(arr, "text", fold_symmetric(arr, grouping)).splitlines()
+    assert header in render(SymmetricFolding(arr, grouping), "text").splitlines()
 
 
 def test_render_rejects_unknown_format(registry):
@@ -767,8 +801,8 @@ def test_render_svg_wall_positions(registry):
 
 def test_render_svg_folded_labels(registry):
     arr = build_product([registry["dp3"], registry["dp3"]])
-    folding = fold_symmetric(arr, [(0, 1)])
-    svg = render(arr, "svg", folding)
+    folding = SymmetricFolding(arr, [(0, 1)])
+    svg = render(folding, "svg")
     labels = re.findall(
         r'<text x="([0-9.]+)" y="([0-9.]+)" font-family="monospace" '
         r'font-size="12" text-anchor="middle">(\d+)</text>',
@@ -794,7 +828,7 @@ def test_render_svg_folded_labels(registry):
 def test_render_svg_folded_200_walls_digest():
     ws = WallSet(tuple(F(i, 201) for i in range(1, 201)))
     arr = ProductArrangement((("a", ws), ("a", ws)))
-    svg = render(arr, "svg", fold_symmetric(arr, [(0, 1)]))
+    svg = render(SymmetricFolding(arr, [(0, 1)]), "svg")
     assert svg.count('font-size="12"') == 201**2
     digest = "169e7205c65712bc7fe742fefcccfb34ace441347f7f5709b69ed7d2d3b2b9da"
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
@@ -806,19 +840,19 @@ def test_render_svg_walks_nothing(registry, data_dir, monkeypatch):
 
     monkeypatch.setattr(arrangement, "_lex_walk", listed)
     arr = build_product([registry["dp3"], registry["dp3"]])
-    svg = render(arr, "svg", fold_symmetric(arr, [(0, 1)]))
+    svg = render(SymmetricFolding(arr, [(0, 1)]), "svg")
     assert svg == (data_dir / "dp3_dp3_fold_c.svg").read_text()
 
 
 def test_render_svg_refuses_labels_past_the_bound(registry, data_dir, monkeypatch):
     # 36 chambers: labelled at a bound of 36, refused at 35, unfolded drawn at either
     arr = build_product([registry["dp3"], registry["dp3"]])
-    folding = fold_symmetric(arr, [(0, 1)])
+    folding = SymmetricFolding(arr, [(0, 1)])
     monkeypatch.setattr(arrangement, "MAX_CELLS", 36)
-    assert render(arr, "svg", folding) == (data_dir / "dp3_dp3_fold_c.svg").read_text()
+    assert render(folding, "svg") == (data_dir / "dp3_dp3_fold_c.svg").read_text()
     monkeypatch.setattr(arrangement, "MAX_CELLS", 35)
     with pytest.raises(BoundExceededError, match=r"^36 codim-0 cells, above the bound 35$"):
-        render(arr, "svg", folding)
+        render(folding, "svg")
     assert render(arr, "svg").count("<line") == 10
 
 
@@ -835,7 +869,7 @@ def two_factor_foldings(draw):
         grouping = draw(st.permutations([(0,), (1,)]))
         ws.append(WallSet(tuple(F(i, 100) for i in sorted(draw(walls)))))
     arr = ProductArrangement((("f0", ws[0]), ("f1", ws[1])))
-    return arr, fold_symmetric(arr, grouping)
+    return arr, SymmetricFolding(arr, grouping)
 
 
 @settings(max_examples=50)
@@ -845,7 +879,7 @@ def test_render_svg_labels_number_orbits_in_listing_order(case):
     labels = re.findall(
         r'<text x="([0-9.]+)" y="([0-9.]+)" font-family="monospace" '
         r'font-size="12" text-anchor="middle">(\d+)</text>',
-        render(arr, "svg", folding),
+        render(folding, "svg"),
     )
     reps = [rep for rep, _ in orbits_oracle(folding, 0)]
     expected = [
@@ -874,7 +908,7 @@ def test_render_svg_no_factors_ticks_the_x_axis():
 def test_render_svg_one_factor_digest(registry, fold):
     # five vertical walls and seven x ticks; folding one factor draws nothing extra
     arr = build_product([registry["dp3"]])
-    svg = render(arr, "svg", fold_symmetric(arr, grouping_by_id(arr)) if fold else None)
+    svg = render(SymmetricFolding(arr, grouping_by_id(arr)) if fold else arr, "svg")
     assert (svg.count("<line"), svg.count("<text")) == (5, 7)
     digest = "0c557b483a9283aff36fdef5fa49e0f26efefb9a085bcf14e787b8b2031a96de"
     assert hashlib.sha256(svg.encode()).hexdigest() == digest

@@ -140,8 +140,8 @@ def test_product_text_report_is_render_text(capsys, argv):
     arr = arrangement.build_product([registry[fid] for fid in argv[0].split(",")])
     folding = None
     if "--fold" in argv:
-        folding = arrangement.fold_symmetric(arr, arrangement.grouping_by_id(arr))
-    assert arrangement.render(arr, "text", folding) == out
+        folding = arrangement.SymmetricFolding(arr, arrangement.grouping_by_id(arr))
+    assert arrangement.render(folding or arr, "text") == out
 
 
 def test_product_refuses_more_than_max_factors(capsys):
@@ -224,8 +224,8 @@ def test_counting_paths_list_no_orbit(capsys, monkeypatch, registry):
 
     monkeypatch.setattr(arrangement.SymmetricFolding, "orbits", listing)
     arr = arrangement.build_product([registry["dp3"]] * 4)
-    folding = arrangement.fold_symmetric(arr, arrangement.grouping_by_id(arr))
-    text = arrangement.render(arr, "text", folding)
+    folding = arrangement.SymmetricFolding(arr, arrangement.grouping_by_id(arr))
+    text = arrangement.render(folding, "text")
     assert "codim-0 orbits: 126 (enumeration) = 126 (burnside)" in text.splitlines()
     code, out, _ = run(capsys, "check")
     assert code == 0 and out.splitlines()[-1] == "all checks passed"
