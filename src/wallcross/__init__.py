@@ -1,6 +1,11 @@
 """Exact wall-and-chamber toolkit for moduli of log Fano products.
 
+The package root is a namespace: it re-exports nothing, so importing one
+module loads only what that module imports.  Import each name from the
+module that owns it, e.g. ``from wallcross.wallsets import load_registry``.
+
 Modules:
+  errors       the WallcrossError types that every library error derives from
   exactq       exact rationals and fractional-linear reparametrizations
   wallsets     per-family wall registries on the unit interval
   arrangement  axis-parallel product chamber complexes and their diagrams
@@ -10,17 +15,4 @@ Modules:
   cli          command-line front end
 """
 
-from .exactq import MoebiusMap, format_rational, parse_rational
-from .wallsets import FamilyRecord, WallSet, load_registry
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FamilyRecord",
-    "MoebiusMap",
-    "WallSet",
-    "format_rational",
-    "load_registry",
-    "parse_rational",
-    "__version__",
-]

@@ -40,15 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# argparse reports an ArgumentTypeError's message, but a ValueError only by the decoder's name
 def _id_list(text: str) -> tuple[str, ...]:
     ids = tuple(part.strip() for part in text.split(",") if part.strip())
     if not ids:
-        raise ValueError(f"no family ids in {text!r}")
+        raise argparse.ArgumentTypeError(f"no family ids in {text!r}")
     return ids
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
+    try:
+        return tuple(parse_rational(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def _iso_classes(text: str) -> tuple[frozenset[str], ...]:
@@ -57,7 +61,7 @@ def _iso_classes(text: str) -> tuple[frozenset[str], ...]:
     for pair in text.split(","):
         names = {part.strip() for part in pair.split("=") if part.strip()}
         if len(names) < 2:
-            raise ValueError(f"iso pair {pair!r} needs two distinct ids")
+            raise argparse.ArgumentTypeError(f"iso pair {pair!r} needs two distinct ids")
         touching = [cls for cls in classes if cls & names]
         merged = set(names).union(*touching) if touching else set(names)
         classes = [cls for cls in classes if not cls & names] + [merged]

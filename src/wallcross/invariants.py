@@ -29,6 +29,12 @@ from .exactq import Value, format_rational, parse_rational
 
 Polynomial = tuple[Fraction, ...]
 
+# A larger dimension is refused at construction, before any arithmetic: the
+# consistency check computes dimension!, which has 158 digits at 100, and
+# formats it into its message when the volume disagrees.  A product of two
+# bounded factors, built without the constructor, stays within 200! (375 digits).
+MAX_DIMENSION = 100
+
 
 def poly_trim(coeffs) -> Polynomial:
     """Parse each coefficient (exactq.parse_rational); drop trailing zeros."""
@@ -58,9 +64,9 @@ def _convolve(f: Polynomial, g: Polynomial) -> Polynomial:
 class FanoNumerics(Value):
     """Dimension, anticanonical volume, and Hilbert polynomial of one factor.
 
-    Construction checks only shape (an int dimension >= 0, volume > 0);
-    whether the polynomial actually matches the pair (n, V) is the job of
-    consistency_check, so deliberately broken inputs can be examined.
+    Construction checks only shape (an int dimension in 0..MAX_DIMENSION,
+    volume > 0); whether the polynomial actually matches the pair (n, V) is
+    the job of consistency_check, so deliberately broken inputs can be examined.
     """
 
     def __init__(self, dimension: int, volume: Fraction, hilbert: Polynomial) -> None:
@@ -68,6 +74,8 @@ class FanoNumerics(Value):
             raise ValueError(f"dimension must be an int, got {dimension!r}")
         if dimension < 0:
             raise ValueError(f"negative dimension {dimension}")
+        if dimension > MAX_DIMENSION:
+            raise ValueError(f"dimension {dimension} above the bound {MAX_DIMENSION}")
         volume = parse_rational(volume)
         if volume.numerator <= 0:  # over a positive denominator
             raise ValueError(f"volume must be positive, got {volume}")

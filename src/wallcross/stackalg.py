@@ -174,10 +174,6 @@ class Orbit(Value):
         self.__dict__.update(points=points, stabilizer_order=stabilizer_order)
 
     @property
-    def representative(self):
-        return self.points[0]
-
-    @property
     def size(self) -> int:
         return len(self.points)
 

@@ -29,14 +29,9 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import MissingDataError, OutOfRangeError
+from .errors import MissingDataError, OutOfRangeError, WallcrossError
 from .exactq import MoebiusMap, Value, format_rational, parse_rational
 from .invariants import FanoNumerics, consistency_check, poly_trim
-
-# Overlay records of a larger dimension are refused before any arithmetic:
-# the consistency check computes dimension!, which has 158 digits at 100, and
-# formats it into its message when the volume disagrees.
-MAX_DIMENSION = 100
 
 
 class WallSet(Value):
@@ -48,7 +43,8 @@ class WallSet(Value):
             if not 0 < w < 1:
                 raise ValueError(f"wall {format_rational(w)} outside (0, 1)")
         if any(a >= b for a, b in zip(walls, walls[1:])):
-            raise ValueError(f"walls not strictly increasing: {walls}")
+            shown = " ".join(map(format_rational, walls))
+            raise ValueError(f"walls not strictly increasing: {shown}")
         self.__dict__.update(walls=walls)
 
     def __len__(self) -> int:
@@ -111,9 +107,9 @@ class FamilyRecord(Value):
             raise ValueError("empty family id")
         problems = consistency_check(self.numerics())
         if problems:
-            raise ValueError(f"family {self.id}: " + "; ".join(problems))
+            raise ValueError("; ".join(problems))
         if image is not None and image != self.t_walls:
-            raise ValueError(f"family {self.id}: reparam image {image} != t_walls {self.t_walls}")
+            raise ValueError(f"reparam image {image} != t_walls {self.t_walls}")
 
     @property
     def is_point(self) -> bool:
@@ -167,41 +163,42 @@ _BUILTIN = {
 }
 
 
-def _strict_int(family_id: str, key: str, value) -> int:
+def _strict_int(key: str, value) -> int:
     # JSON true/false load as bool, an int subclass; neither they nor floats count
     if type(value) is not int:
-        raise ValueError(f"registry record {family_id!r}: {key} entry {value!r} is not an integer")
+        raise ValueError(f"{key} entry {value!r} is not an integer")
     return value
 
 
 def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
-    if not isinstance(data, dict):
-        raise ValueError(f"registry record {family_id!r} must be a JSON object")
-    missing = [k for k in ("dimension", "volume", "moduli_note", "hilbert") if k not in data]
-    if missing:
-        raise ValueError(f"registry record {family_id!r} missing field(s): " + ", ".join(missing))
-    note = data["moduli_note"]
-    if not isinstance(note, str):
-        raise ValueError(f"registry record {family_id!r}: moduli_note {note!r} is not a string")
-    for key in ("hilbert", "c_walls", "t_walls", "reparam"):
-        value = data.get(key)
-        if not isinstance(value, list) and (key == "hilbert" or value is not None):
-            raise ValueError(f"registry record {family_id!r}: {key} {value!r} is not a list")
-    walls = [data.get(key) for key in ("c_walls", "t_walls")]
-    c_walls, t_walls = (None if w is None else WallSet(w) for w in walls)
-    reparam = data.get("reparam")
-    if reparam is not None:
-        if len(reparam) != 4:
-            raise ValueError(f"registry record {family_id!r}: reparam {reparam} needs 4 entries")
-        reparam = MoebiusMap(*(_strict_int(family_id, "reparam", v) for v in reparam))
-    dimension = _strict_int(family_id, "dimension", data["dimension"])
-    if dimension > MAX_DIMENSION:
-        raise ValueError(
-            f"registry record {family_id!r}: dimension {dimension} above the bound {MAX_DIMENSION}"
+    """One record from overlay data; any refusal keeps its type and names the record."""
+    try:
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        missing = [k for k in ("dimension", "volume", "moduli_note", "hilbert") if k not in data]
+        if missing:
+            raise ValueError("missing field(s): " + ", ".join(missing))
+        note = data["moduli_note"]
+        if not isinstance(note, str):
+            raise ValueError(f"moduli_note {note!r} is not a string")
+        for key in ("hilbert", "c_walls", "t_walls", "reparam"):
+            value = data.get(key)
+            if not isinstance(value, list) and (key == "hilbert" or value is not None):
+                raise ValueError(f"{key} {value!r} is not a list")
+        walls = [data.get(key) for key in ("c_walls", "t_walls")]
+        c_walls, t_walls = (None if w is None else WallSet(w) for w in walls)
+        reparam = data.get("reparam")
+        if reparam is not None:
+            if len(reparam) != 4:
+                raise ValueError(f"reparam {reparam} needs 4 entries")
+            reparam = MoebiusMap(*(_strict_int("reparam", v) for v in reparam))
+        dimension = _strict_int("dimension", data["dimension"])
+        return FamilyRecord(
+            family_id, dimension, data["volume"], note, data["hilbert"], c_walls, t_walls, reparam
         )
-    return FamilyRecord(
-        family_id, dimension, data["volume"], note, data["hilbert"], c_walls, t_walls, reparam
-    )
+    except (ValueError, WallcrossError) as exc:
+        exc.args = (f"registry record {family_id!r}: {exc}",)
+        raise
 
 
 def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, FamilyRecord]:

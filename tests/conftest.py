@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from wallcross import load_registry
+from wallcross.wallsets import load_registry
 
 DATA_DIR = Path(__file__).parent / "data"
 

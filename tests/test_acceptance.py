@@ -16,7 +16,6 @@ from pathlib import Path
 
 import wallcross.gitwalls as gitwalls
 from _models import assert_product_laws, random_model_pair
-from wallcross import load_registry
 from wallcross.arrangement import SymmetricFolding, build_product, crossing_graph, render
 from wallcross.cli import main
 from wallcross.invariants import (
@@ -32,6 +31,7 @@ from wallcross.stackalg import (
     classify_product_map,
     point_ids,
 )
+from wallcross.wallsets import load_registry
 
 F = Fraction
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallcross
-from wallcross import arrangement, gitwalls, invariants, load_registry
+from wallcross import arrangement, gitwalls, invariants
 from wallcross.cli import _build_parser, main, main_entry
 from wallcross.errors import ConsistencyError
 from wallcross.exactq import MoebiusMap
 from wallcross.invariants import FanoNumerics
+from wallcross.wallsets import load_registry
 
 
 def run(capsys, *argv):
@@ -396,6 +398,21 @@ def test_stack_iso(capsys):
     assert code == 1  # malformed iso pair is a usage error
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chamber", "--families", "dp3", "--point", "1/0"],
+         "argument --point: zero denominator in rational literal '1/0'"),
+        (["product", "--families", ","], "argument --families: no family ids in ','"),
+        (["stack", "--factors", "dp3", "--iso", "dp3"],
+         "argument --iso: iso pair 'dp3' needs two distinct ids"),
+    ],
+)
+def test_usage_errors_say_what_was_wrong(capsys, argv, message):
+    """argparse reports the option decoder's own message, not its name."""
+    assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+
 def test_stack_json_without_map(capsys):
     code, out, _ = run(
         capsys, "stack", "--factors", "dp3,dp3,dp3", "--format", "json"
@@ -630,6 +647,27 @@ def test_registry_overlay_round_trip(capsys, tmp_path):
     assert code == 0 and "codim-0 cells: 3" in out
 
 
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    """Each `wallcross ...` line of the README's CLI examples exits 0 with
+    empty stderr, and a line with an inline comment prints exactly that
+    comment.  A `> file` redirect is dropped, and the overlay line reads a
+    my_families.json that defines toy."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("wallcross ")]
+    assert len(lines) == 15
+    monkeypatch.chdir(tmp_path)
+    toy = {"dimension": 1, "volume": 2, "moduli_note": "toy line", "hilbert": ["1", "2"],
+           "c_walls": ["1/3", "1/2"]}
+    (tmp_path / "my_families.json").write_text(json.dumps({"toy": toy}))
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        code, out, err = run(capsys, *argv[: argv.index(">") if ">" in argv else None])
+        assert (code, err) == (0, ""), line
+        assert out and (not comment or out == comment.strip() + "\n"), line
+
+
 def test_broken_overlay_is_computation_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"dp3": {"dimension": 2}}))
@@ -732,7 +770,7 @@ def test_overlay_bool_volume_is_computation_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"q": record}))
     code, out, err = run(capsys, "walls", "--family", "q", "--registry", str(path))
-    assert (code, out, err) == (2, "", "error: not a rational literal: True\n")
+    assert (code, out, err) == (2, "", "error: registry record 'q': not a rational literal: True\n")
 
 
 def test_product_ascii_two_factor_grid(capsys, data_dir):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _models import poly_mul_oracle
 from wallcross.invariants import (
+    MAX_DIMENSION,
     FanoNumerics,
     consistency_check,
     poly_mul,
@@ -51,6 +52,19 @@ def test_dimension_must_be_an_int(dimension):
     """True and 2.0 used to be stored as the dimension as given."""
     with pytest.raises(ValueError, match=f"^dimension must be an int, got {dimension!r}$"):
         FanoNumerics(dimension, 2, (1, 1, 1))
+
+
+def test_dimension_bound_is_the_constructors():
+    """Numerics past MAX_DIMENSION are refused when built, so consistency_check
+    never takes the factorial of such a dimension; a product of two bounded
+    factors, built without the constructor, is still checked."""
+    with pytest.raises(ValueError, match=f"^dimension 1700 above the bound {MAX_DIMENSION}$"):
+        FanoNumerics(1700, 1, (1,))
+    top = FanoNumerics(MAX_DIMENSION, 1, (1,))
+    assert consistency_check(top)[0] == f"hilbert degree 0, expected {MAX_DIMENSION}"
+    prod = product_numerics(top, top)
+    assert prod.dimension == 2 * MAX_DIMENSION
+    assert consistency_check(prod)[0] == f"hilbert degree 0, expected {2 * MAX_DIMENSION}"
 
 
 def test_poly_mul_matches_pointwise_products():

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wallcross").glob("*.py"))
@@ -34,12 +37,15 @@ def test_no_dataclasses_in_library():
     assert found == []
 
 
-def package_imports(name: str) -> set[str]:
+def package_imports(name: str, top_level: bool = False) -> set[str]:
     """The package modules that src/wallcross/<name> imports: relative
-    imports by module, absolute ones by full name."""
+    imports by module, absolute ones by full name.  With top_level, only the
+    imports that run when the module is loaded count, not those in a
+    function body."""
     (path,) = [p for p in SOURCES if p.name == name]
+    tree = ast.parse(path.read_text(), filename=str(path))
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             found |= {node.module} if node.module else {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module.startswith("wallcross"):
@@ -145,6 +151,30 @@ def test_gitwalls_imports_only_errors_exactq_wallsets():
     assert package_imports("gitwalls.py") == {"errors", "exactq", "wallsets"}
 
 
+def test_importing_a_module_loads_only_what_it_imports():
+    """A fresh `import wallcross.<module>` loads exactly the package modules
+    that the module's top-level imports reach, directly or not: the package
+    root re-exports nothing, and a function-local import, such as cli's lazy
+    arrangement, waits for its call."""
+    loaded = {}
+    for module in [p.stem for p in SOURCES if p.stem not in ("__init__", "__main__")]:
+        todo, closure = [module], set()
+        while todo:
+            if (name := todo.pop()) not in closure:
+                closure.add(name)
+                todo += [m.removeprefix("wallcross.")
+                         for m in package_imports(f"{name}.py", top_level=True)]
+        probe = (f"import sys, wallcross.{module}; "
+                 "print(*sorted(m for m in sys.modules if m.startswith('wallcross.')))")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(SOURCES[0].parents[1])), timeout=120,
+        )
+        if proc.stdout.split() != sorted(f"wallcross.{m}" for m in closure):
+            loaded[module] = proc.stdout.split()
+    assert loaded == {}
+
+
 def test_every_bound_is_named_by_a_test():
     """Each module-level MAX_* bound of the package is named by a test, so
     that no refusal goes untested."""
@@ -192,8 +222,8 @@ def test_every_public_name_is_reached():
     method and property of a public class, is used by code in the package, or
     named by the benchmark or the README: an API that only its own tests call
     does not belong in the library.  Uses are AST names and attributes outside
-    the name's own definition; docstrings and the package's re-export list do
-    not count.  Dunders and the methods of _-prefixed classes are skipped.
+    the name's own definition; docstrings do not count.  Dunders and the
+    methods of _-prefixed classes are skipped.
     The check works on names, not on owners: a name used anywhere, say
     to_json, counts as reached for every class that defines it."""
     root = Path(__file__).resolve().parents[1]

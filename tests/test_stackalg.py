@@ -261,7 +261,7 @@ def test_s3_orbit_space():
     assert len(orbits) == 1
     assert orbits[0].points == ("x", "y", "z")
     assert orbits[0].stabilizer_order == 2
-    assert orbits[0].representative == "x"
+    assert orbits[0].points[0] == "x"
     assert orbits[0].size == 3
     assert groupoid_cardinality(model) == F(1, 2)
 
@@ -382,7 +382,7 @@ def test_product_model_example():
     assert len(orbits) == 1
     assert orbits[0].size == 6
     assert orbits[0].stabilizer_order == 2  # 2 * 1
-    assert orbits[0].representative == ("x", "a")
+    assert orbits[0].points[0] == ("x", "a")
 
 
 def test_product_model_unit_law():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _models import hand_built_registry
 from wallcross.arrangement import ProductArrangement, cell_json, cell_str
-from wallcross.errors import MissingDataError, OutOfRangeError
+from wallcross.errors import MissingDataError, OutOfRangeError, PoleError
 from wallcross.exactq import MoebiusMap
 from wallcross.wallsets import FamilyRecord, WallSet, load_registry
 
@@ -351,11 +351,34 @@ def test_overlay_rejects_non_integer_fields(tmp_path, field, value):
         load_registry(path)
 
 
+TOY = {"dimension": 1, "volume": 2, "moduli_note": "toy line", "hilbert": ["1", "2"]}
+
+
+@pytest.mark.parametrize(
+    "record, error, message",
+    [
+        (["not", "a", "mapping"], ValueError, "not a JSON object"),
+        (dict(TOY, c_walls=["1/2", "1/3"]), ValueError, "walls not strictly increasing: 1/2 1/3"),
+        (dict(TOY, c_walls=["1/2"], reparam=[1, 0, 2, -1]), PoleError,
+         "(x)/(2x - 1) has a pole at 1/2"),
+    ],
+)
+def test_overlay_refusals_name_the_record(tmp_path, record, error, message):
+    """A refusal raised by the decoder or by a constructor it calls keeps its
+    type, so the CLI's exit code is unchanged, and names the record once."""
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"toy": record}))
+    with pytest.raises(error) as info:
+        load_registry(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"registry record 'toy': {message}"
+
+
 def test_overlay_dimension_bound_precedes_arithmetic(tmp_path, monkeypatch):
     """A dimension above MAX_DIMENSION is refused before the consistency
     check computes its factorial; at the bound, every problem is still
     reported."""
-    from wallcross import invariants, wallsets
+    from wallcross import invariants
 
     calls = []
     factorial = invariants.factorial
@@ -366,11 +389,12 @@ def test_overlay_dimension_bound_precedes_arithmetic(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="^registry record 'big': dimension 3000 above the bound"):
         load_registry(path)
     assert calls and 3000 not in calls  # only the compiled-in records were checked
-    path.write_text(json.dumps({"big": dict(record, dimension=wallsets.MAX_DIMENSION)}))
+    path.write_text(json.dumps({"big": dict(record, dimension=invariants.MAX_DIMENSION)}))
     with pytest.raises(ValueError) as info:
         load_registry(path)
     assert str(info.value).startswith(
-        "family big: hilbert(0) = 2, expected 1; hilbert degree 1, expected 100; 100! * lead = "
+        "registry record 'big': hilbert(0) = 2, expected 1; hilbert degree 1, expected 100; "
+        "100! * lead = "
     )
     assert calls[-1] == 100
 
