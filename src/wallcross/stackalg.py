@@ -20,8 +20,8 @@ stabilizer order |G|/|orbit|, the groupoid cardinality sum(1/|stab|) over
 orbits, which is |X|/|G|, and C(N + k - 1, k) multisets in the symmetric
 k-fold quotient of N orbits.  Orbits of a product action are pairs of
 orbits, so stabilizers multiply.  A model memoizes its group (the generator
-closure, refused past MAX_GROUP_ORDER elements), orbit partition and orbit
-space on itself, outside the value fields: each is built once per object.
+closure, refused as it is built past MAX_GROUP_ORDER elements), orbit
+partition and orbit space on itself, outside the value fields, each once.
 """
 
 from __future__ import annotations
@@ -143,9 +143,7 @@ def classify_product_map(factors, iso=()) -> MapKind:
 # -- finite groupoid models ---------------------------------------------------
 
 
-def _closure(
-    generators: tuple[tuple[int, ...], ...], n: int, bound: int
-) -> frozenset[tuple[int, ...]]:
+def _closure(generators: tuple[tuple[int, ...], ...], n: int) -> frozenset[tuple[int, ...]]:
     """Generated permutation group by breadth-first products gen after g."""
     identity = tuple(range(n))
     elements = {identity}
@@ -157,9 +155,9 @@ def _closure(
             for get in gets:
                 h = tuple(map(get, g))  # (gen after g)(i) = gen[g[i]]
                 if h not in elements:
-                    if len(elements) >= bound:
+                    if len(elements) >= MAX_GROUP_ORDER:
                         raise GroupTooLargeError(
-                            f"generated group exceeds order bound {bound}"
+                            f"generated group exceeds order bound {MAX_GROUP_ORDER}"
                         )
                     elements.add(h)
                     nxt.append(h)
@@ -200,12 +198,8 @@ class FiniteGroupoidModel(Value):
         self.__dict__.update(carrier=carrier, generators=gens)
 
     def elements(self) -> frozenset[tuple[int, ...]]:
-        if not hasattr(self, "_group"):
-            group = _closure(self.generators, len(self.carrier), MAX_GROUP_ORDER)
-            object.__setattr__(self, "_group", group)
-        # checked on every call, so a lowered bound refuses a group built before
-        if len(self._group) > MAX_GROUP_ORDER:
-            raise GroupTooLargeError(f"generated group exceeds order bound {MAX_GROUP_ORDER}")
+        if not hasattr(self, "_group"):  # built once; the closure checks the order bound
+            object.__setattr__(self, "_group", _closure(self.generators, len(self.carrier)))
         return self._group
 
     def group_order(self) -> int:
@@ -235,9 +229,8 @@ class FiniteGroupoidModel(Value):
 def orbit_space(model: FiniteGroupoidModel) -> tuple[Orbit, ...]:
     """Orbits with stabilizer orders |G| / |orbit| by the orbit-stabilizer
     identity; an orbit size that does not divide |G| is a ConsistencyError."""
-    order = model.group_order()  # before the memo, so the bound is checked on every call
     if not hasattr(model, "_space"):
-        out = []
+        order, out = model.group_order(), []
         for block in model.orbit_partition():
             stab, rem = divmod(order, len(block))
             if rem:

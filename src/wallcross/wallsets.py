@@ -6,7 +6,7 @@ scale c and the slope scale t, linked by a fractional-linear reparametrization
 t = reparam(c).  A record's t-walls are the image of its c-walls, taken or
 checked by FamilyRecord.  Records also carry the numerical invariants
 (dimension, anticanonical volume, Hilbert polynomial) used by the product
-calculus.
+calculus, each checked once, by the invariants.FanoNumerics a record builds.
 
 Walls are always stored strictly increasing and strictly inside (0, 1); the
 interval endpoints are never walls.  Families without an established wall
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import MissingDataError, OutOfRangeError, WallcrossError
 from .exactq import MoebiusMap, Value, format_rational, parse_rational
-from .invariants import FanoNumerics, consistency_check, poly_trim
+from .invariants import FanoNumerics, consistency_check
 
 
 class WallSet(Value):
@@ -97,16 +97,16 @@ class FamilyRecord(Value):
         t_walls: WallSet | None = None,
         reparam: MoebiusMap | None = None,
     ) -> None:
+        numerics = FanoNumerics(dimension, volume, hilbert)  # the one check of each numeric fact
         image = None if c_walls is None or reparam is None else c_walls.map(reparam)
         self.__dict__.update(
-            id=id, dimension=dimension, volume=parse_rational(volume), moduli_note=moduli_note,
-            hilbert=poly_trim(hilbert), c_walls=c_walls,
+            id=id, dimension=numerics.dimension, volume=numerics.volume, moduli_note=moduli_note,
+            hilbert=numerics.hilbert, c_walls=c_walls,
             t_walls=image if t_walls is None else t_walls, reparam=reparam,
         )
         if not id:
             raise ValueError("empty family id")
-        problems = consistency_check(self.numerics())
-        if problems:
+        if problems := consistency_check(numerics):
             raise ValueError("; ".join(problems))
         if image is not None and image != self.t_walls:
             raise ValueError(f"reparam image {image} != t_walls {self.t_walls}")
@@ -163,11 +163,8 @@ _BUILTIN = {
 }
 
 
-def _strict_int(key: str, value) -> int:
-    # JSON true/false load as bool, an int subclass; neither they nor floats count
-    if type(value) is not int:
-        raise ValueError(f"{key} entry {value!r} is not an integer")
-    return value
+# A record's fields, in FamilyRecord's order: the first four required, the last four lists.
+_FIELDS = ("dimension", "volume", "moduli_note", "hilbert", "c_walls", "t_walls", "reparam")
 
 
 def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
@@ -175,48 +172,57 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
     try:
         if not isinstance(data, dict):
             raise ValueError("not a JSON object")
-        missing = [k for k in ("dimension", "volume", "moduli_note", "hilbert") if k not in data]
-        if missing:
+        if unknown := sorted(data.keys() - set(_FIELDS)):
+            raise ValueError("unknown field(s): " + ", ".join(unknown))
+        if missing := [k for k in _FIELDS[:4] if k not in data]:
             raise ValueError("missing field(s): " + ", ".join(missing))
-        note = data["moduli_note"]
-        if not isinstance(note, str):
+        if not isinstance(note := data["moduli_note"], str):
             raise ValueError(f"moduli_note {note!r} is not a string")
-        for key in ("hilbert", "c_walls", "t_walls", "reparam"):
+        for key in _FIELDS[3:]:
             value = data.get(key)
             if not isinstance(value, list) and (key == "hilbert" or value is not None):
                 raise ValueError(f"{key} {value!r} is not a list")
-        walls = [data.get(key) for key in ("c_walls", "t_walls")]
-        c_walls, t_walls = (None if w is None else WallSet(w) for w in walls)
+        c_walls, t_walls = (None if w is None else WallSet(w) for w in map(data.get, _FIELDS[4:6]))
         reparam = data.get("reparam")
         if reparam is not None:
             if len(reparam) != 4:
                 raise ValueError(f"reparam {reparam} needs 4 entries")
-            reparam = MoebiusMap(*(_strict_int("reparam", v) for v in reparam))
-        dimension = _strict_int("dimension", data["dimension"])
-        return FamilyRecord(
-            family_id, dimension, data["volume"], note, data["hilbert"], c_walls, t_walls, reparam
-        )
+            # JSON true loads as a bool, an int subclass; MoebiusMap would raise TypeError
+            if bad := [v for v in reparam if type(v) is not int]:
+                raise ValueError(f"reparam entry {bad[0]!r} is not an integer")
+            reparam = MoebiusMap(*reparam)
+        return FamilyRecord(family_id, *map(data.get, _FIELDS[:4]), c_walls, t_walls, reparam)
     except (ValueError, WallcrossError) as exc:
         exc.args = (f"registry record {family_id!r}: {exc}",)
         raise
+
+
+def _unique_keys(pairs: list) -> dict:
+    """object_pairs_hook for json.load: a key repeated in one object is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"registry overlay repeats key {key!r}")
+        out[key] = value
+    return out
 
 
 def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, FamilyRecord]:
     """Built-in families, optionally extended or overridden by a JSON file.
 
     The overlay maps family ids to objects with fields {dimension, volume,
-    c_walls, t_walls, reparam, hilbert, moduli_note}; rationals are "p/q"
-    strings or ints, reparam is the integer coefficient list [a, b, c, d],
-    hilbert is constant-first.  The built-in families are such records too,
-    decoded by the same _record_from_json.  An overlay record replaces a
-    built-in record of the same id wholesale, in its place; new ids follow in
-    sorted order.  A missing t_walls is the image of c_walls under reparam
-    when both are present (FamilyRecord).
+    c_walls, t_walls, reparam, hilbert, moduli_note} and no other, no key
+    repeated; rationals are "p/q" strings or ints, reparam is the integer
+    coefficient list [a, b, c, d], hilbert is constant-first.  The built-in
+    families are such records too, decoded by the same _record_from_json.  An
+    overlay record replaces a built-in record of the same id wholesale, in its
+    place; new ids follow in sorted order.  A missing t_walls is the image of
+    c_walls under reparam when both are present (FamilyRecord).
     """
     registry = {fid: _record_from_json(fid, data) for fid, data in _BUILTIN.items()}
     if overlay_path is not None:
         with open(overlay_path) as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ValueError("registry overlay must be a JSON object keyed by family id")
         for family_id in sorted(raw):

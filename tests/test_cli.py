@@ -753,11 +753,17 @@ def test_package_runs_as_module(tmp_path):
         # JSON true loads as a bool, and null as None: neither is a scalar here
         ("hilbert", ["1", True, "3/2"], "not a rational literal: True"),
         ("moduli_note", None, "moduli_note None is not a string"),
+        ("c_wals", ["1/3"], "registry record 'dp3': unknown field(s): c_wals\n"),
+        (None, None, "registry overlay repeats key 'dp3'\n"),  # the record twice
     ],
 )
 def test_malformed_overlay_shape_is_computation_error(capsys, tmp_path, field, value, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dp3": dict(ONE_WALL_DP3["dp3"], **{field: value})}))
+    if field is None:  # json.dumps never repeats a key, so the file is written by hand
+        record = json.dumps(ONE_WALL_DP3["dp3"])
+        path.write_text(f'{{"dp3": {record}, "dp3": {record}}}')
+    else:
+        path.write_text(json.dumps({"dp3": dict(ONE_WALL_DP3["dp3"], **{field: value})}))
     code, out, err = run(capsys, "walls", "--family", "dp3", "--registry", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
@@ -836,7 +842,8 @@ VERB_FLAGS = {  # verb -> {flag: well-formed values}; None is a comma-separated 
 def random_request(rng: random.Random):
     """argv for one of the six verbs or an unknown one, and an overlay (or
     None): each flag mostly present and well formed, each record dp3-like
-    with keys dropped or replaced by junk, now and then a non-object."""
+    with keys dropped or replaced by junk, now and then an unknown key or a
+    non-object."""
     verb = rng.choice(sorted(VERB_FLAGS))
     argv = [verb, *["--fold"] * (verb == "product" and rng.random() < 0.5)]
     for flag, values in VERB_FLAGS[verb].items():
@@ -854,6 +861,8 @@ def random_request(rng: random.Random):
             del record[key]
         for key in rng.sample(keys, rng.choice([0, 1, 1, 2])):
             record[key] = rng.choice(JUNK)
+        if rng.random() < 0.1:  # a misspelt field
+            record["c_wals"] = rng.choice(JUNK)
         overlay[fid] = record
     return argv, rng.choice(JUNK) if rng.random() < 0.1 else overlay
 

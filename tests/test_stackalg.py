@@ -309,14 +309,19 @@ def test_carrier_points_must_be_distinct():
 
 
 def test_group_order_bound_enforced(monkeypatch):
-    model = FiniteGroupoidModel(tuple(range(4)), ((1, 2, 3, 0), (1, 0, 2, 3)))
-    assert model.group_order() == 24
-    assert [o.stabilizer_order for o in orbit_space(model)] == [6]
+    """The bound is checked while the group is built: S4 has order 24 > 10.
+    A group built before the bound is lowered is not checked again."""
+    s4 = (tuple(range(4)), ((1, 2, 3, 0), (1, 0, 2, 3)))
+    built = FiniteGroupoidModel(*s4)
+    assert built.group_order() == 24
     monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 10)
-    with pytest.raises(GroupTooLargeError, match="exceeds order bound 10"):
-        model.group_order()  # S4 has order 24 > 10, though its group is memoized
-    with pytest.raises(GroupTooLargeError, match="exceeds order bound 10"):
-        orbit_space(model)  # and so is its orbit space
+    assert built.group_order() == 24
+    with pytest.raises(GroupTooLargeError, match="^generated group exceeds order bound 10$"):
+        FiniteGroupoidModel(*s4).group_order()
+    with pytest.raises(GroupTooLargeError, match="^generated group exceeds order bound 10$"):
+        orbit_space(FiniteGroupoidModel(*s4))
+    monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 24)  # at the bound it builds
+    assert [o.stabilizer_order for o in orbit_space(FiniteGroupoidModel(*s4))] == [6]
 
 
 def counted_closures(monkeypatch) -> list:
@@ -324,7 +329,7 @@ def counted_closures(monkeypatch) -> list:
     calls = []
     closure = stackalg._closure
     monkeypatch.setattr(
-        stackalg, "_closure", lambda gens, n, bound: calls.append(gens) or closure(gens, n, bound)
+        stackalg, "_closure", lambda gens, n: calls.append(gens) or closure(gens, n)
     )
     return calls
 

@@ -336,6 +336,8 @@ def test_overlay_rejects_malformed_files(tmp_path):
     ],
 )
 def test_overlay_rejects_non_integer_fields(tmp_path, field, value):
+    """The dimension is checked by FanoNumerics alone, a reparam entry by the
+    decoder, before MoebiusMap would raise a TypeError."""
     record = {
         "dimension": 1,
         "volume": 2,
@@ -347,8 +349,11 @@ def test_overlay_rejects_non_integer_fields(tmp_path, field, value):
     record[field] = value
     path = tmp_path / "overlay.json"
     path.write_text(json.dumps({"toy": record}))
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError) as info:
         load_registry(path)
+    message = (f"dimension must be an int, got {value!r}" if field == "dimension"
+               else f"reparam entry {value[0]!r} is not an integer")
+    assert str(info.value) == f"registry record 'toy': {message}"
 
 
 TOY = {"dimension": 1, "volume": 2, "moduli_note": "toy line", "hilbert": ["1", "2"]}
@@ -361,6 +366,8 @@ TOY = {"dimension": 1, "volume": 2, "moduli_note": "toy line", "hilbert": ["1", 
         (dict(TOY, c_walls=["1/2", "1/3"]), ValueError, "walls not strictly increasing: 1/2 1/3"),
         (dict(TOY, c_walls=["1/2"], reparam=[1, 0, 2, -1]), PoleError,
          "(x)/(2x - 1) has a pole at 1/2"),
+        (dict(TOY, c_wals=["1/3"]), ValueError, "unknown field(s): c_wals"),
+        (dict(TOY, walls=[], c_wals=["1/3"]), ValueError, "unknown field(s): c_wals, walls"),
     ],
 )
 def test_overlay_refusals_name_the_record(tmp_path, record, error, message):
@@ -372,6 +379,26 @@ def test_overlay_refusals_name_the_record(tmp_path, record, error, message):
         load_registry(path)
     assert type(info.value) is error
     assert str(info.value) == f"registry record 'toy': {message}"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # json.dumps never repeats a key, so these files are written by hand
+        (f'{{"toy": {json.dumps(TOY)}, "toy": {json.dumps(TOY)}}}', "toy"),
+        ('{"toy": {"dimension": 1, "volume": 2, "volume": 3}}', "volume"),
+        ('{"toy": {"hilbert": [{"a": 1, "a": 1}]}}', "a"),
+    ],
+    ids=["record", "field", "nested"],
+)
+def test_overlay_refuses_repeated_keys(tmp_path, text, key):
+    """A repeated key at any level is refused while the file is parsed; json.load
+    alone would keep the last one."""
+    path = tmp_path / "overlay.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_registry(path)
+    assert str(info.value) == f"registry overlay repeats key {key!r}"
 
 
 def test_overlay_dimension_bound_precedes_arithmetic(tmp_path, monkeypatch):
