@@ -21,27 +21,42 @@ which requires the degree-3 computation to reproduce the registered slope
 walls {1/5, 1/3, 3/7, 5/9, 9/13} exactly.
 
 The finite probe set R comes from the arrangement of monomial-difference
-hyperplanes <m - m', r> = 0 and consecutive ties r_i = r_{i+1} inside the
-sum-zero space: the primitive generator of each of its rays inside the
-descending cone C = {r_0 >= ... >= r_n}, a fundamental domain of S_{n+1}.
+hyperplanes <m - m', r> = 0 inside the sum-zero space, the consecutive ties
+r_i = r_{i+1} among them: the primitive generator of each of its rays inside
+the descending cone C = {r_0 >= ... >= r_n}, a fundamental domain of S_{n+1}.
 The walk down to the rays cuts one hyperplane at a time and keeps only the
-flats F meeting C, each with generators of the cone F & C; a hyperplane
-strictly one-signed on them meets F & C only at 0.  No probe is lost, since
-a ray of C lies in every flat above it.  The walk refuses a rank of more
-than MAX_FLATS flats.  Candidate walls are the values t = -<m, r>/r_j
-landing in (0, 1).  Every support M+ changes only at such a value, so the
-family of inclusion-maximal pairs (M+, j) is constant on each open chamber
-between consecutive candidates.  One sweep samples every chamber from
-integer signs and the flip table alone: the first chamber's support masks
-are the signs of <m, r> + t * r_j just above t = 0, every threshold in (0, 1)
-being a candidate, and each candidate then flips only the mask bits whose
-own threshold it is, updating the family where a pair changes.  The test
-suite's oracle recomputes each family by the Fraction stability test
-instead, sharing no code with the sweep.  A candidate is a wall when the
-samples on its two sides differ; its witnesses are read back from the bits
-it flips.  Completeness of R is not proved here; it is backed empirically
-by the bounded exhaustive refinement check (test suite) and by the
-acceptance comparison against the registered tables.
+flats F meeting C, each with generators of the cone F & C.  It cuts F only
+where a probe can lie: by a direction taking both signs on the generators,
+or by a tie vanishing on one of them (candidate_weights proves that no probe
+is lost).  The walk refuses a rank of more than MAX_FLATS flats.
+
+R is complete: every pair (M+(r, t, j), j) from any r in C lies inside a
+probe's pair.  Fix t and j, take r in C with M+(r, t, j) nonempty, and let K
+be the smallest face of the arrangement holding r: the closed cone of the x
+with a . x = 0 for each direction a vanishing at r, and a . x of the weak
+sign of a . r for every other a.  The ties are directions, so K lies in C,
+and K is pointed since C is, in the sum-zero space; its extreme rays are
+rays of the arrangement inside C, so probes.  Every comparison <m - m', .>
+keeps its weak sign on K, so the monomial m* of least weight in M+(r, t, j)
+at r is least there at every point of K.  r is a nonnegative sum of K's
+extreme rays and <m*, r> + t * r_j > 0, so some extreme ray rho has
+<m*, rho> + t * rho_j > 0, and then M+(rho, t, j) contains M+(r, t, j).  So
+the inclusion-maximal pairs over C and over R agree at every t.
+
+Candidate walls are the values t = -<m, r>/r_j landing in (0, 1).  Every
+support M+ changes only at such a value, so the family of inclusion-maximal
+pairs (M+, j) is constant on each open chamber between consecutive
+candidates.  One sweep samples every chamber from integer signs and the flip
+table alone: the first chamber's support masks are the signs of
+<m, r> + t * r_j just above t = 0, every threshold in (0, 1) being a
+candidate, and each candidate then flips only the mask bits whose own
+threshold it is, updating the family where a pair changes.  The test suite's
+oracle recomputes each family by the Fraction stability test instead,
+sharing no code with the sweep.  A candidate is a wall when the samples on
+its two sides differ; its witnesses are read back from the bits it flips.
+The test suite checks the completeness lemma on random r by Fraction
+arithmetic, and the walls against bounded exhaustive refinement and the
+registered tables.
 
 Open question, recorded: whether thresholds j with r_j = 0 can ever carry a
 wall under this convention.  They contribute t-independent supports only,
@@ -71,8 +86,8 @@ WeightVector = tuple[int, ...]
 # monomials refuses configurations with more monomials than this, before it
 # builds any.  The candidate_weights walk costs, at each rank, the flats
 # meeting the descending cone times the direction count; it refuses as it is
-# about to make flat number MAX_FLATS + 1 of a rank.  (5, 2) peaks at 7,078;
-# (6, 2) would reach 11,108 on its way to 412,366.
+# about to make flat number MAX_FLATS + 1 of a rank.  (5, 2) peaks at 1,110;
+# (6, 2) is refused at its third rank, after 76 and 1,682 flats.
 MAX_MONOMIALS = 56
 MAX_FLATS = 10_000
 
@@ -121,15 +136,13 @@ def _sign_canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _equation_directions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive sign-canonical normals: monomial differences and ties."""
+    """Primitive sign-canonical normals of the monomial differences.  Each
+    tie e_i - e_{i+1} is among them, as x_i x_0^(d-1) - x_{i+1} x_0^(d-1)."""
     dirs = set()
     mons = monomials(n, d)
     for m1, m2 in itertools.combinations(mons, 2):
         diff = tuple(a - b for a, b in zip(m1, m2))
         dirs.add(_sign_canonical(_primitive(diff)))
-    for i in range(n):
-        tie = tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n + 1))
-        dirs.add(tie)
     return tuple(sorted(dirs))
 
 
@@ -159,14 +172,28 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     The flats F meeting the descending cone C are walked rank by rank from
     the reduced echelon basis e_i - e_n of that space, each with generators
     of F & C, first C's extreme rays ((n + 1 - k)^k, (-k)^(n + 1 - k)).  F is
-    cut by each distinct primitive functional that a direction not strictly
-    one-signed on them restricts to on it, each cut kept once under its
-    `_cut` key.  A probe ray lies in every flat on a cut chain down to it, so
-    no cut that reaches one is skipped, and F & C does not depend on the chain
-    that reached F.  After n - 1 steps every flat is a ray meeting C, so its
-    key, positive first like every descending sum-zero vector, is the probe.
+    cut by the distinct primitive functionals that the kept directions
+    restrict to on it, each cut kept once under its `_cut` key.  A direction
+    is kept when it takes both signs on the generators, or when it is a tie
+    r_i = r_{i+1}, at least 0 on C, that vanishes on one of them.
+
+    No probe is lost.  Let rho be a probe ray in F & C, with F not yet a ray.
+      * rho interior to F & C relative to F: rho is cut out by the directions
+        through it, so one of them misses F.  Its restriction to F vanishes
+        at an interior point of F & C, so it takes both signs on F & C, on
+        the generators too, and is kept.
+      * Otherwise rho is on the boundary of F & C = {r in F : r_i >= r_{i+1}}
+        relative to F, which covers an F & C not spanning F: some tie that
+        does not vanish on F vanishes at rho.  It is at least 0 on the
+        generators, and rho is a nonnegative sum of them, so it vanishes on
+        one of them and is kept.
+    Either way a kept cut leads to a flat one rank down that still holds
+    rho, and F & C does not depend on the chain that reached F.  After n - 1
+    steps every flat is a ray meeting C, so its key, positive first like
+    every descending sum-zero vector, is the probe.
     """
     dirs = _equation_directions(n, d)
+    ties = {tuple(int(k == i) - (k == i + 1) for k in range(n + 1)) for i in range(n)}
     dots: dict[tuple[int, ...], tuple[int, ...]] = {}  # generator p -> a . p for each a
     extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
     flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n)): extreme}
@@ -178,7 +205,7 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
                     dots[p] = tuple(sum(map(mul, a, p)) for a in dirs)
             cuts = {}
             for a, vals in zip(dirs, zip(*(dots[p] for p in gens))):
-                if min(vals) <= 0 <= max(vals):
+                if min(vals) < 0 < max(vals) or a in ties and min(vals) == 0:
                     s = tuple(sum(map(mul, a, b)) for b in basis)
                     if any(s):
                         cuts.setdefault(_sign_canonical(_primitive(s)), vals)
@@ -188,7 +215,8 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
                     if len(cut_flats) == MAX_FLATS:
                         raise BoundExceededError(
                             f"({n}, {d}) has more than {MAX_FLATS} flats at a rank")
-                    # F & C & ker a: the generators a vanishes on, and
+                    # F & C & ker a, one double-description step (Motzkin et
+                    # al. 1953): the generators a vanishes on, and
                     # (a . p) q - (a . q) p for each pair a . p > 0 > a . q
                     side = [(v, p) for v, p in zip(vals, gens) if v]
                     pairs = (_primitive(tuple(vp * x - vq * y for x, y in zip(q, p)))

@@ -86,6 +86,8 @@ class FamilyRecord(Value):
         when no t_walls is given, compared wall by wall otherwise.
     """
 
+    __slots__ = ("_numerics",)  # built at construction: a slot, so not a field of the value
+
     def __init__(
         self,
         id: str,
@@ -110,6 +112,7 @@ class FamilyRecord(Value):
             raise ValueError("; ".join(problems))
         if image is not None and image != self.t_walls:
             raise ValueError(f"reparam image {image} != t_walls {self.t_walls}")
+        object.__setattr__(self, "_numerics", numerics)
 
     @property
     def is_point(self) -> bool:
@@ -117,7 +120,8 @@ class FamilyRecord(Value):
         return self.moduli_note == "point"
 
     def numerics(self) -> FanoNumerics:
-        return FanoNumerics(self.dimension, self.volume, self.hilbert)
+        """The FanoNumerics built and checked at construction."""
+        return self._numerics
 
     def walls(self, space: str) -> WallSet:
         """The wall set in scale "c" or "t"; MissingDataError when absent."""

@@ -189,6 +189,17 @@ def test_cells_bounded_before_enumeration(registry, monkeypatch):
     assert max(build_product([dp3] * 6).cell_counts) == 540_000 <= MAX_CELLS
 
 
+def test_cells_refuse_exactly_the_codims_past_the_bound(registry, monkeypatch):
+    arr = build_product([registry["dp3"], registry["dp4"]])
+    assert arr.cell_counts == (36, 60, 25)
+    monkeypatch.setattr(arrangement, "MAX_CELLS", 60)  # a codimension at the bound is listed
+    assert len(arr.cells(1)) == 60
+    monkeypatch.setattr(arrangement, "MAX_CELLS", 59)
+    with pytest.raises(BoundExceededError, match="^60 codim-1 cells, above the bound 59$"):
+        arr.cells(1)
+    assert len(arr.cells(0)) == 36
+
+
 def test_orbits_refuse_exactly_the_codims_past_the_bound(registry, monkeypatch):
     arr = build_product([registry["dp3"], registry["dp4"], registry["dp3"]])
     folding = SymmetricFolding(arr, grouping_by_id(arr))  # parts (0, 2) and (1,)
@@ -729,8 +740,7 @@ def test_render_ascii(registry):
 
     out = render(build_product([registry["dp3"]]), "ascii")
     lines = out.splitlines()
-    assert lines[0].startswith("0 ") and lines[0].endswith(" 1")
-    assert lines[0].count("|") == 5
+    assert lines[0] == "0 -----------|------|-----|-------|-------|-------------------- 1"
     assert "dp3 walls: 2/11 4/13 2/5 10/19 2/3" in lines[1]
 
     out = render(build_product([registry["dp3"], registry["dp4"]]), "ascii")

@@ -247,6 +247,7 @@ def test_str_forms():
     assert str(MoebiusMap(1, 0, 0, 1)) == "(x)/(1)"
     assert str(MoebiusMap(2, 1, 0, 1)) == "(2x + 1)/(1)"
     assert str(MoebiusMap(1, -1, 1, 8)) == "(x - 1)/(x + 8)"
+    assert str(MoebiusMap(1, 0, -1, 2)) == "(x)/(-x + 2)"
 
 
 def test_determinant_and_identity():

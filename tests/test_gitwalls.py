@@ -5,6 +5,7 @@ import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 import pytest
@@ -15,7 +16,7 @@ from _models import (
     stability_mask,
     unpruned_probes,
 )
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallcross import gitwalls
@@ -81,6 +82,7 @@ def test_is_weight_vector():
     assert is_weight_vector((1, 1, -2))
     assert not is_weight_vector((0, 0, 0, 0))  # zero
     assert not is_weight_vector((1, -1, 0, 0))  # not descending
+    assert not is_weight_vector((1, 2, -3))  # not descending, though r_0 >= r_2
     assert not is_weight_vector((2, 0, 0, -2))  # not primitive
     assert not is_weight_vector((1, 1, -1))  # sum nonzero
     assert not is_weight_vector((1,))
@@ -178,8 +180,9 @@ def test_cut_keys_do_not_depend_on_cut_order(nd, data):
 )
 def test_candidate_weights_match_unpruned_walk(monkeypatch, n, d, fewer):
     """The same probes, and the pruning at work: the walk inside the
-    descending cone makes fewer than 1/fewer of the unpruned walk's cuts
-    ((3, 3) cuts 208 flats against 1,525, (4, 2) 1,149 against 10,840)."""
+    descending cone, cutting only where a probe can lie, makes fewer than
+    1/fewer of the unpruned walk's cuts ((3, 3) cuts 174 flats against
+    1,525, (4, 2) 463 against 10,840)."""
     calls = []
     cut = gitwalls._cut
     monkeypatch.setattr(gitwalls, "_cut", lambda basis, s: calls.append(s) or cut(basis, s))
@@ -234,23 +237,65 @@ def test_candidate_weights_bound(monkeypatch):
         candidate_weights(3, 3)
 
 
+def flats_by_rank(monkeypatch):
+    """Wrap `_cut` so that each call is counted and each flat it makes is
+    recorded; returns the calls and a function giving the Counter of the
+    distinct flats made, by rank."""
+    calls, made = [], set()
+    cut = gitwalls._cut
+
+    def counting(basis, s):
+        calls.append(s)
+        made.add(child := cut(basis, s))
+        return child
+
+    monkeypatch.setattr(gitwalls, "_cut", counting)
+    candidate_weights.cache_clear()
+    return calls, lambda: Counter(map(len, made))
+
+
+@pytest.mark.parametrize("n, d, ranks, cuts", [
+    (3, 3, {2: 23, 1: 49}, 174),
+    (4, 2, {3: 19, 2: 76, 1: 42}, 463),
+    (5, 2, {4: 40, 3: 409, 2: 1110, 1: 411}, 9846),
+])
+def test_candidate_weights_flats_and_cuts_are_exact(monkeypatch, n, d, ranks, cuts):
+    """The walk cuts only where a probe can lie, by two-signed directions
+    and by ties vanishing on a generator: the distinct flats of each rank
+    and the `_cut` calls, pinned at that rule's numbers."""
+    calls, made = flats_by_rank(monkeypatch)
+    assert len(candidate_weights(n, d)) == ranks[1]
+    assert made() == ranks
+    assert len(calls) == cuts
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 3), (4, 2), (5, 2), (3, 5)])
+def test_every_tie_is_a_monomial_difference(n, d):
+    """The walk's ties e_i - e_{i+1} are among the directions, each as
+    x_i x_0^(d-1) - x_{i+1} x_0^(d-1), so no second list adds them."""
+    dirs = set(_equation_directions(n, d))
+    for i in range(n):
+        assert tuple(int(k == i) - (k == i + 1) for k in range(n + 1)) in dirs
+
+
 def test_candidate_weights_flat_bound(monkeypatch):
-    """A rank's flats are counted as they are made: (4, 2) holds 45 and then
-    250 flats, so MAX_FLATS = 100 refuses it partway through that rank.
-    (6, 2) would reach 412,366 flats over minutes."""
+    """A rank's flats are counted as they are made: (4, 2) holds 19, 76 and
+    then 42 flats, so MAX_FLATS = 76 passes it and 75 refuses it partway
+    through its second rank.  (6, 2) is refused at its third rank, after 76
+    and 1,682 flats, as it makes flat 10,001."""
+    calls, made = flats_by_rank(monkeypatch)
     with pytest.raises(BoundExceededError, match=r"^\(6, 2\) has more than 10000 flats at a rank$"):
         candidate_weights(6, 2)
-    calls = []
-    cut = gitwalls._cut
-    monkeypatch.setattr(gitwalls, "_cut", lambda basis, s: calls.append(s) or cut(basis, s))
-    monkeypatch.setattr(gitwalls, "MAX_FLATS", 250)  # the bound itself passes
+    assert made() == {5: 76, 4: 1682, 3: 10_001}
+    calls.clear()
+    monkeypatch.setattr(gitwalls, "MAX_FLATS", 76)  # the bound itself passes
     candidate_weights.cache_clear()
     assert len(candidate_weights(4, 2)) == 42
     full = len(calls)
     calls.clear()
-    monkeypatch.setattr(gitwalls, "MAX_FLATS", 100)
+    monkeypatch.setattr(gitwalls, "MAX_FLATS", 75)
     candidate_weights.cache_clear()
-    with pytest.raises(BoundExceededError, match=r"^\(4, 2\) has more than 100 flats at a rank$"):
+    with pytest.raises(BoundExceededError, match=r"^\(4, 2\) has more than 75 flats at a rank$"):
         candidate_weights(4, 2)
     assert 0 < len(calls) < full
 
@@ -642,3 +687,39 @@ def test_wall_report_4_3_matches_golden(data_dir):
     assert len(candidate_weights(4, 3)) == 1885
     assert len(report["walls"]) == 15 and len(report["candidates"]) == 509
     assert sum(assert_digest_golden(report, golden).values()) == 17396
+
+
+def test_wall_report_5_2_matches_golden(data_dir):
+    """(5, 2) has 411 probes; its golden comes from the walk that cut each
+    flat by every direction not strictly one-signed on its generators."""
+    golden = json.loads((data_dir / "git_walls_5_2.json").read_text())
+    report = wall_report(5, 2, exploratory=True)
+    assert len(candidate_weights(5, 2)) == 411
+    assert report["walls"] == ["2/5"] and len(report["candidates"]) == 190
+    assert sum(assert_digest_golden(report, golden).values()) == 874
+
+
+@cache
+def weight_table(n: int, d: int):
+    """Each probe rho with its weight <m, rho> for each monomial m."""
+    mons = monomials_oracle(n, d)
+    return [(rho, dict(zip(mons, (monomial_weight(m, rho) for m in mons))))
+            for rho in candidate_weights(n, d)]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([(3, 3), (4, 2), (3, 4)]), st.data())
+def test_probes_dominate_every_destabilized_support(nd, data):
+    """The completeness lemma of the module docstring: for integer r in the
+    descending cone, t = k/1000 and j, some probe rho has M+(rho, t, j)
+    containing M+(r, t, j), both computed here from the definition
+    {m : <m, r> + t * r_j > 0} by Fraction arithmetic."""
+    n, d = nd
+    head = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    assume(abs(sum(head)) <= 50)
+    r = sorted([*head, -sum(head)], reverse=True)
+    t = F(data.draw(st.integers(1, 999)), 1000)
+    j = data.draw(st.integers(0, n))
+    support = [m for m in monomials_oracle(n, d) if monomial_weight(m, r) + t * r[j] > 0]
+    assert any(all(weights[m] + t * rho[j] > 0 for m in support)
+               for rho, weights in weight_table(n, d))

@@ -320,6 +320,9 @@ def test_group_order_bound_enforced(monkeypatch):
         FiniteGroupoidModel(*s4).group_order()
     with pytest.raises(GroupTooLargeError, match="^generated group exceeds order bound 10$"):
         orbit_space(FiniteGroupoidModel(*s4))
+    monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 23)  # one below the order refuses
+    with pytest.raises(GroupTooLargeError, match="^generated group exceeds order bound 23$"):
+        FiniteGroupoidModel(*s4).group_order()
     monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 24)  # at the bound it builds
     assert [o.stabilizer_order for o in orbit_space(FiniteGroupoidModel(*s4))] == [6]
 
@@ -419,6 +422,11 @@ def test_product_model_bound_check_precedes_closure(monkeypatch):
     monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 10)
     with pytest.raises(GroupTooLargeError, match="product group order 36 exceeds bound 10"):
         product_model(s3a, s3a)
+    monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 35)
+    with pytest.raises(GroupTooLargeError, match="product group order 36 exceeds bound 35"):
+        product_model(s3a, s3a)
+    monkeypatch.setattr(stackalg, "MAX_GROUP_ORDER", 36)  # at the bound it builds
+    assert product_model(s3a, s3a).group_order() == 36
 
 
 def test_product_model_carrier_bound_precedes_closure(monkeypatch):
@@ -428,6 +436,8 @@ def test_product_model_carrier_bound_precedes_closure(monkeypatch):
     with pytest.raises(BoundExceededError, match="^product carrier of 9 points exceeds bound 8$"):
         product_model(three, three)
     assert calls == []  # refused before either group is closed, so before any pair
+    monkeypatch.setattr(stackalg, "MAX_CARRIER", 9)  # at the bound it builds
+    assert len(product_model(three, three).carrier) == 9
 
 
 def test_product_laws_random_pairs():

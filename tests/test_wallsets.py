@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _models import hand_built_registry
+from wallcross import cli, invariants
 from wallcross.arrangement import ProductArrangement, cell_json, cell_str
 from wallcross.errors import MissingDataError, OutOfRangeError, PoleError
 from wallcross.exactq import MoebiusMap
@@ -439,3 +440,18 @@ def test_registry_internal_consistency(registry):
             a, b, c, d = rec.reparam.coefficients()
             assert a * d - b * c > 0
             assert rec.reparam(F(1, 2)) > 0  # no pole in (0, 1)
+
+
+def test_numerics_is_the_object_built_at_construction(registry, monkeypatch):
+    """A record keeps the FanoNumerics it checked, so `check`'s 25 product
+    pairs build none; the memo is a slot, not a field of the value."""
+    rec = registry["dp3"]
+    assert rec.numerics() is rec.numerics()
+    assert (rec.numerics().dimension, rec.numerics().volume) == (2, 3)
+    assert "_numerics" not in vars(rec)
+    built = []
+    init = invariants.FanoNumerics.__init__
+    monkeypatch.setattr(invariants.FanoNumerics, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    assert cli._check_products(registry) == "product volume/hilbert identity holds (25 pairs)"
+    assert built == []
