@@ -278,18 +278,29 @@ def test_every_tie_is_a_monomial_difference(n, d):
         assert tuple(int(k == i) - (k == i + 1) for k in range(n + 1)) in dirs
 
 
+@pytest.mark.parametrize("n, d, ranks, cuts", [
+    (6, 2, {5: 76, 4: 1682, 3: 10_001}, 31_444),
+    (7, 2, {6: 133, 5: 5650, 4: 10_001}, 34_028),
+    (9, 2, {8: 339, 7: 10_001}, 10_839),
+    (5, 3, {4: 250, 3: 10_001}, 12_009),
+])
+def test_candidate_weights_refuses_past_max_flats(monkeypatch, n, d, ranks, cuts):
+    """Past the shipped configurations the walk is refused as it makes flat
+    10,001 of a rank.  The flats of each rank and the `_cut` calls made
+    before the refusal are pinned, since they set its cost."""
+    calls, made = flats_by_rank(monkeypatch)
+    with pytest.raises(BoundExceededError, match=rf"^\({n}, {d}\) has more than 10000 flats at a rank$"):
+        candidate_weights(n, d)
+    assert made() == ranks
+    assert len(calls) == cuts
+
+
 def test_candidate_weights_flat_bound(monkeypatch):
     """A rank's flats are counted as they are made: (4, 2) holds 19, 76 and
     then 42 flats, so MAX_FLATS = 76 passes it and 75 refuses it partway
-    through its second rank.  (6, 2) is refused at its third rank, after 76
-    and 1,682 flats, as it makes flat 10,001."""
-    calls, made = flats_by_rank(monkeypatch)
-    with pytest.raises(BoundExceededError, match=r"^\(6, 2\) has more than 10000 flats at a rank$"):
-        candidate_weights(6, 2)
-    assert made() == {5: 76, 4: 1682, 3: 10_001}
-    calls.clear()
+    through its second rank."""
+    calls, _ = flats_by_rank(monkeypatch)
     monkeypatch.setattr(gitwalls, "MAX_FLATS", 76)  # the bound itself passes
-    candidate_weights.cache_clear()
     assert len(candidate_weights(4, 2)) == 42
     full = len(calls)
     calls.clear()

@@ -1,24 +1,25 @@
 """Hand-run mutation check of one wallcross module against its tests.
 
     python tools/mutants.py gitwalls
-    python tools/mutants.py gitwalls --lines 171,181,195 --jobs 2
+    python tools/mutants.py gitwalls --lines 171,181,195
     python tools/mutants.py stackalg --tests tests/test_stackalg.py tests/test_acceptance.py
-    python tools/mutants.py gitwalls --list
 
 Each mutant changes one site of src/wallcross/<module>.py: it swaps < and
 <=, > and >=, == and !=, + and -, or * and //, or it adds 1 to an integer
 constant 0, 1 or 2.  The module is written back by ast.unparse into a fresh
 copy of src/, and `pytest -x` runs the module's test files (by default
-tests/test_<module>.py) against that copy, `--jobs` mutants at a time.  A
+tests/test_<module>.py) against that copy, JOBS mutants at a time.  A
 baseline round-trips the module unmutated first and must pass.
 
-A mutant is killed when its run fails or times out.  A survivor listed in
-EQUIVALENT, by module, enclosing function and mutation, is reported with
-the reason it cannot change behaviour; any other survivor is a gap in the
-tests, and the exit status is 1.  Standard library only; pytest does not
-collect this file.  Background: DeMillo, Lipton and Sayward, "Hints on test
-data selection", IEEE Computer 11(4), 1978; Jia and Harman, "An analysis and
-survey of the development of mutation testing", IEEE TSE 37(5), 2011.
+A mutant is killed when its run fails or takes over TIMEOUT seconds.  A
+survivor listed in EQUIVALENT is reported with the reason it cannot change
+behaviour; any other survivor is a gap in the tests, and the exit status is
+1.  An EQUIVALENT entry of the module that matches no mutant, because its
+line was edited, stops the run with status 2 before any test runs.
+Standard library only; pytest does not collect this file.  Background:
+DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
+11(4), 1978; Jia and Harman, "An analysis and survey of the development of
+mutation testing", IEEE TSE 37(5), 2011.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+JOBS = 2
+TIMEOUT = 300
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -41,40 +44,46 @@ SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
 }
 
-# (module, enclosing function, "before -> after"): why the mutant behaves the
-# same.  A suffix " #k" marks the k-th mutant of that text in that function.
+# (module, enclosing function, stripped source line, "before -> after"): why
+# the mutant behaves the same.  A suffix " #k" marks the k-th mutant of that
+# text on that line.
+_RAYS = "extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))"
+_PAIRS = "for vp, p in side if vp > 0 for vq, q in side if vq < 0)"
+_LEAD = "return tuple(-v for v in vec) if lead < 0 else vec"
+_RJ = "sign, q = (-1, rj) if rj > 0 else (1, -rj)"
 _RAY = ("the walk reads a generator p only through a . p and positive combinations, "
         "and every direction a has entry sum 0")
 EQUIVALENT = {
-    ("gitwalls", "is_weight_vector", "v != 0 -> v != 1"):
+    ("gitwalls", "is_weight_vector", "and any(v != 0 for v in r)", "v != 0 -> v != 1"):
         "a sum-zero vector always has an entry other than 1; gcd(*r) == 1 refuses the zero vector",
-    ("gitwalls", "_primitive", "g > 1 -> g >= 1"):
+    ("gitwalls", "_primitive", "return tuple(v // g for v in vec) if g > 1 else vec",
+     "g > 1 -> g >= 1"):
         "dividing by 1 changes nothing, and g == 0 (the zero vector) still returns vec",
-    ("gitwalls", "_sign_canonical", "lead < 0 -> lead <= 0"):
+    ("gitwalls", "_sign_canonical", _LEAD, "lead < 0 -> lead <= 0"):
         "lead is nonzero there",
-    ("gitwalls", "_sign_canonical", "lead < 0 -> lead < 1"):
+    ("gitwalls", "_sign_canonical", _LEAD, "lead < 0 -> lead < 1"):
         "lead is a nonzero integer there",
-    ("gitwalls", "candidate_weights", "vp > 0 -> vp >= 0"):
+    ("gitwalls", "candidate_weights", _PAIRS, "vp > 0 -> vp >= 0"):
         "side holds only the nonzero values",
-    ("gitwalls", "candidate_weights", "vq < 0 -> vq <= 0"):
+    ("gitwalls", "candidate_weights", _PAIRS, "vq < 0 -> vq <= 0"):
         "side holds only the nonzero values",
-    ("gitwalls", "candidate_weights", "vq < 0 -> vq < 1"):
+    ("gitwalls", "candidate_weights", _PAIRS, "vq < 0 -> vq < 1"):
         "side holds only the nonzero integer values",
-    ("gitwalls", "_Search.__init__", "rj > 0 -> rj >= 0"):
+    ("gitwalls", "_Search.__init__", _RJ, "rj > 0 -> rj >= 0"):
         "r_j = 0 gives q = 0 either way, and 0 < sign * w < 0 holds for no w",
-    ("gitwalls", "_Search.__init__", "rj > 0 -> rj > 1"):
+    ("gitwalls", "_Search.__init__", _RJ, "rj > 0 -> rj > 1"):
         "r_j = 1 puts the threshold -w in (0, 1) for no integer w, either way",
     # C's extreme rays ((n + 1 - k)^k, (-k)^(n + 1 - k)) = (n + 1) 1_{<k} - k 1
-    ("gitwalls", "candidate_weights", "n + 1 - k -> n + 1 + k"):
+    ("gitwalls", "candidate_weights", _RAYS, "n + 1 - k -> n + 1 + k"):
         "(n + 1 + 2k) 1_{<k} - k 1 is a positive multiple of the ray plus a multiple of 1; " + _RAY,
-    ("gitwalls", "candidate_weights", "n + 1 -> n - 1 #2"):
+    ("gitwalls", "candidate_weights", _RAYS, "n + 1 -> n - 1"):
         "(n - 1) 1_{<k} - k 1 is the ray up to a positive factor and a multiple of 1 for n > 1, "
         "and n = 1 makes no cut; " + _RAY,
-    ("gitwalls", "candidate_weights", "n + 1 -> n + 2 #2"):
+    ("gitwalls", "candidate_weights", _RAYS, "n + 1 -> n + 2"):
         "(n + 2) 1_{<k} - k 1 is a positive multiple of the ray plus a multiple of 1; " + _RAY,
-    ("gitwalls", "candidate_weights", "n + 1 - k -> n + 1 + k #2"):
+    ("gitwalls", "candidate_weights", _RAYS, "n + 1 - k -> n + 1 + k #2"):
         "the ray gains 2k trailing entries, and zip stops at the first n + 1 wherever it is read",
-    ("gitwalls", "candidate_weights", "n + 1 -> n + 2 #3"):
+    ("gitwalls", "candidate_weights", _RAYS, "n + 1 -> n + 2 #2"):
         "the ray gains one trailing entry, and zip stops at the first n + 1 wherever it is read",
 }
 
@@ -126,11 +135,13 @@ def mutate(source: str, k: int) -> tuple[str, dict]:
         node.op = SWAPS[type(node.op)]()
     else:
         node.value += 1
-    info = {"line": node.lineno, "scope": scope[node], "change": f"{before} -> {ast.unparse(shown)}"}
+    info = {"line": node.lineno, "scope": scope[node],
+            "text": source.splitlines()[node.lineno - 1].strip(),
+            "change": f"{before} -> {ast.unparse(shown)}"}
     return ast.unparse(tree), info
 
 
-def run_tests(module: str, text: str, tests: list[str], timeout: float) -> str:
+def run_tests(module: str, text: str, tests: list[str]) -> str:
     """'passed', 'failed' or 'timeout' for the tests against src/ with
     src/wallcross/<module>.py replaced by `text`."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -140,7 +151,7 @@ def run_tests(module: str, text: str, tests: list[str], timeout: float) -> str:
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
         try:
-            done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=timeout)
+            done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timeout"
     return "passed" if done.returncode == 0 else "failed"
@@ -151,40 +162,39 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="module name under src/wallcross, e.g. gitwalls")
     parser.add_argument("--lines", help="comma-separated source lines to mutate (default all)")
     parser.add_argument("--tests", nargs="+", help="test files (default tests/test_<module>.py)")
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at a time (default 2)")
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant run")
-    parser.add_argument("--list", action="store_true", help="list the mutants, run nothing")
     args = parser.parse_args(argv)
 
     source = (ROOT / "src" / "wallcross" / f"{args.module}.py").read_text()
     tests = args.tests or [f"tests/test_{args.module}.py"]
     lines = {int(v) for v in args.lines.split(",")} if args.lines else None
     mutants = [mutate(source, k) for k in range(len(sites(ast.parse(source))))]
-    seen: dict[tuple[str, str], int] = {}
+    seen: dict[tuple[str, str, str], int] = {}
     for _, info in mutants:
-        nth = seen[key] = seen.get(key := (info["scope"], info["change"]), 0) + 1
+        nth = seen[key] = seen.get(key := (info["scope"], info["text"], info["change"]), 0) + 1
         info["change"] += f" #{nth}" if nth > 1 else ""
+    keys = {(args.module, info["scope"], info["text"], info["change"]) for _, info in mutants}
+    stale = [key for key in EQUIVALENT if key[0] == args.module and key not in keys]
+    for key in stale:
+        print(f"EQUIVALENT entry matches no mutant: {key}", file=sys.stderr)
+    if stale:
+        return 2
     mutants = [(text, info) for text, info in mutants if lines is None or info["line"] in lines]
-    if args.list:
-        for _, info in mutants:
-            print(f"{info['line']:4d} {info['scope']}: {info['change']}")
-        return 0
-    if run_tests(args.module, ast.unparse(ast.parse(source)), tests, args.timeout) != "passed":
+    if run_tests(args.module, ast.unparse(ast.parse(source)), tests) != "passed":
         print("baseline: the round-tripped, unmutated module fails its tests", file=sys.stderr)
         return 2
 
     def one(mutant):
         text, info = mutant
-        return info, run_tests(args.module, text, tests, args.timeout)
+        return info, run_tests(args.module, text, tests)
 
     unexplained = 0
     counts = {"failed": 0, "timeout": 0, "passed": 0}
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         for info, outcome in pool.map(one, mutants):
             counts[outcome] += 1
             if outcome != "passed":
                 continue
-            reason = EQUIVALENT.get((args.module, info["scope"], info["change"]))
+            reason = EQUIVALENT.get((args.module, info["scope"], info["text"], info["change"]))
             unexplained += reason is None
             label = f"equivalent ({reason})" if reason else "SURVIVED"
             print(f"{info['line']:4d} {info['scope']}: {info['change']}  {label}")
