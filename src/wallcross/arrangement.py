@@ -358,15 +358,8 @@ def render(product: ProductArrangement | SymmetricFolding, fmt: str) -> str:
 
 
 def _render_text(arr: ProductArrangement, folding: SymmetricFolding | None) -> str:
-    """The report; the orbit rows come first, so a disagreement raises before any line."""
-    rows = []
-    for j in range(arr.k + 1) if folding is not None else ():
-        direct, burnside = folding.orbit_count(j), folding.burnside_orbit_count(j)
-        if direct != burnside:
-            raise ConsistencyError(
-                f"codim-{j} orbit counts disagree: {direct} (enumeration), {burnside} (burnside)"
-            )
-        rows.append(f"codim-{j} orbits: {direct} (enumeration) = {burnside} (burnside)")
+    """The report; a folding adds its grouping and its orbit counts, taken two
+    ways and refused with a ConsistencyError where they disagree."""
     counts = arr.cell_counts
     lines = [
         "families: " + ", ".join(fid for fid, _ in arr.factors),
@@ -386,7 +379,13 @@ def _render_text(arr: ProductArrangement, folding: SymmetricFolding | None) -> s
             for part in folding.grouping
         )
         by_id = " by family id" if folding.grouping == grouping_by_id(arr) else ""
-        lines += [f"folding{by_id}: {groups}", *rows]
+        lines.append(f"folding{by_id}: {groups}")
+        for j in range(arr.k + 1):
+            direct, burnside = folding.orbit_count(j), folding.burnside_orbit_count(j)
+            if direct != burnside:
+                raise ConsistencyError(f"codim-{j} orbit counts disagree: {direct} (enumeration), "
+                                       f"{burnside} (burnside)")
+            lines.append(f"codim-{j} orbits: {direct} (enumeration) = {burnside} (burnside)")
     return "\n".join(lines) + "\n"
 
 

@@ -63,7 +63,7 @@ def _iso_classes(text: str) -> tuple[frozenset[str], ...]:
         if len(names) < 2:
             raise argparse.ArgumentTypeError(f"iso pair {pair!r} needs two distinct ids")
         touching = [cls for cls in classes if cls & names]
-        merged = set(names).union(*touching) if touching else set(names)
+        merged = names.union(*touching)
         classes = [cls for cls in classes if not cls & names] + [merged]
     return tuple(frozenset(cls) for cls in classes)
 
@@ -111,7 +111,7 @@ def _cmd_chamber(args, registry) -> tuple[int, str]:
 def _cmd_stack(args, registry) -> tuple[int, str]:
     from . import stackalg
 
-    iso = args.iso or ()
+    iso = args.iso
     _records(registry, [*args.factors, *(fid for cls in iso for fid in cls)])
     descriptor = stackalg.canonicalize(list(args.factors), iso, stackalg.point_ids(registry))
     kind = None
@@ -133,7 +133,7 @@ def _cmd_git_walls(args, registry) -> tuple[int, str]:
                                "only degree 3 is recomputed")
     from . import gitwalls
 
-    reference = registry["dp3"].t_walls if "dp3" in registry else None
+    reference = registry["dp3"].t_walls  # an overlay can replace dp3, not remove it
     doc = gitwalls.wall_report(3, 3)
     match = reference is not None and doc["walls"] == reference.to_json()
     if args.format == "json":

@@ -97,18 +97,18 @@ SUPPORTED = (3, 3)
 def monomials(n: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d exponent tuples in n + 1 variables, x_0-dominant first.
 
-    Each pass splits the last exponent e into (f, e - f), f descending; the
-    order stays descending lex, since tuples of equal degree first differ
-    before their last entry.
+    Multisets of d variable indices come in lex order, so their exponent
+    tuples come in descending lex order: where two multisets first differ,
+    the earlier holds more of the smaller index, and equally many of each
+    index below it.
     """
     if n < 1 or d < 1:
         raise UnsupportedError(f"need n >= 1 and d >= 1, got ({n}, {d})")
     if (count := comb(n + d, n)) > MAX_MONOMIALS:  # counted before any is built
         raise UnsupportedError(f"({n}, {d}) has {count} monomials, above the bound {MAX_MONOMIALS}")
-    out = [(d,)]
-    for _ in range(n):
-        out = [(*m[:-1], f, m[-1] - f) for m in out for f in range(m[-1], -1, -1)]
-    return tuple(out)
+    variables = range(n + 1)
+    return tuple(tuple(map(c.count, variables))
+                 for c in itertools.combinations_with_replacement(variables, d))
 
 
 def is_weight_vector(r: tuple[int, ...]) -> bool:

@@ -144,24 +144,21 @@ def classify_product_map(factors, iso=()) -> MapKind:
 
 
 def _closure(generators: tuple[tuple[int, ...], ...], n: int) -> frozenset[tuple[int, ...]]:
-    """Generated permutation group by breadth-first products gen after g."""
+    """Generated permutation group by breadth-first products gen after g; the
+    bound is checked before each new element is added."""
     identity = tuple(range(n))
     elements = {identity}
-    frontier = [identity]
+    queue = [identity]
     gets = [gen.__getitem__ for gen in generators]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for get in gets:
-                h = tuple(map(get, g))  # (gen after g)(i) = gen[g[i]]
-                if h not in elements:
-                    if len(elements) >= MAX_GROUP_ORDER:
-                        raise GroupTooLargeError(
-                            f"generated group exceeds order bound {MAX_GROUP_ORDER}"
-                        )
-                    elements.add(h)
-                    nxt.append(h)
-        frontier = nxt
+    for g in queue:  # the queue grows while it is walked, as in orbit_partition
+        for get in gets:
+            h = tuple(map(get, g))  # (gen after g)(i) = gen[g[i]]
+            if h not in elements:
+                if len(elements) >= MAX_GROUP_ORDER:
+                    raise GroupTooLargeError(
+                        f"generated group exceeds order bound {MAX_GROUP_ORDER}")
+                elements.add(h)
+                queue.append(h)
     return frozenset(elements)
 
 
