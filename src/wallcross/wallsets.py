@@ -174,6 +174,7 @@ _FIELDS = ("dimension", "volume", "moduli_note", "hilbert", "c_walls", "t_walls"
 def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
     """One record from overlay data; any refusal keeps its type and names the record."""
     try:
+        data = _objects(data)
         if not isinstance(data, dict):
             raise ValueError("not a JSON object")
         if unknown := sorted(data.keys() - set(_FIELDS)):
@@ -201,14 +202,22 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
         raise
 
 
-def _unique_keys(pairs: list) -> dict:
-    """object_pairs_hook for json.load: a key repeated in one object is refused."""
+def _unique_keys(pairs, what: str = "") -> dict:
+    """One JSON object from its (key, value) pairs; a repeated key is refused."""
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"registry overlay repeats key {key!r}")
+            raise ValueError(f"{what}repeats key {key!r}")
         out[key] = value
     return out
+
+
+def _objects(value):
+    """A value as json.load(object_pairs_hook=tuple) gives it, each object a dict."""
+    if isinstance(value, tuple):
+        value = _unique_keys(value)
+        return dict(zip(value, map(_objects, value.values())))  # one frame per level
+    return list(map(_objects, value)) if isinstance(value, list) else value
 
 
 def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, FamilyRecord]:
@@ -216,7 +225,8 @@ def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, Fa
 
     The overlay maps family ids to objects with fields {dimension, volume,
     c_walls, t_walls, reparam, hilbert, moduli_note} and no other, no key
-    repeated; rationals are "p/q" strings or ints, reparam is the integer
+    repeated in one object (a repeat inside a record, at any depth, is
+    refused in the record's name, as every record fault is); rationals are "p/q" strings or ints, reparam is the integer
     coefficient list [a, b, c, d], hilbert is constant-first.  The built-in
     families are such records too, decoded by the same _record_from_json.  An
     overlay record replaces a built-in record of the same id wholesale, in its
@@ -226,9 +236,10 @@ def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, Fa
     registry = {fid: _record_from_json(fid, data) for fid, data in _BUILTIN.items()}
     if overlay_path is not None:
         with open(overlay_path) as f:
-            raw = json.load(f, object_pairs_hook=_unique_keys)
-        if not isinstance(raw, dict):
+            raw = json.load(f, object_pairs_hook=tuple)  # objects stay pairs: a record reads its own
+        if not isinstance(raw, tuple):
             raise ValueError("registry overlay must be a JSON object keyed by family id")
-        for family_id in sorted(raw):
-            registry[family_id] = _record_from_json(family_id, raw[family_id])
+        overlay = _unique_keys(raw, "registry overlay ")
+        for family_id in sorted(overlay):
+            registry[family_id] = _record_from_json(family_id, overlay[family_id])
     return registry

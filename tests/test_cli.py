@@ -689,6 +689,13 @@ def test_broken_overlay_is_computation_error(capsys, tmp_path):
     assert "dimension 3000 above the bound 100" in err
 
 
+@pytest.mark.parametrize("where, key", [("field", "volume"), ("nested", "a")])
+def test_repeated_key_in_record_names_the_record(capsys, data_dir, where, key):
+    path = data_dir / f"overlay_repeated_{where}.json"
+    code, out, err = run(capsys, "walls", "--family", "dp3", "--registry", str(path))
+    assert (code, out, err) == (2, "", f"error: registry record 'toy': repeats key {key!r}\n")
+
+
 @pytest.mark.parametrize("fold", [False, True])
 def test_product_text_enumerates_each_codim_at_most_twice(capsys, monkeypatch, fold):
     calls = []

@@ -383,23 +383,25 @@ def test_overlay_refusals_name_the_record(tmp_path, record, error, message):
 
 
 @pytest.mark.parametrize(
-    "text, key",
+    "text, message",
     [
         # json.dumps never repeats a key, so these files are written by hand
-        (f'{{"toy": {json.dumps(TOY)}, "toy": {json.dumps(TOY)}}}', "toy"),
-        ('{"toy": {"dimension": 1, "volume": 2, "volume": 3}}', "volume"),
-        ('{"toy": {"hilbert": [{"a": 1, "a": 1}]}}', "a"),
+        (f'{{"toy": {json.dumps(TOY)}, "toy": {json.dumps(TOY)}}}',
+         "registry overlay repeats key 'toy'"),
+        ('{"toy": {"dimension": 1, "volume": 2, "volume": 3}}',
+         "registry record 'toy': repeats key 'volume'"),
+        ('{"toy": {"hilbert": [{"a": 1, "a": 1}]}}', "registry record 'toy': repeats key 'a'"),
     ],
     ids=["record", "field", "nested"],
 )
-def test_overlay_refuses_repeated_keys(tmp_path, text, key):
-    """A repeated key at any level is refused while the file is parsed; json.load
-    alone would keep the last one."""
+def test_overlay_refuses_repeated_keys(tmp_path, text, message):
+    """A repeated key at any level is refused, where json.load alone would keep
+    the last one; a repeat inside a record names the record."""
     path = tmp_path / "overlay.json"
     path.write_text(text)
     with pytest.raises(ValueError) as info:
         load_registry(path)
-    assert str(info.value) == f"registry overlay repeats key {key!r}"
+    assert str(info.value) == message
 
 
 def test_overlay_dimension_bound_precedes_arithmetic(tmp_path, monkeypatch):
