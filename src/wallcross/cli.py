@@ -63,8 +63,7 @@ def _iso_classes(text: str) -> tuple[frozenset[str], ...]:
         if len(names) < 2:
             raise argparse.ArgumentTypeError(f"iso pair {pair!r} needs two distinct ids")
         touching = [cls for cls in classes if cls & names]
-        merged = names.union(*touching)
-        classes = [cls for cls in classes if not cls & names] + [merged]
+        classes = [cls for cls in classes if not cls & names] + [names.union(*touching)]
     return tuple(frozenset(cls) for cls in classes)
 
 
@@ -111,14 +110,14 @@ def _cmd_chamber(args, registry) -> tuple[int, str]:
 def _cmd_stack(args, registry) -> tuple[int, str]:
     from . import stackalg
 
-    iso = args.iso
-    _records(registry, [*args.factors, *(fid for cls in iso for fid in cls)])
-    descriptor = stackalg.canonicalize(list(args.factors), iso, stackalg.point_ids(registry))
+    _records(registry, [*args.factors, *(fid for cls in args.iso for fid in cls)])
+    descriptor = stackalg.canonicalize(list(args.factors), args.iso, stackalg.point_ids(registry))
     kind = None
     if len(args.factors) == 2:
-        kind = stackalg.classify_product_map(list(args.factors), iso)
+        kind = stackalg.classify_product_map(list(args.factors), args.iso)
     if args.format == "json":
-        return 0, _json({"factors": list(args.factors), "iso": sorted(sorted(cls) for cls in iso),
+        return 0, _json({"factors": list(args.factors),
+                         "iso": sorted(sorted(cls) for cls in args.iso),
                          "descriptor": descriptor.to_json(),
                          "product_map": kind.value if kind else None})
     lines = ["factors: " + ", ".join(args.factors), f"descriptor: {descriptor}"]

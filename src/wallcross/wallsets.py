@@ -216,7 +216,8 @@ def _objects(value):
     """A value as json.load(object_pairs_hook=tuple) gives it, each object a dict."""
     if isinstance(value, tuple):
         value = _unique_keys(value)
-        return dict(zip(value, map(_objects, value.values())))  # one frame per level
+        # one frame per nesting level, as json.load's own parser takes
+        return dict(zip(value, map(_objects, value.values())))
     return list(map(_objects, value)) if isinstance(value, list) else value
 
 
@@ -226,8 +227,9 @@ def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, Fa
     The overlay maps family ids to objects with fields {dimension, volume,
     c_walls, t_walls, reparam, hilbert, moduli_note} and no other, no key
     repeated in one object (a repeat inside a record, at any depth, is
-    refused in the record's name, as every record fault is); rationals are "p/q" strings or ints, reparam is the integer
-    coefficient list [a, b, c, d], hilbert is constant-first.  The built-in
+    refused in the record's name, as every record fault is); rationals are
+    "p/q" strings or ints, reparam is the integer coefficient list
+    [a, b, c, d], hilbert is constant-first.  The built-in
     families are such records too, decoded by the same _record_from_json.  An
     overlay record replaces a built-in record of the same id wholesale, in its
     place; new ids follow in sorted order.  A missing t_walls is the image of
@@ -236,7 +238,7 @@ def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, Fa
     registry = {fid: _record_from_json(fid, data) for fid, data in _BUILTIN.items()}
     if overlay_path is not None:
         with open(overlay_path) as f:
-            raw = json.load(f, object_pairs_hook=tuple)  # objects stay pairs: a record reads its own
+            raw = json.load(f, object_pairs_hook=tuple)  # pairs, so each record reads its own
         if not isinstance(raw, tuple):
             raise ValueError("registry overlay must be a JSON object keyed by family id")
         overlay = _unique_keys(raw, "registry overlay ")

@@ -369,6 +369,7 @@ TOY = {"dimension": 1, "volume": 2, "moduli_note": "toy line", "hilbert": ["1", 
          "(x)/(2x - 1) has a pole at 1/2"),
         (dict(TOY, c_wals=["1/3"]), ValueError, "unknown field(s): c_wals"),
         (dict(TOY, walls=[], c_wals=["1/3"]), ValueError, "unknown field(s): c_wals, walls"),
+        ({"dimension": 1, "hilbert": ["1", "2"]}, ValueError, "missing field(s): volume, moduli_note"),
     ],
 )
 def test_overlay_refusals_name_the_record(tmp_path, record, error, message):

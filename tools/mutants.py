@@ -53,6 +53,12 @@ _LEAD = "return tuple(-v for v in vec) if lead < 0 else vec"
 _RJ = "sign, q = (-1, rj) if rj > 0 else (1, -rj)"
 _RAY = ("the walk reads a generator p only through a . p and positive combinations, "
         "and every direction a has entry sum 0")
+_GCD = "g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)"
+_SLOTS = "part_of, later = [0] * k, [0] * k  # each slot's part, and its part's slots after it"
+_PARTITION = "the parts partition the slots, so the loop below overwrites every entry"
+_FRAGS = "for p in range(2 * max(arr.wall_counts, default=0) + 1)].__getitem__"
+_LONGER = ("the fragment list only grows, and a cell reads positions up to "
+           "2 max(wall_counts) alone")
 EQUIVALENT = {
     ("gitwalls", "is_weight_vector", "and any(v != 0 for v in r)", "v != 0 -> v != 1"):
         "a sum-zero vector always has an entry other than 1; gcd(*r) == 1 refuses the zero vector",
@@ -85,6 +91,28 @@ EQUIVALENT = {
         "the ray gains 2k trailing entries, and zip stops at the first n + 1 wherever it is read",
     ("gitwalls", "candidate_weights", _RAYS, "n + 1 -> n + 2 #2"):
         "the ray gains one trailing entry, and zip stops at the first n + 1 wherever it is read",
+    ("exactq", "MoebiusMap.__init__", _GCD, "(a or b) < 0 -> (a or b) <= 0"):
+        "a = b = 0 makes the determinant 0, refused above, so a or b is nonzero",
+    ("exactq", "MoebiusMap.__init__", _GCD, "(a or b) < 0 -> (a or b) < 1"):
+        "a = b = 0 makes the determinant 0, refused above, so a or b is a nonzero integer",
+    ("exactq", "_linear_str", 'sign = "+" if q > 0 else "-"', "q > 0 -> q >= 0"):
+        "q == 0 has returned above",
+    ("arrangement", "_lex_walk", _SLOTS, "[0] * k -> [1] * k"): _PARTITION,
+    ("arrangement", "_lex_walk", _SLOTS, "[0] * k -> [1] * k #2"): _PARTITION,
+    ("arrangement", "_lex_walk.walk", "nxt = lasts[:n] + (p if later[i] else 0,) + lasts[n + 1 :]",
+     "p if later[i] else 0 -> p if later[i] else 1"):
+        "later[i] == 0 closes the part, whose last value no later slot reads; the constant "
+        "stands for every closed part in the memo keys, 0 and 1 alike",
+    ("arrangement", "SymmetricFolding.orbits",
+     "multi, orbits = [part for part in self.grouping if len(part) > 1], []",
+     "len(part) > 1 -> len(part) >= 1"):
+        "a one-slot part multiplies size by 1 // 1",
+    ("arrangement", "_render_json.coords_writer", _FRAGS,
+     "2 * max(arr.wall_counts, default=0) -> 3 * max(arr.wall_counts, default=0)"): _LONGER,
+    ("arrangement", "_render_json.coords_writer", _FRAGS, "default=0 -> default=1"): _LONGER,
+    ("arrangement", "_render_json.coords_writer", _FRAGS,
+     "2 * max(arr.wall_counts, default=0) + 1 -> 2 * max(arr.wall_counts, default=0) + 2"):
+        _LONGER,
 }
 
 

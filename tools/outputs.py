@@ -25,9 +25,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
-sys.path.insert(0, str(ROOT / "src"))
-
-from wallcross.cli import main  # noqa: E402
 
 COMMANDS = """
 walls --family dp3
@@ -122,6 +119,8 @@ def _sha256(text: str) -> str:
 
 def outcome(argv: list[str]) -> dict:
     """Exit code and stdout/stderr digests of one in-process command."""
+    from wallcross.cli import main
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -143,4 +142,5 @@ def manifest() -> dict:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, installed or not
     print(json.dumps(manifest(), indent=2, sort_keys=True))
