@@ -274,8 +274,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        return 0 if exc.code in (0, None) else 1
+    except SystemExit:  # --help: _Parser.error takes every other exit
+        return 0
     try:
         code, out = args.func(args, wallsets.load_registry(args.registry))
     except (WallcrossError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError

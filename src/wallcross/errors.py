@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-Every error raised by library code derives from WallcrossError so callers
-(and the CLI) can distinguish computation failures from programming bugs.
+Library code refuses in two families.  A ValueError means malformed input:
+a value that is not a rational, an overlay record with a bad field, walls
+out of order.  A WallcrossError subclass means a valid input asks for what
+cannot be done: a pole, a missing wall table, a bound exceeded, a failed
+cross-check.  The CLI exits 2 on either; anything else (TypeError and
+AttributeError from Python's own protocols among them) is a programming bug.
 """
 
 

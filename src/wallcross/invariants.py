@@ -16,8 +16,8 @@ lead(chi1 * chi2) = (V1/n1!) * (V2/n2!) forces the binomial in the volume.
 
 Polynomials are tuples of Fractions, constant term first, no trailing zeros.
 FanoNumerics trims its polynomial once, at construction, and the checks and
-the product read it as stored.  poly_mul trims, then convolves integer
-numerators over common denominators into one Fraction per coefficient.
+the product read it as stored, convolving integer numerators over common
+denominators into one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -44,17 +44,13 @@ def poly_trim(coeffs) -> Polynomial:
     return tuple(out) if out else (Fraction(0),)
 
 
-def poly_mul(f, g) -> Polynomial:
-    return _convolve(poly_trim(f), poly_trim(g))
-
-
 def _convolve(f: Polynomial, g: Polynomial) -> Polynomial:
     """f * g for trimmed f and g, over integer numerators."""
     fd, gd = lcm(*[c.denominator for c in f]), lcm(*[c.denominator for c in g])
-    fn = [c.numerator * (fd // c.denominator) for c in f]
     gn = [c.numerator * (gd // c.denominator) for c in g]
-    out = [0] * (len(fn) + len(gn) - 1)
-    for i, a in enumerate(fn):
+    out = [0] * (len(f) + len(gn) - 1)
+    for i, c in enumerate(f):
+        a = c.numerator * (fd // c.denominator)
         for j, b in enumerate(gn, i):
             out[j] += a * b
     den = fd * gd  # trimmed leads multiply to zero only for a zero factor

@@ -30,7 +30,6 @@ import enum
 import itertools
 from fractions import Fraction
 from math import comb
-from operator import add
 
 from .errors import ArityError, BoundExceededError, ConsistencyError, GroupTooLargeError
 from .exactq import Value
@@ -251,11 +250,9 @@ def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroup
     if order > MAX_GROUP_ORDER:
         raise GroupTooLargeError(f"product group order {order} exceeds bound {MAX_GROUP_ORDER}")
     carrier = tuple(itertools.product(a.carrier, b.carrier))
-    chain, starts = itertools.chain.from_iterable, [i * nb for i in range(na)]
-    rows = [range(s, s + nb) for s in starts]  # pair (i, j) is index i * nb + j
-    shift = list(chain(map(itertools.repeat, starts, itertools.repeat(nb))))  # i * nb at (i, j)
-    gens = [tuple(chain(map(rows.__getitem__, g))) for g in a.generators]
-    gens += [tuple(map(add, h * na, shift)) for h in b.generators]
+    starts, cols = [i * nb for i in range(na)], range(nb)  # pair (i, j) is index i * nb + j
+    gens = [tuple(starts[x] + j for x in g for j in cols) for g in a.generators]
+    gens += [tuple(s + y for s in starts for y in h) for h in b.generators]
     prod = object.__new__(FiniteGroupoidModel)  # lifts of permutations need no check
     prod.__dict__.update(carrier=carrier, generators=tuple(gens))
     return prod

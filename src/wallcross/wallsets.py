@@ -200,6 +200,8 @@ def _record_from_json(family_id: str, data: dict) -> FamilyRecord:
     except (ValueError, WallcrossError) as exc:
         exc.args = (f"registry record {family_id!r}: {exc}",)
         raise
+    except RecursionError:
+        raise ValueError(f"registry record {family_id!r}: nested too deeply") from None
 
 
 def _unique_keys(pairs, what: str = "") -> dict:
@@ -238,7 +240,10 @@ def load_registry(overlay_path: str | os.PathLike | None = None) -> dict[str, Fa
     registry = {fid: _record_from_json(fid, data) for fid, data in _BUILTIN.items()}
     if overlay_path is not None:
         with open(overlay_path) as f:
-            raw = json.load(f, object_pairs_hook=tuple)  # pairs, so each record reads its own
+            try:
+                raw = json.load(f, object_pairs_hook=tuple)  # pairs, so each record reads its own
+            except RecursionError:
+                raise ValueError("registry overlay nested too deeply") from None
         if not isinstance(raw, tuple):
             raise ValueError("registry overlay must be a JSON object keyed by family id")
         overlay = _unique_keys(raw, "registry overlay ")

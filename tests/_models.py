@@ -1,7 +1,7 @@
 """Seeded random permutation models shared by the groupoid test suites,
 brute-force oracles for the closed forms that `stackalg` computes, the
 per-entry lifts that `product_model`'s generators must match, the
-plain `Fraction` polynomial product that `invariants.poly_mul` must match,
+plain `Fraction` polynomial product that `invariants._convolve` must match,
 the unpruned probe walk and the kernel oracle that `gitwalls.candidate_weights`
 must match, the per-point fingerprint that the wall sweep's chamber samples
 must match (by the stability test `stability_mask` and the from-scratch
@@ -177,7 +177,7 @@ def poly_trim_oracle(coeffs) -> Polynomial:
 
 
 def poly_mul_oracle(f, g) -> Polynomial:
-    """`poly_mul` as the convolution of the trimmed inputs in `Fraction`s."""
+    """f * g as the convolution of the trimmed inputs in `Fraction`s."""
     f, g = poly_trim_oracle(f), poly_trim_oracle(g)
     out = [Fraction(0)] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):

@@ -15,13 +15,12 @@ from math import comb, factorial
 from pathlib import Path
 
 import wallcross.gitwalls as gitwalls
-from _models import assert_product_laws, random_model_pair
+from _models import assert_product_laws, poly_mul_oracle, random_model_pair
 from wallcross.arrangement import SymmetricFolding, build_product, crossing_graph, render
 from wallcross.cli import main
 from wallcross.invariants import (
     FanoNumerics,
     consistency_check,
-    poly_mul,
     product_numerics,
 )
 from wallcross.stackalg import (
@@ -173,7 +172,7 @@ def test_criterion_7_volume_hilbert_identity(capsys):
         product = product_numerics(a, b)
         n, vol = product.dimension, product.volume
         assert vol == comb(n, a.dimension) * a.volume * b.volume
-        assert factorial(n) * poly_mul(a.hilbert, b.hilbert)[-1] == vol
+        assert factorial(n) * poly_mul_oracle(a.hilbert, b.hilbert)[-1] == vol
         assert consistency_check(product) == []
         checked += 1
     assert checked == len(records) ** 2
@@ -196,7 +195,7 @@ def test_criterion_7_volume_hilbert_identity(capsys):
         a, b = nums
         product = product_numerics(a, b)
         n, vol = product.dimension, product.volume
-        assert factorial(n) * poly_mul(a.hilbert, b.hilbert)[-1] == vol
+        assert factorial(n) * poly_mul_oracle(a.hilbert, b.hilbert)[-1] == vol
         assert vol == comb(n, a.dimension) * a.volume * b.volume
         assert consistency_check(product) == []
     with capsys.disabled():

@@ -66,7 +66,9 @@ def test_walls_errors(capsys):
 
 def test_help_and_unknown_verb(capsys):
     code, out, _ = run(capsys, "--help")
-    assert code == 0 and "walls" in out
+    assert code == 0 and "walls" in out and "Command-line front end." in out
+    code, out, _ = run(capsys, "walls", "--help")
+    assert code == 0 and "--family" in out
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
 
@@ -647,19 +649,16 @@ def test_registry_overlay_round_trip(capsys, tmp_path):
     assert code == 0 and "codim-0 cells: 3" in out
 
 
-def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+def test_readme_examples_run(capsys, data_dir, monkeypatch):
     """Each `wallcross ...` line of the README's CLI examples exits 0 with
     empty stderr, and a line with an inline comment prints exactly that
-    comment.  A `> file` redirect is dropped, and the overlay line reads a
-    my_families.json that defines toy."""
+    comment.  A `> file` redirect is dropped, and the lines run from
+    tests/data, so the overlay line reads the manifest's my_families.json."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI examples\n\n```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("wallcross ")]
     assert len(lines) == 15
-    monkeypatch.chdir(tmp_path)
-    toy = {"dimension": 1, "volume": 2, "moduli_note": "toy line", "hilbert": ["1", "2"],
-           "c_walls": ["1/3", "1/2"]}
-    (tmp_path / "my_families.json").write_text(json.dumps({"toy": toy}))
+    monkeypatch.chdir(data_dir)
     for line in lines:
         command, _, comment = line.partition("#")
         argv = shlex.split(command)[1:]

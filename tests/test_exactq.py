@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wallcross.arrangement import ProductArrangement
 from wallcross.errors import DegenerateMapError, PoleError, WallcrossError
 from wallcross.exactq import MoebiusMap, format_rational, parse_rational
-from wallcross.invariants import FanoNumerics, poly_mul, poly_trim
+from wallcross.invariants import FanoNumerics, poly_trim
 from wallcross.wallsets import FamilyRecord, WallSet
 
 
@@ -61,7 +61,6 @@ GATE_ENTRIES = {
     "poly_trim": lambda x: poly_trim((1, x)),
     "FanoNumerics.volume": lambda x: FanoNumerics(1, x, (1,)),
     "ProductArrangement.locate": lambda x: SQUARE.locate((Fraction(1, 3), x)),
-    "poly_mul": lambda x: poly_mul((x,), (1, 1)),
 }
 
 

@@ -11,8 +11,8 @@ from _models import poly_mul_oracle
 from wallcross.invariants import (
     MAX_DIMENSION,
     FanoNumerics,
+    _convolve,
     consistency_check,
-    poly_mul,
     poly_trim,
     product_numerics,
 )
@@ -42,7 +42,7 @@ def test_poly_helpers():
     assert poly_trim([]) == (F(0),)
     assert poly_trim([0, 0]) == (F(0),)
     assert poly_trim((F(1), F(0), F(2), 0))[-1] == 2  # the lead
-    assert poly_mul((F(1), F(1)), (F(1), F(1))) == (F(1), F(2), F(1))
+    assert _convolve(poly_trim([1, 1]), poly_trim([1, 1])) == (F(1), F(2), F(1))
     assert poly_trim(["1", "3/2", "3/2"]) == (F(1), F(3, 2), F(3, 2))
     assert poly_trim([1, "7/2", "0"]) == (F(1), F(7, 2))
 
@@ -72,7 +72,7 @@ def test_poly_mul_matches_pointwise_products():
     for _ in range(100):
         f = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
         g = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
-        h = poly_mul(f, g)
+        h = _convolve(poly_trim(f), poly_trim(g))
         for x in (F(0), F(1), F(-2), F(1, 3), F(7, 5)):
             values = [sum(c * x**i for i, c in enumerate(p)) for p in (h, f, g)]
             assert values[0] == values[1] * values[2]
@@ -92,7 +92,7 @@ polynomials = st.lists(coefficients, max_size=5)
 @example([1, F(1, 3), 0, 0], [0, F(3, 4), 0])
 @example([F(2, 3), F(5, 6)], [F(3, 4), F(-7, 10), F(1, 9)])
 def test_poly_mul_matches_fraction_convolution(f, g):
-    got = poly_mul(f, g)
+    got = _convolve(poly_trim(f), poly_trim(g))
     assert got == poly_mul_oracle(f, g)
     assert all(type(c) is Fraction for c in got)
 

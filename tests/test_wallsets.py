@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _models import hand_built_registry
-from wallcross import cli, invariants
+from wallcross import cli, invariants, wallsets
 from wallcross.arrangement import ProductArrangement, cell_json, cell_str
 from wallcross.errors import MissingDataError, OutOfRangeError, PoleError
 from wallcross.exactq import MoebiusMap
@@ -403,6 +403,26 @@ def test_overlay_refuses_repeated_keys(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         load_registry(path)
     assert str(info.value) == message
+
+
+def test_overlay_nested_too_deeply_is_refused(data_dir):
+    """Nesting past the interpreter's recursion limit is a ValueError, not a
+    RecursionError: from json.load for the committed overlay, whose 20,000
+    levels pass the parser's own limit on every supported Python (10,000 on
+    3.13), so its manifest entry is the same on each; and from the decoder,
+    in the record's name, for a record that json.load returned (from Python
+    3.12 on, json.load counts its depth apart from the interpreter's frames
+    and parses deeper than the decoder can walk)."""
+    with pytest.raises(ValueError) as info:
+        load_registry(data_dir / "overlay_deep.json")
+    assert str(info.value) == "registry overlay nested too deeply"
+    hilbert = ["1"]
+    for _ in range(5000):
+        hilbert = [hilbert]
+    record = tuple(dict(TOY, hilbert=hilbert).items())  # as object_pairs_hook=tuple gives it
+    with pytest.raises(ValueError) as info:
+        wallsets._record_from_json("toy", record)
+    assert str(info.value) == "registry record 'toy': nested too deeply"
 
 
 def test_overlay_dimension_bound_precedes_arithmetic(tmp_path, monkeypatch):
