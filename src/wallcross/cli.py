@@ -31,6 +31,9 @@ from .errors import ConsistencyError, MissingDataError, UnsupportedError, Wallcr
 from .exactq import format_rational, parse_rational
 
 
+MAX_ERROR_LINE = 1000  # characters of an error line; a longer one keeps its head
+
+
 class _UsageError(Exception):
     pass
 
@@ -267,19 +270,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _error(line: str) -> None:
+    """Write one error line to stderr, cut to MAX_ERROR_LINE characters and
+    marked " [...]" if longer; its head names the record and the fault."""
+    cut = line[: MAX_ERROR_LINE - 6] + " [...]"
+    print(line if len(line) <= MAX_ERROR_LINE else cut, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _error(f"usage error: {exc}")
         return 1
     except SystemExit:  # --help: _Parser.error takes every other exit
         return 0
     try:
         code, out = args.func(args, wallsets.load_registry(args.registry))
     except (WallcrossError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 3 if isinstance(exc, ConsistencyError) else 2
     sys.stdout.write(out)
     return code

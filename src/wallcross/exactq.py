@@ -55,7 +55,7 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     Strings in any other shape (floats, inner or non-ASCII blanks, empty),
     floats, Decimals and bools (JSON true/false) are rejected so bad inputs fail loudly.
     """
-    if type(value) is Fraction:  # first, so hot callers pay no ABC check
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value.strip(" \t\r\n"))
@@ -64,8 +64,6 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
             if q == 0:
                 raise ValueError(f"zero denominator in rational literal {value!r}")
             return Fraction(p, q)
-    elif isinstance(value, Fraction):
-        return value
     elif isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"not a rational literal: {value!r}")

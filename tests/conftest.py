@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,14 @@ def registry():
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture(scope="session")
+def tool():
+    """tool("outputs") loads tools/outputs.py as a module; pytest does not collect the tools."""
+    def load(name: str):
+        spec = importlib.util.spec_from_file_location(name, DATA_DIR.parents[1] / "tools" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load

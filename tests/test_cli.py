@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 import wallcross
 from wallcross import arrangement, gitwalls, invariants
-from wallcross.cli import _build_parser, main, main_entry
+from wallcross.cli import MAX_ERROR_LINE, _build_parser, main, main_entry
 from wallcross.errors import ConsistencyError
 from wallcross.exactq import MoebiusMap
 from wallcross.invariants import FanoNumerics
@@ -194,16 +193,6 @@ def test_product_fold_matches_golden(capsys, data_dir, fmt, golden):
     )
     assert code == 0
     assert out == (data_dir / golden).read_text()  # orbit order and labels
-
-
-def test_product_json_dp3_4_fold_matches_digest_golden(capsys, data_dir):
-    golden = json.loads((data_dir / "product_dp3_4_fold.json").read_text())
-    argv = ["product", "--families", ",".join(golden["families"]), "--space", golden["space"]]
-    code, out, _ = run(capsys, *argv, "--fold", "--format", "json")
-    assert code == 0 and golden["fold"]
-    data = out.encode()
-    assert len(data) == golden["bytes"] == 5_391_850
-    assert hashlib.sha256(data).hexdigest() == golden["sha256"]
 
 
 def test_product_fold_bound_error_leaves_stdout_empty(capsys):
@@ -474,25 +463,15 @@ def test_git_walls_registry_only_degrees(capsys):
     assert "degree 4 is registry-only" in err
 
 
-ONE_WALL_DP3 = {
-    "dp3": {
-        "dimension": 2,
-        "volume": 3,
-        "moduli_note": "deliberately wrong walls: a single c-wall",
-        "hilbert": ["1", "3/2", "3/2"],
-        "c_walls": ["1/2"],
-        "reparam": [9, 0, 1, 8],
-    }
-}
+ONE_WALL_PATH = Path(__file__).parent / "data" / "overlay_dp3_one_wall.json"
+ONE_WALL_DP3 = json.loads(ONE_WALL_PATH.read_text())
 
 
-def test_git_walls_mismatch_is_exit_3(capsys, tmp_path):
-    path = tmp_path / "overlay.json"
-    path.write_text(json.dumps(ONE_WALL_DP3))
-    code, out, _ = run(capsys, "git-walls", "--registry", str(path))
+def test_git_walls_mismatch_is_exit_3(capsys):
+    code, out, _ = run(capsys, "git-walls", "--registry", str(ONE_WALL_PATH))
     assert code == 3
     assert "match: NO" in out
-    code, out, _ = run(capsys, "git-walls", "--registry", str(path), "--format", "json")
+    code, out, _ = run(capsys, "git-walls", "--registry", str(ONE_WALL_PATH), "--format", "json")
     assert code == 3
     assert json.loads(out)["registry_match"] is False
 
@@ -540,14 +519,12 @@ def test_git_walls_refuses_other_degrees_without_importing_gitwalls():
     assert proc.stdout == "False\n"
 
 
-def test_check_fails_under_optimize(tmp_path):
+def test_check_fails_under_optimize():
     # python -O strips assert statements; the checks must not depend on them
-    path = tmp_path / "overlay.json"
-    path.write_text(json.dumps(ONE_WALL_DP3))
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
          "import sys; from wallcross.cli import main; sys.exit(main(sys.argv[1:]))",
-         "check", "--registry", str(path)],
+         "check", "--registry", str(ONE_WALL_PATH)],
         capture_output=True, text=True, env=_subprocess_env(), timeout=120,
     )
     assert proc.returncode == 3, proc.stdout + proc.stderr
@@ -649,22 +626,18 @@ def test_registry_overlay_round_trip(capsys, tmp_path):
     assert code == 0 and "codim-0 cells: 3" in out
 
 
-def test_readme_examples_run(capsys, data_dir, monkeypatch):
-    """Each `wallcross ...` line of the README's CLI examples exits 0 with
-    empty stderr, and a line with an inline comment prints exactly that
-    comment.  A `> file` redirect is dropped, and the lines run from
-    tests/data, so the overlay line reads the manifest's my_families.json."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI examples\n\n```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if line.startswith("wallcross ")]
-    assert len(lines) == 15
+def test_readme_examples_run(capsys, data_dir, monkeypatch, tool):
+    """Each of the README's CLI examples, as the manifest reads them, exits 0
+    with empty stderr, and a line with an inline comment prints exactly that
+    comment.  The lines run from tests/data, so the overlay line reads the
+    manifest's my_families.json."""
+    examples = tool("outputs").readme_examples()
+    assert len(examples) == 15
     monkeypatch.chdir(data_dir)
-    for line in lines:
-        command, _, comment = line.partition("#")
-        argv = shlex.split(command)[1:]
-        code, out, err = run(capsys, *argv[: argv.index(">") if ">" in argv else None])
+    for line, comment in examples:
+        code, out, err = run(capsys, *shlex.split(line))
         assert (code, err) == (0, ""), line
-        assert out and (not comment or out == comment.strip() + "\n"), line
+        assert out and (not comment or out == comment + "\n"), line
 
 
 def test_broken_overlay_is_computation_error(capsys, tmp_path):
@@ -724,11 +697,9 @@ def test_product_text_past_cell_bound_uses_closed_form(capsys):
     assert lines[-1] == f"crossing graph: {6**9} nodes, {9 * 5 * 6**8} edges, connected"
 
 
-def test_cli_module_runs_as_script(tmp_path):
-    path = tmp_path / "overlay.json"
-    path.write_text(json.dumps(ONE_WALL_DP3))
+def test_cli_module_runs_as_script():
     proc = subprocess.run(
-        [sys.executable, "-m", "wallcross.cli", "check", "--registry", str(path)],
+        [sys.executable, "-m", "wallcross.cli", "check", "--registry", str(ONE_WALL_PATH)],
         capture_output=True, text=True, env=_subprocess_env(), timeout=120,
     )
     assert proc.returncode == 3, proc.stdout + proc.stderr
@@ -737,11 +708,9 @@ def test_cli_module_runs_as_script(tmp_path):
     assert lines[-1] == "CHECKS FAILED"
 
 
-def test_package_runs_as_module(tmp_path):
-    path = tmp_path / "overlay.json"
-    path.write_text(json.dumps(ONE_WALL_DP3))
+def test_package_runs_as_module():
     proc = subprocess.run(
-        [sys.executable, "-m", "wallcross", "check", "--registry", str(path)],
+        [sys.executable, "-m", "wallcross", "check", "--registry", str(ONE_WALL_PATH)],
         capture_output=True, text=True, env=_subprocess_env(), timeout=120,
     )
     assert proc.returncode == 3, proc.stdout + proc.stderr
@@ -773,6 +742,34 @@ def test_malformed_overlay_shape_is_computation_error(capsys, tmp_path, field, v
     code, out, err = run(capsys, "walls", "--family", "dp3", "--registry", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("hilbert", [list(range(200_000))]),  # one entry whose repr is 1.4 MB
+        ("c_walls", [f"1/{q}" for q in range(2, 50_002)]),  # every wall, out of order
+        ("reparam", list(range(100_000))),
+    ],
+)
+def test_long_refusal_keeps_its_head(capsys, tmp_path, data_dir, field, value):
+    toy = json.loads((data_dir / "my_families.json").read_text())["toy"]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"toy": dict(toy, **{field: value})}))
+    code, out, err = run(capsys, "walls", "--family", "toy", "--registry", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: registry record 'toy': ") and err.endswith(" [...]\n")
+    assert len(err.encode()) == MAX_ERROR_LINE + 1  # the newline
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_error_line_is_cut_only_past_the_cap(capsys, extra):
+    head = "error: unknown family id(s): "
+    fid = "x" * (MAX_ERROR_LINE - len(head) + extra)
+    code, out, err = run(capsys, "walls", "--family", fid)
+    assert (code, out) == (2, "")
+    whole = head + fid + "\n"
+    assert err == (whole if extra == 0 else whole[: MAX_ERROR_LINE - 6] + " [...]\n")
 
 
 def test_overlay_bool_volume_is_computation_error(capsys, tmp_path):

@@ -360,3 +360,13 @@ def test_arrangement_lists_by_one_walk():
             if isinstance(node, ast.Call)
         }
         assert "_lex_walk" in called and not called & {"sort", "sorted"}, key
+
+
+def test_mutants_names_a_missing_default_test_file(tool, monkeypatch, capsys):
+    """errors has no tests/test_errors.py: the tool says so and asks for
+    --tests, before it copies src/ or runs pytest."""
+    mutants = tool("mutants")
+    monkeypatch.setattr(mutants, "run_tests", lambda *args: "failed")
+    assert mutants.main(["errors"]) == 2
+    err = capsys.readouterr().err
+    assert err == "no test file tests/test_errors.py; name the module's tests with --tests\n"

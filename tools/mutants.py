@@ -8,8 +8,8 @@ Each mutant changes one site of src/wallcross/<module>.py: it swaps < and
 <=, > and >=, == and !=, + and -, or * and //, or it adds 1 to an integer
 constant 0, 1 or 2.  The module is written back by ast.unparse into a fresh
 copy of src/, and `pytest -x` runs the module's test files (by default
-tests/test_<module>.py) against that copy, JOBS mutants at a time.  A
-baseline round-trips the module unmutated first and must pass.
+tests/test_<module>.py, which must exist) against that copy, JOBS mutants at
+a time.  A baseline round-trips the module unmutated first and must pass.
 
 A mutant is killed when its run fails or takes over TIMEOUT seconds.  A
 survivor listed in EQUIVALENT is reported with the reason it cannot change
@@ -194,6 +194,11 @@ def main(argv: list[str] | None = None) -> int:
 
     source = (ROOT / "src" / "wallcross" / f"{args.module}.py").read_text()
     tests = args.tests or [f"tests/test_{args.module}.py"]
+    missing = [t for t in tests if not (ROOT / t.split("::")[0]).exists()]
+    if missing:
+        print(f"no test file {', '.join(missing)}; name the module's tests with --tests",
+              file=sys.stderr)
+        return 2
     lines = {int(v) for v in args.lines.split(",")} if args.lines else None
     mutants = [mutate(source, k) for k in range(len(sites(ast.parse(source))))]
     seen: dict[tuple[str, str, str], int] = {}

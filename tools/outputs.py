@@ -2,8 +2,10 @@
 
     python tools/outputs.py > tests/data/outputs.json
 
-Each command below runs through wallcross.cli.main in this process, from
-tests/data (where its overlay files live), with stdout and stderr captured.
+The commands are the README's CLI examples, read from its "## CLI examples"
+block by readme_examples(), followed by COMMANDS below.  Each runs through
+wallcross.cli.main in this process, from tests/data (where its overlay
+files live), with stdout and stderr captured.
 The manifest maps each command line to its exit code and the length and
 sha256 of its stdout, with the sha256 of its stderr; a usage error (exit 1)
 keeps no stderr digest, since argparse words its own messages and they
@@ -27,22 +29,6 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
 COMMANDS = """
-walls --family dp3
-walls --family dp3 --space t
-walls --family dp4 --format json
-product --families dp3,dp4
-product --families dp3,dp3 --fold --format json
-product --families dp3,dp4 --format svg
-product --families dp3,dp4 --format ascii
-chamber --families dp3,dp4 --point 1/2,1/5
-stack --factors dp3,dp4
-stack --factors dp3,dp3 --format json
-stack --factors dp3,dp4 --iso dp3=dp4
-git-walls --degree 3
-git-walls --degree 3 --format json
-check
-walls --family toy --registry my_families.json
-
 walls --family dp4 --space t --format json
 walls --family p1
 walls --family p1 --format json
@@ -114,6 +100,17 @@ git-walls --degree three
 """
 
 
+def readme_examples() -> list[tuple[str, str]]:
+    """The README's CLI examples as (command line, inline comment) pairs: each
+    `wallcross ...` line of its "## CLI examples" block, its argv joined by
+    single spaces without the leading `wallcross`, `# comment` or `> file`."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI examples\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("#") for line in block.splitlines() if line.startswith("wallcross ")]
+    return [(" ".join(command.split(">")[0].split()[1:]), comment.strip())
+            for command, _, comment in lines]
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -137,7 +134,8 @@ def manifest() -> dict:
     cwd = os.getcwd()
     os.chdir(DATA)
     try:
-        return {line: outcome(shlex.split(line)) for line in COMMANDS.splitlines() if line}
+        lines = [line for line, _ in readme_examples()] + COMMANDS.splitlines()
+        return {line: outcome(shlex.split(line)) for line in lines if line}
     finally:
         os.chdir(cwd)
 
