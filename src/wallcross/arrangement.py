@@ -49,14 +49,7 @@ import json
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
-from .errors import (
-    BadCodimError,
-    BoundExceededError,
-    ConsistencyError,
-    DimensionMismatchError,
-    MismatchedWallSetsError,
-    UnsupportedDimensionError,
-)
+from .errors import BoundExceededError, ConsistencyError, UnsupportedError
 from .exactq import Value, format_rational
 from .wallsets import WallSet
 
@@ -97,6 +90,13 @@ def _representative_counts(parts) -> list[int]:
                 nxt[j + c] += ways * val
         counts = nxt
     return counts
+
+
+def _at_codim(counts, codim: int) -> int:
+    """counts[codim] from a list of k + 1 counts by codimension, for a codim in 0..k."""
+    if not 0 <= codim < len(counts):
+        raise ValueError(f"codim {codim} outside 0..{len(counts) - 1}")
+    return counts[codim]
 
 
 def _lex_walk(wall_counts: tuple[int, ...], parts, codim: int) -> list[tuple[int, ...]]:
@@ -160,9 +160,7 @@ class ProductArrangement(Value):
 
     def cells(self, codim: int) -> tuple[tuple[int, ...], ...]:
         """All cells of the given codimension in lex order: the walk over singleton parts."""
-        if not 0 <= codim <= self.k:
-            raise BadCodimError(f"codim {codim} outside 0..{self.k}")
-        if (count := self.cell_counts[codim]) > MAX_CELLS:
+        if (count := _at_codim(self.cell_counts, codim)) > MAX_CELLS:
             raise BoundExceededError(f"{count} codim-{codim} cells, above the bound {MAX_CELLS}")
         return tuple(_lex_walk(self.wall_counts, tuple((i,) for i in range(self.k)), codim))
 
@@ -173,9 +171,7 @@ class ProductArrangement(Value):
         """Cell containing a point with one (0, 1)-coordinate per factor."""
         point = tuple(point)
         if len(point) != self.k:
-            raise DimensionMismatchError(
-                f"point of length {len(point)} in a {self.k}-factor arrangement"
-            )
+            raise ValueError(f"point of length {len(point)} in a {self.k}-factor arrangement")
         return tuple(ws.locate(x) for (_, ws), x in zip(self.factors, point))
 
 
@@ -230,7 +226,7 @@ def crossing_graph(arr: ProductArrangement) -> CrossingGraph:
 class SymmetricFolding(Value):
     """Quotient bookkeeping for an arrangement and a grouping, kept as a tuple of tuples,
     that partitions 0..k-1 into non-empty parts of int positions (ValueError otherwise),
-    each part of one wall set (MismatchedWallSetsError otherwise); singletons fold nothing."""
+    each part of one wall set (ValueError otherwise too); singletons fold nothing."""
 
     __slots__ = ("_burnside", "_representatives")  # memos: slots, so not fields of the value
 
@@ -243,7 +239,7 @@ class SymmetricFolding(Value):
         for part in grouping:
             if len({arrangement.factors[pos][1] for pos in part}) > 1:
                 ids = [arrangement.factors[pos][0] for pos in part]
-                raise MismatchedWallSetsError(f"grouped factors {ids} carry different wall sets")
+                raise ValueError(f"grouped factors {ids} carry different wall sets")
         self.__dict__.update(arrangement=arrangement, grouping=grouping)
 
     def orbits(self, codim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -267,13 +263,11 @@ class SymmetricFolding(Value):
 
     def orbit_count(self, codim: int) -> int:
         """Orbit representatives of the given codimension by the closed form, listing none."""
-        if not 0 <= codim <= self.arrangement.k:
-            raise BadCodimError(f"codim {codim} outside 0..{self.arrangement.k}")
         if not hasattr(self, "_representatives"):  # built once per folding
             walls = self.arrangement.wall_counts
             counts = _representative_counts((walls[part[0]], len(part)) for part in self.grouping)
             object.__setattr__(self, "_representatives", counts)
-        return self._representatives[codim]
+        return _at_codim(self._representatives, codim)
 
     def group_order(self) -> int:
         return prod(factorial(len(part)) for part in self.grouping)
@@ -290,8 +284,6 @@ class SymmetricFolding(Value):
         codimension obey sums[n] = sum over l of perm(n - 1, l - 1)
         ((w + 1) + w x^l) sums[n - l] (the exponential formula); parts
         multiply as polynomials in the codimension x."""
-        if not 0 <= codim <= self.arrangement.k:
-            raise BadCodimError(f"codim {codim} outside 0..{self.arrangement.k}")
         if not hasattr(self, "_burnside"):  # built once per folding
             total = [1]  # fixed-cell sums by codimension over the parts so far
             for part in self.grouping:
@@ -307,10 +299,10 @@ class SymmetricFolding(Value):
                     sums.append(nxt)
                 total = sums[-1]
             object.__setattr__(self, "_burnside", total)
-        total, order = self._burnside, self.group_order()
-        if total[codim] % order:
-            raise ConsistencyError(f"Burnside sum {total[codim]} not divisible by {order}")
-        return total[codim] // order
+        total, order = _at_codim(self._burnside, codim), self.group_order()
+        if total % order:
+            raise ConsistencyError(f"Burnside sum {total} not divisible by {order}")
+        return total // order
 
 
 def grouping_by_id(arr: ProductArrangement) -> tuple[tuple[int, ...], ...]:
@@ -351,9 +343,7 @@ def render(product: ProductArrangement | SymmetricFolding, fmt: str) -> str:
     if fmt == "json":
         return _render_json(arr, folding)
     if arr.k > 2:
-        raise UnsupportedDimensionError(
-            f"{fmt} diagrams support at most 2 factors, got {arr.k}"
-        )
+        raise UnsupportedError(f"{fmt} diagrams support at most 2 factors, got {arr.k}")
     return _render_svg(arr, folding) if fmt == "svg" else _render_ascii(arr)
 
 

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateMapError, PoleError
+from .errors import PoleError
 
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")  # ASCII: \d takes any Unicode digit
 
@@ -88,7 +88,7 @@ class MoebiusMap(Value):
         if not (type(a) is type(b) is type(c) is type(d) is int):  # bools too are refused
             raise TypeError(f"integer coefficients required, got {(a, b, c, d)!r}")
         if a * d == b * c:
-            raise DegenerateMapError(f"vanishing determinant: {(a, b, c, d)!r}")
+            raise ValueError(f"vanishing determinant: {(a, b, c, d)!r}")
         # a or b is the leading coefficient, as a = b = 0 would make det 0
         g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)
         if g != 1:

@@ -31,7 +31,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .errors import ArityError, BoundExceededError, ConsistencyError, GroupTooLargeError
+from .errors import BoundExceededError, ConsistencyError
 from .exactq import Value
 
 # Generator closure refuses groups larger than this, and product_model
@@ -127,7 +127,7 @@ class MapKind(enum.Enum):
 def classify_product_map(factors, iso=()) -> MapKind:
     """Classify the map from the two-slot product moduli.
 
-    Exactly two factor slots are required (ArityError otherwise).  The map
+    Exactly two factor slots are required (ValueError otherwise).  The map
     is an isomorphism when the slots are non-isomorphic and an S2-gerbe over
     the symmetric quotient when they are isomorphic; symmetric in the slots
     by construction.
@@ -135,7 +135,7 @@ def classify_product_map(factors, iso=()) -> MapKind:
     groups = _grouped(factors, iso)
     total = sum(m for _, m in groups)
     if total != 2:
-        raise ArityError(f"need exactly 2 factor slots, got {total}")
+        raise ValueError(f"need exactly 2 factor slots, got {total}")
     return MapKind.S2_GERBE if len(groups) == 1 else MapKind.ISOMORPHISM
 
 
@@ -154,7 +154,7 @@ def _closure(generators: tuple[tuple[int, ...], ...], n: int) -> frozenset[tuple
             h = tuple(map(get, g))  # (gen after g)(i) = gen[g[i]]
             if h not in elements:
                 if len(elements) >= MAX_GROUP_ORDER:
-                    raise GroupTooLargeError(
+                    raise BoundExceededError(
                         f"generated group exceeds order bound {MAX_GROUP_ORDER}")
                 elements.add(h)
                 queue.append(h)
@@ -248,7 +248,7 @@ def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroup
         raise BoundExceededError(f"product carrier of {na * nb} points exceeds bound {MAX_CARRIER}")
     order = a.group_order() * b.group_order()
     if order > MAX_GROUP_ORDER:
-        raise GroupTooLargeError(f"product group order {order} exceeds bound {MAX_GROUP_ORDER}")
+        raise BoundExceededError(f"product group order {order} exceeds bound {MAX_GROUP_ORDER}")
     carrier = tuple(itertools.product(a.carrier, b.carrier))
     starts, cols = [i * nb for i in range(na)], range(nb)  # pair (i, j) is index i * nb + j
     gens = [tuple(starts[x] + j for x in g for j in cols) for g in a.generators]

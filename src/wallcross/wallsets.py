@@ -29,7 +29,7 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import MissingDataError, OutOfRangeError, WallcrossError
+from .errors import MissingDataError, WallcrossError
 from .exactq import MoebiusMap, Value, format_rational, parse_rational
 from .invariants import FanoNumerics, consistency_check
 
@@ -62,7 +62,7 @@ class WallSet(Value):
         """Position of x, which must lie strictly inside (0, 1)."""
         x = parse_rational(x)
         if not 0 < x < 1:
-            raise OutOfRangeError(f"{format_rational(x)} outside the open interval (0, 1)")
+            raise ValueError(f"{format_rational(x)} outside the open interval (0, 1)")
         i = bisect_left(self.walls, x)
         return 2 * i + (i < len(self.walls) and self.walls[i] == x)
 

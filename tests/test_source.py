@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wallcross").glob("*.py"))
 
 
@@ -105,6 +107,18 @@ def test_every_raise_names_a_documented_family():
         and (path.name, getattr(top, "name", None), name) != ("cli.py", "main_entry", "SystemExit")
     ]
     assert found == []
+
+
+def test_errors_has_one_class_per_kind():
+    """The base and the five kinds of "valid input, cannot be done"; none is a
+    ValueError, so malformed input and the kinds stay two disjoint families."""
+    from wallcross import errors
+
+    classes = {name: obj for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert sorted(classes) == ["BoundExceededError", "ConsistencyError", "MissingDataError",
+                               "PoleError", "UnsupportedError", "WallcrossError"]
+    assert all(issubclass(cls, errors.WallcrossError) and not issubclass(cls, ValueError)
+               for cls in classes.values())
 
 
 def test_registry_is_loaded_only_by_cli_main():
@@ -370,3 +384,16 @@ def test_mutants_names_a_missing_default_test_file(tool, monkeypatch, capsys):
     assert mutants.main(["errors"]) == 2
     err = capsys.readouterr().err
     assert err == "no test file tests/test_errors.py; name the module's tests with --tests\n"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("a", "--lines takes comma-separated line numbers, got 'a'"),
+    ("1,2", "no mutation site on line 1, 2 of gitwalls.py"),
+])
+def test_mutants_refuses_lines_that_select_nothing(tool, monkeypatch, capsys, lines, message):
+    """A --lines value that is not a line number, or names a line with no
+    mutation site, stops the tool before it copies src/ or runs pytest."""
+    mutants = tool("mutants")
+    monkeypatch.setattr(mutants, "run_tests", lambda *args: pytest.fail("ran the tests"))
+    assert mutants.main(["gitwalls", "--lines", lines]) == 2
+    assert capsys.readouterr().err == message + "\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from _models import hand_built_registry
 from wallcross import cli, invariants, wallsets
 from wallcross.arrangement import ProductArrangement, cell_json, cell_str
-from wallcross.errors import MissingDataError, OutOfRangeError, PoleError
+from wallcross.errors import MissingDataError, PoleError
 from wallcross.exactq import MoebiusMap
 from wallcross.wallsets import FamilyRecord, WallSet, load_registry
 
@@ -109,7 +109,7 @@ def test_locate_in_dp3_c_walls(registry):
     assert ws.locate(F(1, 100)) == 0
     assert ws.locate(F(99, 100)) == 10
     for bad in (F(0), F(1), F(-1, 2), F(3, 2)):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=rf"^{bad} outside the open interval \(0, 1\)$"):
             ws.locate(bad)
 
 

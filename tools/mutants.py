@@ -1,7 +1,7 @@
 """Hand-run mutation check of one wallcross module against its tests.
 
     python tools/mutants.py gitwalls
-    python tools/mutants.py gitwalls --lines 171,181,195
+    python tools/mutants.py gitwalls --lines 105,107,109
     python tools/mutants.py stackalg --tests tests/test_stackalg.py tests/test_acceptance.py
 
 Each mutant changes one site of src/wallcross/<module>.py: it swaps < and
@@ -10,6 +10,8 @@ constant 0, 1 or 2.  The module is written back by ast.unparse into a fresh
 copy of src/, and `pytest -x` runs the module's test files (by default
 tests/test_<module>.py, which must exist) against that copy, JOBS mutants at
 a time.  A baseline round-trips the module unmutated first and must pass.
+--lines takes source line numbers, each of which must hold a mutation site;
+anything else stops the run with status 2 before any test runs.
 
 A mutant is killed when its run fails or takes over TIMEOUT seconds.  A
 survivor listed in EQUIVALENT is reported with the reason it cannot change
@@ -199,8 +201,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no test file {', '.join(missing)}; name the module's tests with --tests",
               file=sys.stderr)
         return 2
-    lines = {int(v) for v in args.lines.split(",")} if args.lines else None
-    mutants = [mutate(source, k) for k in range(len(sites(ast.parse(source))))]
+    try:
+        lines = {int(v) for v in args.lines.split(",")} if args.lines else None
+    except ValueError:
+        print(f"--lines takes comma-separated line numbers, got {args.lines!r}", file=sys.stderr)
+        return 2
+    found = sites(ast.parse(source))
+    if lines and (empty := sorted(lines - {node.lineno for node, _ in found})):
+        print(f"no mutation site on line {', '.join(map(str, empty))} of {args.module}.py",
+              file=sys.stderr)
+        return 2
+    mutants = [mutate(source, k) for k in range(len(found))]
     seen: dict[tuple[str, str, str], int] = {}
     for _, info in mutants:
         nth = seen[key] = seen.get(key := (info["scope"], info["text"], info["change"]), 0) + 1

@@ -87,6 +87,7 @@ walls --family dp3 --registry overlay_repeated_record.json
 walls --family dp3 --registry overlay_repeated_field.json
 walls --family dp3 --registry overlay_repeated_nested.json
 walls --family toy --registry overlay_deep.json
+walls --family dp3 --registry overlay_degenerate.json
 walls --family dp3 --registry no_such_overlay.json
 
 frobnicate
