@@ -24,11 +24,11 @@ The finite probe set R comes from the arrangement of monomial-difference
 hyperplanes <m - m', r> = 0 inside the sum-zero space, the consecutive ties
 r_i = r_{i+1} among them: the primitive generator of each of its rays inside
 the descending cone C = {r_0 >= ... >= r_n}, a fundamental domain of S_{n+1}.
-The walk down to the rays cuts one hyperplane at a time and keeps only the
-flats F meeting C, each with generators of the cone F & C.  It cuts F only
-where a probe can lie: by a direction taking both signs on the generators,
-or by a tie vanishing on one of them (candidate_weights proves that no probe
-is lost).  The walk refuses a rank of more than MAX_FLATS flats.
+The walk down to the rays keeps each cone F & C, F a flat, by its extreme
+generators alone, and cuts it one hyperplane at a time, only where a probe
+can lie: by a direction taking both signs on the generators, or by a tie
+vanishing on some of them and not all (candidate_weights proves that no
+probe is lost).  The walk refuses a rank of more than MAX_FLATS cones.
 
 R is complete: every pair (M+(r, t, j), j) from any r in C lies inside a
 probe's pair.  Fix t and j, take r in C with M+(r, t, j) nonempty, and let K
@@ -61,7 +61,9 @@ registered tables.
 Open question, recorded: whether thresholds j with r_j = 0 can ever carry a
 wall under this convention.  They contribute t-independent supports only,
 so they never create a candidate value, but they do participate in the
-maximal family; we keep them for faithfulness.
+maximal family; we keep them for faithfulness.  In the 106 chambers of
+seven small configurations they change no chamber's family, as
+test_zero_weight_thresholds_change_no_chamber_family measures.
 
 Only (n, d) = (3, 3) is a supported target; other small (n, d) run in
 exploratory mode with no acceptance claim.
@@ -84,10 +86,10 @@ Monomial = tuple[int, ...]
 WeightVector = tuple[int, ...]
 
 # monomials refuses configurations with more monomials than this, before it
-# builds any.  The candidate_weights walk costs, at each rank, the flats
-# meeting the descending cone times the direction count; it refuses as it is
-# about to make flat number MAX_FLATS + 1 of a rank.  (5, 2) peaks at 1,110;
-# (6, 2) is refused at its third rank, after 76 and 1,682 flats.
+# builds any.  The candidate_weights walk costs, at each rank, the cones it
+# keeps times the direction count; it refuses as it is about to make cone
+# number MAX_FLATS + 1 of a rank.  (5, 2) peaks at 992; (6, 2) is refused at
+# its third rank, after 76 and 1,673 cones.
 MAX_MONOMIALS = 56
 MAX_FLATS = 10_000
 
@@ -146,22 +148,21 @@ def _equation_directions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(dirs))
 
 
-def _cut(basis: tuple[tuple[int, ...], ...], s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The flat cut from span(basis) by a hyperplane with nonzero functional
-    s_i = a . b_i on it: its reduced echelon rows, primitive with positive
-    pivots, so that equal flats get equal keys when `basis` is such a key.
+def _cut(gens, vals, masks) -> frozenset[tuple[int, ...]]:
+    """The extreme generators of K & ker a, given those of a cone K = span(K) & C,
+    the values a . p on them and their tie masks (bit i set when p_i = p_{i+1}).
 
-    Fraction-free: pivoting on the last nonzero s_p, each row
-    s_p * b_i - s_i * b_p (i != p) keeps the pivot of b_i and stays zero in
-    the other pivots' columns, because b_p is zero there and s_i = 0 for i > p.
+    One double-description step (Motzkin et al. 1953): the generators a
+    vanishes on, and (a . p) q - (a . q) p for each pair a . p > 0 > a . q
+    that is adjacent, no third generator lying on every tie that both lie on
+    (Fukuda and Prodon 1996).  Each new ray lies inside its own 2-face of K,
+    so the child's generators are again extreme, and equal cones get equal keys.
     """
-    p = max(i for i, v in enumerate(s) if v)
-    sp, bp = s[p], basis[p]
-    return tuple(
-        _sign_canonical(_primitive(tuple(sp * x - si * y for x, y in zip(b, bp))))
-        for i, (si, b) in enumerate(zip(s, basis))
-        if i != p
-    )
+    side = [(v, p, m) for v, p, m in zip(vals, gens, masks) if v]
+    pairs = (_primitive(tuple(vp * x - vq * y for x, y in zip(q, p)))
+             for vp, p, mp in side if vp > 0 for vq, q, mq in side if vq < 0
+             if sum(mp & mq & ~m == 0 for m in masks) == 2)
+    return frozenset([*(p for v, p in zip(vals, gens) if not v), *pairs])
 
 
 @lru_cache(maxsize=None)
@@ -169,62 +170,59 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     """Probe vectors: the descending generators of the rays of the direction
     arrangement inside the sum-zero space.
 
-    The flats F meeting the descending cone C are walked rank by rank from
-    the reduced echelon basis e_i - e_n of that space, each with generators
-    of F & C, first C's extreme rays ((n + 1 - k)^k, (-k)^(n + 1 - k)).  F is
-    cut by the distinct primitive functionals that the kept directions
-    restrict to on it, each cut kept once under its `_cut` key.  A direction
-    is kept when it takes both signs on the generators, or when it is a tie
-    r_i = r_{i+1}, at least 0 on C, that vanishes on one of them.
+    The walk keeps each cone K = F & C, F a flat of the arrangement, by its
+    extreme generators alone, rank by rank from C's extreme rays
+    ((n + 1 - k)^k, (-k)^(n + 1 - k)).  A direction a is kept when it takes
+    both signs on the generators, or when it is a tie r_i = r_{i+1}, at
+    least 0 on C, that vanishes on some of them and not all.  Directions
+    whose values a . p on the generators are proportional cut K alike, so
+    `_cut` is called once per primitive sign-canonical value vector.  A cone
+    with one generator is a probe at whatever rank it is met, since a tie
+    cut can drop the dimension by more than one.
 
-    No probe is lost.  Let rho be a probe ray in F & C, with F not yet a ray.
-      * rho interior to F & C relative to F: rho is cut out by the directions
-        through it, so one of them misses F.  Its restriction to F vanishes
-        at an interior point of F & C, so it takes both signs on F & C, on
-        the generators too, and is kept.
-      * Otherwise rho is on the boundary of F & C = {r in F : r_i >= r_{i+1}}
-        relative to F, which covers an F & C not spanning F: some tie that
-        does not vanish on F vanishes at rho.  It is at least 0 on the
-        generators, and rho is a nonnegative sum of them, so it vanishes on
-        one of them and is kept.
-    Either way a kept cut leads to a flat one rank down that still holds
-    rho, and F & C does not depend on the chain that reached F.  After n - 1
-    steps every flat is a ray meeting C, so its key, positive first like
-    every descending sum-zero vector, is the probe.
+    Every K is span(K) & C.  C is, and if K = L & C, a cut
+    K' = L & ker a & C holds span(K') & C, since span(K') lies in L & ker a.
+    No probe is lost.  Let rho be a probe ray in K, with K not yet a ray.
+      * rho interior to K relative to span(K): rho is cut out by the
+        directions through it, so one of them misses span(K).  It vanishes
+        at an interior point of K, so it takes both signs on K, on the
+        generators too, and is kept.
+      * Otherwise rho is on the boundary of K = {r in span(K) : r_i >= r_{i+1}}
+        relative to span(K): some tie that does not vanish on span(K)
+        vanishes at rho.  It is at least 0 on the generators, and rho is a
+        nonnegative sum of them, so it vanishes on one of them and is kept.
+    Either way a kept cut leads to a cone that still holds rho and has a
+    smaller span.  A one-generator cone is a ray F & C, and the ties
+    vanishing on it cut F down to its line, so it is a probe, positive
+    first like every descending sum-zero vector.
     """
     dirs = _equation_directions(n, d)
     ties = {tuple(int(k == i) - (k == i + 1) for k in range(n + 1)) for i in range(n)}
-    dots: dict[tuple[int, ...], tuple[int, ...]] = {}  # generator p -> a . p for each a
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # p -> (a . p for each a, tie mask)
     extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
-    flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n)): extreme}
-    for _ in range(n - 1):
-        cut_flats: dict[tuple, tuple] = {}
-        for basis, gens in flats.items():
+    probes, cones = set(), {frozenset(extreme)}
+    while cones:
+        children = set()
+        for gens in cones:
+            if len(gens) == 1:
+                probes |= gens
+                continue
             for p in gens:
-                if p not in dots:
-                    dots[p] = tuple(sum(map(mul, a, p)) for a in dirs)
-            cuts = {}
-            for a, vals in zip(dirs, zip(*(dots[p] for p in gens))):
-                if min(vals) < 0 < max(vals) or a in ties and min(vals) == 0:
-                    s = tuple(sum(map(mul, a, b)) for b in basis)
-                    if any(s):
-                        cuts.setdefault(_sign_canonical(_primitive(s)), vals)
-            for s, vals in cuts.items():
-                child = _cut(basis, s)
-                if child not in cut_flats:
-                    if len(cut_flats) == MAX_FLATS:
+                if p not in memo:
+                    memo[p] = (*(sum(map(mul, a, p)) for a in dirs),
+                               sum(1 << i for i in range(n) if p[i] == p[i + 1]))
+            *cols, masks = zip(*map(memo.__getitem__, gens))
+            cuts = {_sign_canonical(_primitive(vals)) for a, vals in zip(dirs, cols)
+                    if min(vals) < 0 < max(vals) or a in ties and min(vals) == 0 < max(vals)}
+            for vals in cuts:
+                child = _cut(gens, vals, masks)
+                if child not in children:
+                    if len(children) == MAX_FLATS:
                         raise BoundExceededError(
                             f"({n}, {d}) has more than {MAX_FLATS} flats at a rank")
-                    # F & C & ker a, one double-description step (Motzkin et
-                    # al. 1953): the generators a vanishes on, and
-                    # (a . p) q - (a . q) p for each pair a . p > 0 > a . q
-                    side = [(v, p) for v, p in zip(vals, gens) if v]
-                    pairs = (_primitive(tuple(vp * x - vq * y for x, y in zip(q, p)))
-                             for vp, p in side if vp > 0 for vq, q in side if vq < 0)
-                    zero = (p for v, p in zip(vals, gens) if not v)
-                    cut_flats[child] = tuple(dict.fromkeys([*zero, *pairs]))
-        flats = cut_flats
-    found = sorted(v for (v,) in flats)
+                    children.add(child)
+        cones = children
+    found = sorted(probes)
     if not all(is_weight_vector(r) for r in found):
         raise ConsistencyError("a normalized probe is not a weight vector")
     return tuple(found)

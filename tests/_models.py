@@ -2,8 +2,11 @@
 brute-force oracles for the closed forms that `stackalg` computes, the
 per-entry lifts that `product_model`'s generators must match, the
 plain `Fraction` polynomial product that `invariants._convolve` must match,
-the unpruned probe walk and the kernel oracle that `gitwalls.candidate_weights`
-must match, the per-point fingerprint that the wall sweep's chamber samples
+the unpruned flat walk and the kernel oracle whose probes
+`gitwalls.candidate_weights` must match (its cone walk keyed by extreme
+generators; both oracles build their own directions, and the flat walk cuts
+reduced echelon bases, whose `echelon_key` also names each cone's span), the
+per-point fingerprint that the wall sweep's chamber samples
 must match (by the stability test `stability_mask` and the from-scratch
 `maximal_family`, which `gitwalls._Antichain` must match too), the
 filtered full product and the bucketing under every group image that
@@ -24,7 +27,6 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from wallcross import gitwalls
 from wallcross.exactq import MoebiusMap
 from wallcross.invariants import Polynomial
 from wallcross.stackalg import (
@@ -186,24 +188,72 @@ def poly_mul_oracle(f, g) -> Polynomial:
     return poly_trim_oracle(out)
 
 
+def _primitive(vec):
+    g = math.gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+
+
+def _sign_canonical(vec):
+    lead = next((v for v in vec if v), 0)
+    return tuple(-v for v in vec) if lead < 0 else tuple(vec)
+
+
+def _directions(n: int, d: int):
+    """The monomial differences of degree d in n + 1 variables and the
+    consecutive ties e_i - e_{i+1}, each primitive and sign-canonical."""
+    mons = [e for e in itertools.product(range(d + 1), repeat=n + 1) if sum(e) == d]
+    dirs = {tuple(a - b for a, b in zip(m1, m2)) for m1, m2 in itertools.combinations(mons, 2)}
+    dirs |= {tuple(int(k == i) - int(k == i + 1) for k in range(n + 1)) for i in range(n)}
+    return {_sign_canonical(_primitive(a)) for a in dirs}
+
+
+def echelon_cut(basis, s):
+    """The flat cut from span(basis) by a hyperplane with nonzero functional
+    s_i = a . b_i on it, as reduced echelon rows, primitive with positive
+    pivots, when `basis` is such rows.  Fraction-free: pivoting on the last
+    nonzero s_p, each row s_p b_i - s_i b_p (i != p) keeps the pivot of b_i
+    and stays zero in the other pivots' columns."""
+    p = max(i for i, v in enumerate(s) if v)
+    return tuple(
+        _sign_canonical(_primitive(tuple(s[p] * x - si * y for x, y in zip(b, basis[p]))))
+        for i, (si, b) in enumerate(zip(s, basis))
+        if i != p
+    )
+
+
+def echelon_key(rows):
+    """The reduced echelon basis of span(rows), each row primitive with a
+    positive pivot, by fraction-free elimination: equal spans get equal keys."""
+    rows, basis = list(rows), []
+    for c in range(len(rows[0])):
+        if (pivot := next((row for row in rows if row[c]), None)) is None:
+            continue
+        rows.remove(pivot)
+        pivot = _sign_canonical(_primitive(pivot))  # its first nonzero entry is at c
+        rows, basis = ([_primitive(tuple(pivot[c] * x - row[c] * y for x, y in zip(row, pivot)))
+                        for row in part] for part in (rows, basis))
+        basis.append(pivot)
+    return tuple(basis)
+
+
 def unpruned_probes(n: int, d: int):
-    """The probe walk without the descending-cone pruning: every flat of the
-    direction arrangement, rank by rank, each cut once by each distinct
-    primitive functional the directions restrict to on it, down to the rays,
-    whose descending keys are the probes.  `gitwalls._cut` is looked up on
-    the module, so a test that wraps it counts these cuts too."""
-    dirs = gitwalls._equation_directions(n, d)
+    """The probe walk without the descending-cone pruning, and its cut count:
+    every flat of the direction arrangement, rank by rank from the reduced
+    echelon basis e_i - e_n of the sum-zero space, each cut by `echelon_cut`
+    once per distinct primitive functional the directions restrict to on
+    it, down to the rays, whose descending keys are the probes."""
+    dirs, cuts = _directions(n, d), 0
     flats = {tuple((*(int(k == i) for k in range(n)), -1) for i in range(n))}
     for _ in range(n - 1):
         cut_flats = set()
         for basis in flats:
-            restricted = set(zip(*([sum(map(mul, a, b)) for a in dirs] for b in basis)))
-            cuts = {
-                gitwalls._sign_canonical(gitwalls._primitive(s)) for s in restricted if any(s)
-            }
-            cut_flats.update(gitwalls._cut(basis, s) for s in cuts)
+            restricted = {_sign_canonical(_primitive(s))
+                          for s in zip(*([sum(map(mul, a, b)) for a in dirs] for b in basis))
+                          if any(s)}
+            cut_flats.update(echelon_cut(basis, s) for s in restricted)
+            cuts += len(restricted)
         flats = cut_flats
-    return tuple(sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:]))))
+    return tuple(sorted(v for (v,) in flats if all(a >= b for a, b in zip(v, v[1:])))), cuts
 
 
 def _det(rows) -> int:
@@ -219,13 +269,9 @@ def kernel_probes(n: int, d: int):
     arrangement in the sum-zero space is the kernel of the all-ones
     functional and n - 1 directions, read off as the signed maximal minors
     of those n rows; a nonzero kernel is kept with its descending sign, made
-    primitive.  Monomials and directions (monomial differences and
-    consecutive ties) are built here, not taken from `gitwalls`."""
-    mons = [e for e in itertools.product(range(d + 1), repeat=n + 1) if sum(e) == d]
-    dirs = {tuple(a - b for a, b in zip(m1, m2)) for m1, m2 in itertools.combinations(mons, 2)}
-    dirs |= {tuple(int(k == i) - int(k == i + 1) for k in range(n + 1)) for i in range(n)}
+    primitive.  The directions come from `_directions`, not from `gitwalls`."""
     found = set()
-    for chosen in itertools.combinations(dirs, n - 1):
+    for chosen in itertools.combinations(_directions(n, d), n - 1):
         rows = [(1,) * (n + 1), *chosen]
         kernel = [(-1) ** k * _det([row[:k] + row[k + 1:] for row in rows]) for k in range(n + 1)]
         if g := math.gcd(*kernel):

@@ -10,6 +10,7 @@ from math import comb, gcd
 
 import pytest
 from _models import (
+    echelon_key,
     fingerprint,
     kernel_probes,
     maximal_family,
@@ -23,7 +24,6 @@ from wallcross import gitwalls
 from wallcross.errors import BoundExceededError, UnsupportedError
 from wallcross.gitwalls import (
     _Antichain,
-    _cut,
     _equation_directions,
     _Search,
     candidate_twalls,
@@ -111,68 +111,6 @@ def test_candidate_weights_match_system_oracle(n, d):
     assert candidate_weights(n, d) == kernel_probes(n, d)
 
 
-def is_reduced_echelon_key(rows):
-    """Primitive rows with positive pivots in increasing columns, each row
-    zero in every other row's pivot column."""
-    pivots = [next(c for c, v in enumerate(row) if v) for row in rows]
-    return (
-        pivots == sorted(set(pivots))
-        and all(row[c] > 0 and gcd(*row) == 1 for row, c in zip(rows, pivots))
-        and all(row[c] == 0 for i, c in enumerate(pivots) for k, row in enumerate(rows) if k != i)
-    )
-
-
-def test_cut_keys_a_flat_by_its_reduced_echelon_basis():
-    def restrict(a, basis):
-        return tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
-
-    # the sum-zero space of R^5, whose flats have free columns between pivots
-    space = tuple(tuple(int(k == i) - (k == 4) for k in range(5)) for i in range(4))
-    dirs = _equation_directions(4, 2)
-    planes = 0
-    # cutting by a then a' gives the key that cutting by a' then a gives,
-    # and any nonzero multiple of the functional gives the same key
-    for a, a2 in itertools.combinations(dirs, 2):
-        flat = _cut(space, restrict(a, space))
-        assert is_reduced_echelon_key(flat)
-        assert _cut(space, tuple(-3 * v for v in restrict(a, space))) == flat
-        other = _cut(space, restrict(a2, space))
-        s, s2 = restrict(a2, flat), restrict(a, other)
-        assert any(s) == any(s2) == (flat != other)
-        if any(s):
-            plane = _cut(flat, s)
-            assert plane == _cut(other, s2)
-            assert is_reduced_echelon_key(plane)
-            assert restrict(a, plane) == restrict(a2, plane) == (0, 0)
-            assert all(sum(b) == 0 for b in plane)
-            planes += 1
-    assert planes > 1000
-
-
-def _cut_all(basis, normals):
-    """The flat of span(basis) inside every hyperplane a . x = 0, cut in order."""
-    for a in normals:
-        s = tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
-        if any(s):
-            basis = _cut(basis, s)
-    return basis
-
-
-@settings(max_examples=200)
-@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)]), st.data())
-def test_cut_keys_do_not_depend_on_cut_order(nd, data):
-    n, d = nd
-    normals = data.draw(st.lists(st.sampled_from(_equation_directions(n, d)), min_size=2,
-                                 max_size=n))
-    scale = data.draw(st.integers(-3, 3).filter(bool))
-    space = tuple(tuple(int(k == i) - (k == n) for k in range(n + 1)) for i in range(n))
-    flat = _cut_all(space, normals)
-    assert is_reduced_echelon_key(flat)
-    assert all(sum(x * y for x, y in zip(a, b)) == 0 for a in normals for b in flat)
-    assert _cut_all(space, data.draw(st.permutations(normals))) == flat
-    assert _cut_all(space, [tuple(scale * v for v in a) for a in normals]) == flat
-
-
 @pytest.mark.parametrize(
     "n, d, fewer",
     [(2, 3, 2), (2, 4, 2), (2, 5, 2), (2, 6, 2), (3, 2, 4), (3, 3, 5), (3, 4, 5), (4, 2, 5),
@@ -181,16 +119,15 @@ def test_cut_keys_do_not_depend_on_cut_order(nd, data):
 def test_candidate_weights_match_unpruned_walk(monkeypatch, n, d, fewer):
     """The same probes, and the pruning at work: the walk inside the
     descending cone, cutting only where a probe can lie, makes fewer than
-    1/fewer of the unpruned walk's cuts ((3, 3) cuts 174 flats against
-    1,525, (4, 2) 463 against 10,840)."""
+    1/fewer of the cuts that the unpruned walk counts for itself ((3, 3)
+    makes 174 cuts against 1,525, (4, 2) 457 against 10,840)."""
     calls = []
     cut = gitwalls._cut
-    monkeypatch.setattr(gitwalls, "_cut", lambda basis, s: calls.append(s) or cut(basis, s))
+    monkeypatch.setattr(gitwalls, "_cut", lambda *args: calls.append(args) or cut(*args))
     candidate_weights.cache_clear()
-    pruned = candidate_weights(n, d)
-    pruned_cuts = len(calls)
-    assert unpruned_probes(n, d) == pruned
-    assert 0 < fewer * pruned_cuts < len(calls) - pruned_cuts
+    probes, unpruned_cuts = unpruned_probes(n, d)
+    assert candidate_weights(n, d) == probes
+    assert 0 < fewer * len(calls) < unpruned_cuts
 
 
 def test_candidate_weights_counts_past_the_oracle():
@@ -237,36 +174,61 @@ def test_candidate_weights_bound(monkeypatch):
         candidate_weights(3, 3)
 
 
-def flats_by_rank(monkeypatch):
-    """Wrap `_cut` so that each call is counted and each flat it makes is
-    recorded; returns the calls and a function giving the Counter of the
-    distinct flats made, by rank."""
-    calls, made = [], set()
+def cones_by_rank(monkeypatch):
+    """Wrap `_cut` so that each call is counted and each cone it makes is
+    recorded; returns the calls and a function giving the list of the
+    distinct cones made at each rank, one step of the walk.  A rank cuts
+    each cone of more than one generator that the rank before made, all
+    its cuts in one run of calls, and cuts each of them at least once, so
+    the runs, told apart by the cone object, count off where a rank ends."""
+    calls, ranks, cone, left = [], [], None, 0
     cut = gitwalls._cut
 
-    def counting(basis, s):
-        calls.append(s)
-        made.add(child := cut(basis, s))
+    def counting(gens, vals, masks):
+        nonlocal cone, left
+        calls.append(vals)
+        if gens is not cone:
+            cone = gens
+            if not left:
+                left = sum(len(c) > 1 for c in ranks[-1]) if ranks else 1
+                ranks.append(set())
+            left -= 1
+        ranks[-1].add(child := cut(gens, vals, masks))
         return child
 
     monkeypatch.setattr(gitwalls, "_cut", counting)
     candidate_weights.cache_clear()
-    return calls, lambda: Counter(map(len, made))
+    return calls, lambda: [len(made) for made in ranks]
 
 
 @pytest.mark.parametrize("n, d, ranks, cuts", [
-    (3, 3, {2: 23, 1: 49}, 174),
-    (4, 2, {3: 19, 2: 76, 1: 42}, 463),
-    (5, 2, {4: 40, 3: 409, 2: 1110, 1: 411}, 9846),
+    (3, 3, [23, 49], 174),
+    (4, 2, [19, 74, 42], 457),
+    (5, 2, [40, 404, 992, 411], 9658),
 ])
 def test_candidate_weights_flats_and_cuts_are_exact(monkeypatch, n, d, ranks, cuts):
     """The walk cuts only where a probe can lie, by two-signed directions
-    and by ties vanishing on a generator: the distinct flats of each rank
-    and the `_cut` calls, pinned at that rule's numbers."""
-    calls, made = flats_by_rank(monkeypatch)
-    assert len(candidate_weights(n, d)) == ranks[1]
+    and by ties vanishing on some generators and not all: the distinct
+    cones of each rank and the `_cut` calls, pinned at that rule's numbers."""
+    calls, made = cones_by_rank(monkeypatch)
+    assert len(candidate_weights(n, d)) == ranks[-1]
     assert made() == ranks
     assert len(calls) == cuts
+
+
+@pytest.mark.parametrize("n, d, count", [(4, 2, 131), (5, 2, 1819)])
+def test_cut_keys_a_cone_by_its_extreme_generators(monkeypatch, n, d, count):
+    """Each cone is the part of its span inside the descending cone, so a
+    span has one cone; the walk, which keys a cone by its generators, makes
+    one generator set per span, as it does only when `_cut` keeps exactly
+    the extreme ones.  Spans are keyed by the tests' own echelon basis."""
+    made = []
+    cut = gitwalls._cut
+    monkeypatch.setattr(gitwalls, "_cut", lambda *args: made.append(cut(*args)) or made[-1])
+    candidate_weights.cache_clear()
+    candidate_weights(n, d)
+    cones = set(made)
+    assert len({echelon_key(gens) for gens in cones}) == len(cones) == count
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 3), (4, 2), (5, 2), (3, 5)])
@@ -279,16 +241,16 @@ def test_every_tie_is_a_monomial_difference(n, d):
 
 
 @pytest.mark.parametrize("n, d, ranks, cuts", [
-    (6, 2, {5: 76, 4: 1682, 3: 10_001}, 31_444),
-    (7, 2, {6: 133, 5: 5650, 4: 10_001}, 34_028),
-    (9, 2, {8: 339, 7: 10_001}, 10_839),
-    (5, 3, {4: 250, 3: 10_001}, 12_009),
+    (6, 2, [76, 1673, 10_001], 22_664),
+    (7, 2, [133, 5636, 10_001], 22_746),
+    (9, 2, [339, 10_001], 11_073),
+    (5, 3, [250, 10_001], 13_803),
 ])
 def test_candidate_weights_refuses_past_max_flats(monkeypatch, n, d, ranks, cuts):
-    """Past the shipped configurations the walk is refused as it makes flat
-    10,001 of a rank.  The flats of each rank and the `_cut` calls made
+    """Past the shipped configurations the walk is refused as it makes cone
+    10,001 of a rank.  The cones of each rank and the `_cut` calls made
     before the refusal are pinned, since they set its cost."""
-    calls, made = flats_by_rank(monkeypatch)
+    calls, made = cones_by_rank(monkeypatch)
     with pytest.raises(BoundExceededError, match=rf"^\({n}, {d}\) has more than 10000 flats at a rank$"):
         candidate_weights(n, d)
     assert made() == ranks
@@ -296,17 +258,17 @@ def test_candidate_weights_refuses_past_max_flats(monkeypatch, n, d, ranks, cuts
 
 
 def test_candidate_weights_flat_bound(monkeypatch):
-    """A rank's flats are counted as they are made: (4, 2) holds 19, 76 and
-    then 42 flats, so MAX_FLATS = 76 passes it and 75 refuses it partway
+    """A rank's cones are counted as they are made: (4, 2) holds 19, 74 and
+    then 42 cones, so MAX_FLATS = 74 passes it and 73 refuses it partway
     through its second rank."""
-    calls, _ = flats_by_rank(monkeypatch)
-    monkeypatch.setattr(gitwalls, "MAX_FLATS", 76)  # the bound itself passes
+    calls, _ = cones_by_rank(monkeypatch)
+    monkeypatch.setattr(gitwalls, "MAX_FLATS", 74)  # the bound itself passes
     assert len(candidate_weights(4, 2)) == 42
     full = len(calls)
     calls.clear()
-    monkeypatch.setattr(gitwalls, "MAX_FLATS", 75)
+    monkeypatch.setattr(gitwalls, "MAX_FLATS", 73)
     candidate_weights.cache_clear()
-    with pytest.raises(BoundExceededError, match=r"^\(4, 2\) has more than 75 flats at a rank$"):
+    with pytest.raises(BoundExceededError, match=r"^\(4, 2\) has more than 73 flats at a rank$"):
         candidate_weights(4, 2)
     assert 0 < len(calls) < full
 
@@ -319,11 +281,11 @@ def test_candidate_weights_refuses_before_building_an_over_bound_rank(monkeypatc
     calls = []
     cut = gitwalls._cut
 
-    def bounded(basis, s):
-        calls.append(s)
+    def bounded(*args):
+        calls.append(args)
         if len(calls) > 3000:
             raise AssertionError("cut past the first over-bound flat")
-        return cut(basis, s)
+        return cut(*args)
 
     monkeypatch.setattr(gitwalls, "_cut", bounded)
     monkeypatch.setattr(gitwalls, "MAX_FLATS", 1000)
@@ -597,6 +559,24 @@ def test_sweep_samples_match_fingerprint(config):
     search = _Search(n, d)
     cuts = sorted(search.candidates())
     assert search._chamber_samples(cuts) == midpoint_samples(search)
+
+
+def test_zero_weight_thresholds_change_no_chamber_family():
+    """The docstring's open question, measured: in no chamber of these
+    configurations does a profile with r_j = 0 change the family.  Each
+    chamber's family is recomputed at its midpoint by the stability test,
+    once from every profile and once without those."""
+    chambers = 0
+    for n, d in [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2)]:
+        search = _Search(n, d)
+        bounds = [F(0), *search.candidates(), F(1)]
+        for a, b in zip(bounds, bounds[1:]):
+            masks = [(stability_mask(wvec, rj, (a + b) / 2), j, rj)
+                     for wvec, rj, j in search.profiles]
+            assert maximal_family((m, j) for m, j, _ in masks) == maximal_family(
+                (m, j) for m, j, rj in masks if rj), (n, d, a, b)
+            chambers += 1
+    assert chambers == 106
 
 
 def test_sweep_samples_match_fingerprint_with_exhaustive_probes(monkeypatch):

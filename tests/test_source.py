@@ -321,7 +321,7 @@ def test_gitwalls_oracles_share_no_code_with_gitwalls():
     must match, and every `_models` function they call, read no `gitwalls`
     name, so that a fault in the module cannot hide in its own oracle."""
     tree, reached = models_reached(
-        "fingerprint", "stability_mask", "maximal_family", "kernel_probes")
+        "fingerprint", "stability_mask", "maximal_family", "kernel_probes", "unpruned_probes")
     imported = {
         alias.asname or alias.name
         for node in tree.body

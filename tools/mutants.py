@@ -49,12 +49,10 @@ SWAPS = {
 # (module, enclosing function, stripped source line, "before -> after"): why
 # the mutant behaves the same.  A suffix " #k" marks the k-th mutant of that
 # text on that line.
-_RAYS = "extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))"
-_PAIRS = "for vp, p in side if vp > 0 for vq, q in side if vq < 0)"
+_PAIRS = "for vp, p, mp in side if vp > 0 for vq, q, mq in side if vq < 0"
 _LEAD = "return tuple(-v for v in vec) if lead < 0 else vec"
 _RJ = "sign, q = (-1, rj) if rj > 0 else (1, -rj)"
-_RAY = ("the walk reads a generator p only through a . p and positive combinations, "
-        "and every direction a has entry sum 0")
+_MASK = "sum(1 << i for i in range(n) if p[i] == p[i + 1]))"
 _GCD = "g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)"
 _SLOTS = "part_of, later = [0] * k, [0] * k  # each slot's part, and its part's slots after it"
 _PARTITION = "the parts partition the slots, so the loop below overwrites every entry"
@@ -71,28 +69,18 @@ EQUIVALENT = {
         "lead is nonzero there",
     ("gitwalls", "_sign_canonical", _LEAD, "lead < 0 -> lead < 1"):
         "lead is a nonzero integer there",
-    ("gitwalls", "candidate_weights", _PAIRS, "vp > 0 -> vp >= 0"):
+    ("gitwalls", "_cut", _PAIRS, "vp > 0 -> vp >= 0"):
         "side holds only the nonzero values",
-    ("gitwalls", "candidate_weights", _PAIRS, "vq < 0 -> vq <= 0"):
+    ("gitwalls", "_cut", _PAIRS, "vq < 0 -> vq <= 0"):
         "side holds only the nonzero values",
-    ("gitwalls", "candidate_weights", _PAIRS, "vq < 0 -> vq < 1"):
+    ("gitwalls", "_cut", _PAIRS, "vq < 0 -> vq < 1"):
         "side holds only the nonzero integer values",
+    ("gitwalls", "candidate_weights", _MASK, "1 << i -> 2 << i"):
+        "every tie mask moves up one bit, so which masks hold which is unchanged",
     ("gitwalls", "_Search.__init__", _RJ, "rj > 0 -> rj >= 0"):
         "r_j = 0 gives q = 0 either way, and 0 < sign * w < 0 holds for no w",
     ("gitwalls", "_Search.__init__", _RJ, "rj > 0 -> rj > 1"):
         "r_j = 1 puts the threshold -w in (0, 1) for no integer w, either way",
-    # C's extreme rays ((n + 1 - k)^k, (-k)^(n + 1 - k)) = (n + 1) 1_{<k} - k 1
-    ("gitwalls", "candidate_weights", _RAYS, "n + 1 - k -> n + 1 + k"):
-        "(n + 1 + 2k) 1_{<k} - k 1 is a positive multiple of the ray plus a multiple of 1; " + _RAY,
-    ("gitwalls", "candidate_weights", _RAYS, "n + 1 -> n - 1"):
-        "(n - 1) 1_{<k} - k 1 is the ray up to a positive factor and a multiple of 1 for n > 1, "
-        "and n = 1 makes no cut; " + _RAY,
-    ("gitwalls", "candidate_weights", _RAYS, "n + 1 -> n + 2"):
-        "(n + 2) 1_{<k} - k 1 is a positive multiple of the ray plus a multiple of 1; " + _RAY,
-    ("gitwalls", "candidate_weights", _RAYS, "n + 1 - k -> n + 1 + k #2"):
-        "the ray gains 2k trailing entries, and zip stops at the first n + 1 wherever it is read",
-    ("gitwalls", "candidate_weights", _RAYS, "n + 1 -> n + 2 #2"):
-        "the ray gains one trailing entry, and zip stops at the first n + 1 wherever it is read",
     ("exactq", "MoebiusMap.__init__", _GCD, "(a or b) < 0 -> (a or b) <= 0"):
         "a = b = 0 makes the determinant 0, refused above, so a or b is nonzero",
     ("exactq", "MoebiusMap.__init__", _GCD, "(a or b) < 0 -> (a or b) < 1"):
