@@ -469,11 +469,7 @@ def _render_ascii(arr: ProductArrangement) -> str:
         canvas = ["-"] * (ASCII_COLS + 1)
         for w in ws:
             canvas[round(w * ASCII_COLS)] = "|"
-        lines = [
-            f"0 {''.join(canvas)} 1",
-            f"{fid} walls: {ws}" if len(ws) else f"{fid} walls: (none)",
-        ]
-        return "\n".join(lines) + "\n"
+        return f"0 {''.join(canvas)} 1\n{fid} walls: {ws if len(ws) else '(none)'}\n"
     (fid_x, ws_x), (fid_y, ws_y) = arr.factors
     # border lines are walls too; row 0 is the top of the square
     cols = {0, ASCII_COLS} | {round(w * ASCII_COLS) for w in ws_x}
@@ -482,6 +478,5 @@ def _render_ascii(arr: ProductArrangement) -> str:
         "".join(" -|+"[2 * (col in cols) + (row in rows)] for col in range(ASCII_COLS + 1))
         for row in range(ASCII_ROWS + 1)
     ]
-    grid.append(f"x ({fid_x}) walls: {ws_x}")
-    grid.append(f"y ({fid_y}) walls: {ws_y}")
+    grid += [f"x ({fid_x}) walls: {ws_x}", f"y ({fid_y}) walls: {ws_y}"]
     return "\n".join(grid) + "\n"

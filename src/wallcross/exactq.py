@@ -77,11 +77,12 @@ def format_rational(value: Fraction) -> str:
 class MoebiusMap(Value):
     """The map x -> (a*x + b)/(c*x + d) with integer coefficients.
 
-    Canonical form, enforced at construction: gcd(a, b, c, d) = 1 and the
-    first nonzero coefficient is positive, so equal maps compare and hash
-    equal.  The determinant a*d - b*c must be nonzero; composition of
-    nondegenerate maps is automatically nondegenerate (determinants
-    multiply), and the constructor re-checks anyway.
+    Canonical form: gcd(a, b, c, d) = 1 and the first nonzero coefficient is
+    positive, so equal maps compare and hash equal.  The constructor refuses
+    coefficients that are not ints and a zero determinant a*d - b*c.  compose
+    and inverse skip both checks, sound by construction: a composite has int
+    coefficients and det f * det g != 0; the adjugate (d, -b, -c, a) of a
+    canonical map keeps gcd 1 and det.
     """
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
@@ -89,11 +90,7 @@ class MoebiusMap(Value):
             raise TypeError(f"integer coefficients required, got {(a, b, c, d)!r}")
         if a * d == b * c:
             raise ValueError(f"vanishing determinant: {(a, b, c, d)!r}")
-        # a or b is the leading coefficient, as a = b = 0 would make det 0
-        g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)
-        if g != 1:
-            a, b, c, d = a // g, b // g, c // g, d // g
-        self.__dict__.update(a=a, b=b, c=c, d=d)
+        _canonical(self, a, b, c, d)
 
     def coefficients(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -109,17 +106,27 @@ class MoebiusMap(Value):
         return Fraction(self.a * p + self.b * q, den)
 
     def inverse(self) -> "MoebiusMap":
-        """The inverse map; adjugate coefficients, re-canonicalized."""
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+        """The inverse map; adjugate coefficients, re-signed."""
+        return _canonical(object.__new__(MoebiusMap), self.d, -self.b, -self.c, self.a)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """self after other: (self.compose(other))(x) = self(other(x))."""
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = other.a, other.b, other.c, other.d
-        return MoebiusMap(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return _canonical(object.__new__(MoebiusMap),
+                          a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __str__(self) -> str:
         return f"({_linear_str(self.a, self.b)})/({_linear_str(self.c, self.d)})"
+
+
+def _canonical(m: MoebiusMap, a: int, b: int, c: int, d: int) -> MoebiusMap:
+    """Fill m with (a, b, c, d) over their gcd, signed so that a (b if a = 0) is positive."""
+    g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)
+    if g != 1:
+        a, b, c, d = a // g, b // g, c // g, d // g
+    m.__dict__.update(a=a, b=b, c=c, d=d)
+    return m
 
 
 def _linear_str(p: int, q: int) -> str:
@@ -127,7 +134,4 @@ def _linear_str(p: int, q: int) -> str:
     if p == 0:
         return str(q)
     xterm = {1: "x", -1: "-x"}.get(p, f"{p}x")
-    if q == 0:
-        return xterm
-    sign = "+" if q > 0 else "-"
-    return f"{xterm} {sign} {abs(q)}"
+    return f"{xterm} {'+' if q > 0 else '-'} {abs(q)}" if q else xterm

@@ -114,15 +114,9 @@ def monomials(n: int, d: int) -> tuple[Monomial, ...]:
 
 
 def is_weight_vector(r: tuple[int, ...]) -> bool:
-    """Normalized probe: integer, descending, sum zero, nonzero, primitive."""
-    return (
-        len(r) >= 2
-        and all(isinstance(v, int) for v in r)
-        and all(a >= b for a, b in zip(r, r[1:]))
-        and sum(r) == 0
-        and any(v != 0 for v in r)
-        and gcd(*r) == 1
-    )
+    """Normalized probe: integer, descending, sum zero, primitive (so nonzero)."""
+    return (all(isinstance(v, int) for v in r) and all(a >= b for a, b in zip(r, r[1:]))
+            and sum(r) == 0 and gcd(*r) == 1)
 
 
 def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -201,7 +195,7 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # p -> (a . p for each a, tie mask)
     extreme = tuple(_primitive((n + 1 - k,) * k + (-k,) * (n + 1 - k)) for k in range(1, n + 1))
     probes, cones = set(), {frozenset(extreme)}
-    while cones:
+    for _ in range(n):  # a kept cut lowers dim span(K), which is n at C and 1 at a probe
         children = set()
         for gens in cones:
             if len(gens) == 1:
@@ -222,6 +216,8 @@ def candidate_weights(n: int, d: int) -> tuple[WeightVector, ...]:
                             f"({n}, {d}) has more than {MAX_FLATS} flats at a rank")
                     children.add(child)
         cones = children
+    if cones:
+        raise ConsistencyError(f"the cone walk of ({n}, {d}) is not done after {n} rounds")
     found = sorted(probes)
     if not all(is_weight_vector(r) for r in found):
         raise ConsistencyError("a normalized probe is not a weight vector")

@@ -38,6 +38,8 @@ MAX_DIMENSION = 100
 
 def poly_trim(coeffs) -> Polynomial:
     """Parse each coefficient (exactq.parse_rational); drop trailing zeros."""
+    if isinstance(coeffs, str):  # "12" would be read as the coefficients 1, 2
+        raise ValueError(f"polynomial {coeffs!r} is a str, not a sequence of coefficients")
     out = list(map(parse_rational, coeffs))
     while out and out[-1] == 0:
         out.pop()

@@ -87,8 +87,10 @@ def _grouped(factors, iso, drop=frozenset()) -> list[list]:
             raise ValueError(f"multiplicity of {fid} must be {need}, got {mult!r}")
         counts[fid] = counts.get(fid, 0) + mult
     class_of: dict[str, frozenset[str]] = {}
-    for cls in map(frozenset, iso):
-        if len(cls) >= 2:
+    for cls in iso:
+        if isinstance(cls, str):  # frozenset("ab") would read "a" and "b" as ids
+            raise ValueError(f"iso class {cls!r} is a str, not a collection of ids")
+        if len(cls := frozenset(cls)) >= 2:
             if not class_of.keys().isdisjoint(cls):
                 raise ValueError("iso classes must be disjoint")
             class_of.update(dict.fromkeys(cls, cls))
@@ -113,8 +115,9 @@ def canonicalize(factors, iso, point_ids: frozenset[str]) -> Descriptor:
     the class multiplicity as its power.  Idempotent and invariant under
     permutation of the input.
     """
-    groups = map(tuple, _grouped(factors, iso, point_ids))  # (id, power) in id order
-    return Descriptor(tuple(sorted(groups, key=lambda g: g[1] > 1)))  # atoms first, stably
+    groups = _grouped(factors, iso, point_ids)  # [id, power] in id order
+    return Descriptor(tuple([(r, 1) for r, s in groups if s == 1]  # atoms first
+                            + [(r, s) for r, s in groups if s > 1]))
 
 
 class MapKind(enum.Enum):
@@ -251,8 +254,8 @@ def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroup
         raise BoundExceededError(f"product group order {order} exceeds bound {MAX_GROUP_ORDER}")
     carrier = tuple(itertools.product(a.carrier, b.carrier))
     starts, cols = [i * nb for i in range(na)], range(nb)  # pair (i, j) is index i * nb + j
-    gens = [tuple(starts[x] + j for x in g for j in cols) for g in a.generators]
-    gens += [tuple(s + y for s in starts for y in h) for h in b.generators]
+    gens = [tuple([starts[x] + j for x in g for j in cols]) for g in a.generators]
+    gens += [tuple([s + y for s in starts for y in h]) for h in b.generators]
     prod = object.__new__(FiniteGroupoidModel)  # lifts of permutations need no check
     prod.__dict__.update(carrier=carrier, generators=tuple(gens))
     return prod
@@ -261,8 +264,8 @@ def product_model(a: FiniteGroupoidModel, b: FiniteGroupoidModel) -> FiniteGroup
 def sym_quotient_model(model: FiniteGroupoidModel, k: int) -> int:
     """Number of S_k-orbits of k-tuples of G-orbits: the multisets of size k
     from N orbits, C(N + k - 1, k)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:  # bools, 2.0 and "2" are not sizes
+        raise ValueError(f"k must be {'>= 1' if type(k) is int else 'an int'}, got {k!r}")
     return comb(len(model.orbit_partition()) + k - 1, k)
 
 

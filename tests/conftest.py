@@ -8,6 +8,10 @@ from hypothesis import settings
 
 from wallcross.wallsets import load_registry
 
+# The oracles in tests/_models.py check with plain asserts; rewritten by
+# pytest like a test module's, they still fail under python -O.
+pytest.register_assert_rewrite("_models")
+
 DATA_DIR = Path(__file__).parent / "data"
 
 # One profile for every property test: the same examples on every run, and

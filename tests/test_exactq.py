@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallcross.arrangement import ProductArrangement
@@ -312,3 +312,18 @@ def test_compose_evaluates_as_nested_calls(f, g, x):
     inner = plain_eval(g, x)
     assume(inner is not None and plain_eval(f, inner) is not None)
     assert f.compose(g)(x) == f(g(x)) == plain_eval(f, inner)
+
+
+@settings(max_examples=200)
+@given(moebius_maps, moebius_maps)
+@example(MoebiusMap(2, 1, 1, 3), MoebiusMap(3, -1, -1, 2))  # f after its inverse: raw 5 * I
+@example(MoebiusMap(0, 1, 1, 0), MoebiusMap(1, 0, -1, 1))  # raw leads -1 and (0, -1)
+@example(MoebiusMap(1, 2, 0, -1), MoebiusMap(1, 0, 0, 1))  # raw inverse (-1, -2, 0, 1)
+def test_compose_and_inverse_match_the_checked_constructor(f, g):
+    """compose and inverse skip the constructor's checks; each result is the
+    map the constructor builds from the raw coefficients, field for field."""
+    (a, b, c, d), (e, f2, g2, h) = f.coefficients(), g.coefficients()
+    raw_compose = (a * e + b * g2, a * f2 + b * h, c * e + d * g2, c * f2 + d * h)
+    for got, raw in ((f.compose(g), raw_compose), (f.inverse(), (d, -b, -c, a))):
+        want = MoebiusMap(*raw)
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallcross import gitwalls
-from wallcross.errors import BoundExceededError, UnsupportedError
+from wallcross.errors import BoundExceededError, ConsistencyError, UnsupportedError
 from wallcross.gitwalls import (
     _Antichain,
     _equation_directions,
@@ -128,6 +128,20 @@ def test_candidate_weights_match_unpruned_walk(monkeypatch, n, d, fewer):
     probes, unpruned_cuts = unpruned_probes(n, d)
     assert candidate_weights(n, d) == probes
     assert 0 < fewer * len(calls) < unpruned_cuts
+
+
+def test_candidate_weights_walk_ends_in_n_rounds(monkeypatch):
+    """Each kept cut lowers dim span(K), from n at the descending cone to 1
+    at a probe, so a cone still open after n rounds is a fault, refused at
+    once: a cut that returns its cone would otherwise walk for ever."""
+    monkeypatch.setattr(gitwalls, "_cut", lambda gens, vals, masks: gens)
+    want = r"^the cone walk of \(3, 3\) is not done after 3 rounds$"
+    candidate_weights.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=want):
+            candidate_weights(3, 3)
+    finally:
+        candidate_weights.cache_clear()
 
 
 def test_candidate_weights_counts_past_the_oracle():

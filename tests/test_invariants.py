@@ -47,6 +47,17 @@ def test_poly_helpers():
     assert poly_trim([1, "7/2", "0"]) == (F(1), F(7, 2))
 
 
+@pytest.mark.parametrize("hilbert", ["12", "1", ""])
+def test_polynomial_must_not_be_a_str(hilbert):
+    """FanoNumerics(1, 2, "12") was accepted, its Hilbert polynomial read one
+    character at a time as (1, 2)."""
+    want = f"^polynomial {hilbert!r} is a str, not a sequence of coefficients$"
+    with pytest.raises(ValueError, match=want):
+        poly_trim(hilbert)
+    with pytest.raises(ValueError, match=want):
+        FanoNumerics(1, 2, hilbert)
+
+
 @pytest.mark.parametrize("dimension", [True, 2.0])
 def test_dimension_must_be_an_int(dimension):
     """True and 2.0 used to be stored as the dimension as given."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _models
 from _models import (
     assert_product_laws,
     brute_canonicalize,
@@ -214,6 +215,18 @@ def test_factor_ids_must_be_str(factors):
         classify_product_map(factors)
     with pytest.raises(ValueError, match=want):
         _grouped(factors, (), frozenset({bad}))
+
+
+@pytest.mark.parametrize("iso", [["ab"], [{"a", "b"}, "cd"], ["a"]])
+def test_iso_class_must_not_be_a_str(iso):
+    """A str class would be read one character at a time: ["ab"] made the
+    factors "a" and "b" one class, an S2-gerbe and [a^2/S2]."""
+    bad = next(cls for cls in iso if isinstance(cls, str))
+    want = f"^iso class {re.escape(repr(bad))} is a str, not a collection of ids$"
+    with pytest.raises(ValueError, match=want):
+        classify_product_map(["a", "b"], iso)
+    with pytest.raises(ValueError, match=want):
+        canonicalize(["a", "b"], iso, frozenset())
 
 
 def test_classify_product_map():
@@ -447,6 +460,15 @@ def test_product_laws_random_pairs():
         assert_product_laws(a, b)
 
 
+def test_product_laws_fail_on_a_wrong_product(monkeypatch):
+    """The oracle's asserts are rewritten by pytest (tests/conftest.py), so
+    a wrong product fails them under python -O too."""
+    monkeypatch.setattr(_models, "product_model", lambda a, b: a)
+    s3 = FiniteGroupoidModel(tuple(range(3)), S3_GENS)
+    with pytest.raises(AssertionError):
+        assert_product_laws(s3, s3)
+
+
 def test_sym_quotient_counts():
     six = FiniteGroupoidModel(tuple(range(6)), ())
     assert sym_quotient_model(six, 2) == 21
@@ -456,8 +478,17 @@ def test_sym_quotient_counts():
     assert sym_quotient_model(one, 5) == 1
     s3 = FiniteGroupoidModel(tuple(range(3)), S3_GENS)
     assert sym_quotient_model(s3, 4) == 1  # a single orbit underneath
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
         sym_quotient_model(six, 0)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2", None])
+def test_sym_quotient_k_must_be_an_int(k):
+    """k=True was read as 1, and 2.0 and "2" escaped as a TypeError from
+    math.comb or from the comparison."""
+    six = FiniteGroupoidModel(tuple(range(6)), ())
+    with pytest.raises(ValueError, match=f"^k must be an int, got {re.escape(repr(k))}$"):
+        sym_quotient_model(six, k)
 
 
 def test_sym_quotient_past_enumeration_scale():

@@ -54,14 +54,13 @@ _LEAD = "return tuple(-v for v in vec) if lead < 0 else vec"
 _RJ = "sign, q = (-1, rj) if rj > 0 else (1, -rj)"
 _MASK = "sum(1 << i for i in range(n) if p[i] == p[i + 1]))"
 _GCD = "g = -gcd(a, b, c, d) if (a or b) < 0 else gcd(a, b, c, d)"
+_SIGN = "return f\"{xterm} {'+' if q > 0 else '-'} {abs(q)}\" if q else xterm"
 _SLOTS = "part_of, later = [0] * k, [0] * k  # each slot's part, and its part's slots after it"
 _PARTITION = "the parts partition the slots, so the loop below overwrites every entry"
 _FRAGS = "for p in range(2 * max(arr.wall_counts, default=0) + 1)].__getitem__"
 _LONGER = ("the fragment list only grows, and a cell reads positions up to "
            "2 max(wall_counts) alone")
 EQUIVALENT = {
-    ("gitwalls", "is_weight_vector", "and any(v != 0 for v in r)", "v != 0 -> v != 1"):
-        "a sum-zero vector always has an entry other than 1; gcd(*r) == 1 refuses the zero vector",
     ("gitwalls", "_primitive", "return tuple(v // g for v in vec) if g > 1 else vec",
      "g > 1 -> g >= 1"):
         "dividing by 1 changes nothing, and g == 0 (the zero vector) still returns vec",
@@ -81,12 +80,13 @@ EQUIVALENT = {
         "r_j = 0 gives q = 0 either way, and 0 < sign * w < 0 holds for no w",
     ("gitwalls", "_Search.__init__", _RJ, "rj > 0 -> rj > 1"):
         "r_j = 1 puts the threshold -w in (0, 1) for no integer w, either way",
-    ("exactq", "MoebiusMap.__init__", _GCD, "(a or b) < 0 -> (a or b) <= 0"):
-        "a = b = 0 makes the determinant 0, refused above, so a or b is nonzero",
-    ("exactq", "MoebiusMap.__init__", _GCD, "(a or b) < 0 -> (a or b) < 1"):
-        "a = b = 0 makes the determinant 0, refused above, so a or b is a nonzero integer",
-    ("exactq", "_linear_str", 'sign = "+" if q > 0 else "-"', "q > 0 -> q >= 0"):
-        "q == 0 has returned above",
+    ("exactq", "_canonical", _GCD, "(a or b) < 0 -> (a or b) <= 0"):
+        "a = b = 0 makes the determinant 0, which every caller rules out, so a or b is nonzero",
+    ("exactq", "_canonical", _GCD, "(a or b) < 0 -> (a or b) < 1"):
+        "a = b = 0 makes the determinant 0, which every caller rules out, so a or b is a "
+        "nonzero integer",
+    ("exactq", "_linear_str", _SIGN, "q > 0 -> q >= 0"):
+        "q == 0 takes the other branch and returns xterm",
     ("arrangement", "_lex_walk", _SLOTS, "[0] * k -> [1] * k"): _PARTITION,
     ("arrangement", "_lex_walk", _SLOTS, "[0] * k -> [1] * k #2"): _PARTITION,
     ("arrangement", "_lex_walk.walk", "nxt = lasts[:n] + (p if later[i] else 0,) + lasts[n + 1 :]",
